@@ -170,7 +170,10 @@ def _cmd_bound(args, parser) -> int:
 def _cmd_thresholds(args, parser) -> int:
     if args.n_max < 2:
         parser.error(f"--n-max must be at least 2, got {args.n_max}")
-    rows = threshold_table(args.n_max)
+    try:
+        rows = threshold_table(args.n_max)
+    except OverflowError:
+        parser.error(f"--n-max {args.n_max} overflows double precision")
     if args.format == "csv":
         sys.stdout.write(render_table_csv(rows))
     elif args.format == "human":
@@ -220,7 +223,7 @@ def _cmd_simulate(args, parser) -> int:
                     f"p_all_zero     : {data['p_all_zero']!r}",
                     f"lhs |(Q,E)|    : {data['lhs']!r}",
                     f"rhs bound      : {data['rhs']!r}",
-                    f"standard error : {data['standard_error_lhs']!r}",
+                    f"standard error : {summary.standard_error_lhs!r}",
                     f"violated       : {str(data['violated']).lower()}",
                 ]
             )

@@ -36,20 +36,14 @@ worker count; worker threads only pick up blocks.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lhv import lhv_bound
-from .quantum import (
-    COS12,
-    CorrelationTensor,
-    build_settings,
-    entry_sum_closed_form,
-    quantum_tensor,
-    setting_phase_classes,
-)
+from .quantum import CorrelationTensor, build_settings, entry_sum_closed_form, quantum_tensor
 
 ROUND_ROBIN = "round-robin"
 UNIFORM_RANDOM = "uniform-random"
@@ -190,12 +184,14 @@ class ExperimentSummary:
     standard_error_lhs: float
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; an infinite standard error becomes None (null)."""
+        se = self.standard_error_lhs
         return {
             "p_all_zero": self.p_all_zero,
             "lhs": self.lhs,
             "rhs": self.rhs,
             "violated": self.violated,
-            "standard_error_lhs": self.standard_error_lhs,
+            "standard_error_lhs": se if math.isfinite(se) else None,
             "estimated_tensor": self.estimated_tensor.to_dict(),
         }
 
@@ -218,56 +214,51 @@ class SweepPoint:
         }
 
 
-def _sign_patterns(n_parties: int) -> np.ndarray:
-    """All 2^N sign patterns, party-major; bit set means +1."""
-    idx = np.arange(2 ** n_parties, dtype=np.int64)
-    bits = (idx[:, None] >> (n_parties - 1 - np.arange(n_parties))) & 1
-    return (2 * bits - 1).astype(np.int8)
-
-
-def _pattern_cdfs(n_parties: int, visibility: float, classes) -> dict[int, np.ndarray]:
-    """Inverse-transform tables of the all-detected sign law, per phase class.
-
-    The law depends on the setting combination only through the total phase
-    class c (cos of a multiple of pi/6), so one table per class present is the
-    per-combination table, stored once.
-    """
-    patterns = _sign_patterns(n_parties)
-    parity = patterns.prod(axis=1).astype(np.float64)
-    tables: dict[int, np.ndarray] = {}
-    for c in classes:
-        c = int(c)
-        probs = (1.0 + visibility * COS12[c] * parity) / 2.0 ** n_parties
-        if probs.min() < -1e-12:
-            raise RuntimeError(
-                f"negative joint probability {probs.min()} at phase class {c}"
-            )
-        np.clip(probs, 0.0, None, out=probs)
-        cdf = np.cumsum(probs)
-        cdf[-1] = 1.0
-        tables[c] = cdf
-    return tables
-
-
 def _n_blocks(trials: int) -> int:
     return (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
 
 
+def _place_values(n_parties: int) -> np.ndarray:
+    """Base-3 weight of each party's setting in a combo index, party 0 slowest."""
+    return 3 ** (n_parties - 1 - np.arange(n_parties, dtype=np.int64))
+
+
+def _combo_index(settings: np.ndarray) -> np.ndarray:
+    """Combo index of each row of 1-based settings, in CorrelationTensor order."""
+    place = _place_values(settings.shape[1])
+    return ((settings.astype(np.int64) - 1) * place).sum(axis=1)
+
+
+def _sample(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Outcomes of one trial per entry of ``combos``, drawn from ``rng``.
+
+    Draw order is fixed: detection uniforms, one parity uniform per trial,
+    then one fair-sign uniform per station. Every registered station takes a
+    fair sign. In an all-detected trial the last sign is then flipped when the
+    product misses a target parity drawn with P(+1) = (1 + V q)/2, q the
+    quantum tensor entry. The product is all the law depends on, so this
+    gives exactly P(r) = 2^-N (1 + V prod(r) q).
+    """
+    n = config.n_parties
+    detected = rng.random((combos.size, n)) < config.efficiency
+    parity_u = rng.random(combos.size)
+    outcomes = np.where(rng.random((combos.size, n)) < 0.5, -1, 1).astype(np.int8)
+    all_det = detected.all(axis=1)
+    q = build_q_cached(n).entries[combos[all_det]]
+    target = np.where(parity_u[all_det] < (1.0 + config.visibility * q) / 2.0, 1, -1)
+    outcomes[all_det, -1] *= target * outcomes[all_det].prod(axis=1)
+    outcomes[~detected] = 0
+    return outcomes
+
+
 def _block_trials(
-    config: ExperimentConfig,
-    block: int,
-    seed_seq: np.random.SeedSequence,
-    combo_classes: np.ndarray,
-    cdfs: dict[int, np.ndarray],
-    patterns: np.ndarray,
+    config: ExperimentConfig, block: int, seed_seq: np.random.SeedSequence
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one block. Returns (combo index, outcomes) arrays.
 
-    Draw order per block is fixed: setting combos (uniform-random policy
-    only), then detection uniforms, then one pattern uniform per trial, then
-    one fair-sign uniform per station.
+    The setting combos are drawn first (uniform-random policy only), then the
+    outcomes.
     """
-    n = config.n_parties
     start = block * BLOCK_TRIALS
     size = min(BLOCK_TRIALS, config.trials - start)
     rng = np.random.default_rng(seed_seq)
@@ -275,35 +266,7 @@ def _block_trials(
         combos = rng.integers(0, config.n_combos, size=size, dtype=np.int64)
     else:
         combos = (start + np.arange(size, dtype=np.int64)) % config.n_combos
-    detect_u = rng.random((size, n))
-    pattern_u = rng.random(size)
-    sign_u = rng.random((size, n))
-
-    detected = detect_u < config.efficiency
-    outcomes = np.zeros((size, n), dtype=np.int8)
-    all_det = detected.all(axis=1)
-    if all_det.any():
-        cls = combo_classes[combos[all_det]]
-        u = pattern_u[all_det]
-        idx = np.empty(u.size, dtype=np.int64)
-        for c in np.unique(cls):
-            mask = cls == c
-            idx[mask] = np.searchsorted(cdfs[int(c)], u[mask], side="right")
-        np.minimum(idx, patterns.shape[0] - 1, out=idx)
-        outcomes[all_det] = patterns[idx]
-    partial = ~all_det
-    if partial.any():
-        fair = np.where(sign_u < 0.5, -1, 1).astype(np.int8)
-        outcomes[partial] = np.where(detected[partial], fair[partial], 0)
-    return combos, outcomes
-
-
-def _sampler_state(config: ExperimentConfig):
-    grid = build_settings(config.n_parties)
-    combo_classes = setting_phase_classes(grid)
-    patterns = _sign_patterns(config.n_parties)
-    cdfs = _pattern_cdfs(config.n_parties, config.visibility, np.unique(combo_classes))
-    return combo_classes, cdfs, patterns
+    return combos, _sample(config, combos, rng)
 
 
 def _map_blocks(config: ExperimentConfig, func, workers: int) -> list:
@@ -319,16 +282,10 @@ def _map_blocks(config: ExperimentConfig, func, workers: int) -> list:
 
 def generate_trials(config: ExperimentConfig, workers: int = 1) -> TrialBatch:
     """Sample every trial of the experiment as an explicit batch."""
-    combo_classes, cdfs, patterns = _sampler_state(config)
-    n = config.n_parties
-
-    def work(block, seq):
-        return _block_trials(config, block, seq, combo_classes, cdfs, patterns)
-
-    parts = _map_blocks(config, work, workers)
+    parts = _map_blocks(config, lambda b, seq: _block_trials(config, b, seq), workers)
     combos = np.concatenate([p[0] for p in parts])
     outcomes = np.concatenate([p[1] for p in parts])
-    place = 3 ** (n - 1 - np.arange(n, dtype=np.int64))
+    place = _place_values(config.n_parties)
     settings = ((combos[:, None] // place) % 3 + 1).astype(np.int8)
     return TrialBatch(settings=settings, outcomes=outcomes)
 
@@ -402,11 +359,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSumm
     Statistics are merged from fixed per-seed trial blocks, so the summary is
     bit-identical for any ``workers`` value.
     """
-    combo_classes, cdfs, patterns = _sampler_state(config)
     m = config.n_combos
 
     def work(block, seq):
-        combos, outcomes = _block_trials(config, block, seq, combo_classes, cdfs, patterns)
+        combos, outcomes = _block_trials(config, block, seq)
         return _stats(combos, outcomes, m)
 
     parts = _map_blocks(config, work, workers)
@@ -422,12 +378,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSumm
     return _summary_from_stats(config, counts, sum_prod, nonzero, all_zero)
 
 
-def _batch_combos(batch: TrialBatch) -> np.ndarray:
-    n = batch.n_parties
-    place = 3 ** (n - 1 - np.arange(n, dtype=np.int64))
-    return ((batch.settings.astype(np.int64) - 1) * place).sum(axis=1)
-
-
 def summarize_batch(batch: TrialBatch, config: ExperimentConfig) -> ExperimentSummary:
     """Summary of an explicit trial batch (e.g. one loaded from disk)."""
     if batch.n_parties != config.n_parties:
@@ -437,7 +387,7 @@ def summarize_batch(batch: TrialBatch, config: ExperimentConfig) -> ExperimentSu
     if len(batch) != config.trials:
         raise ValueError(f"batch has {len(batch)} trials but config says {config.trials}")
     counts, sum_prod, nonzero, all_zero = _stats(
-        _batch_combos(batch), batch.outcomes, config.n_combos
+        _combo_index(batch.settings), batch.outcomes, config.n_combos
     )
     return _summary_from_stats(config, counts, sum_prod, nonzero, all_zero)
 
@@ -452,12 +402,9 @@ def auxiliary_tensor(batch: TrialBatch, config: ExperimentConfig) -> Correlation
         raise ValueError(
             f"batch has {batch.n_parties} parties but config has {config.n_parties}"
         )
-    folded = np.where(batch.outcomes == 0, -1, batch.outcomes).astype(np.int64)
-    prods = folded.prod(axis=1)
-    combos = _batch_combos(batch)
+    folded = np.where(batch.outcomes == 0, -1, batch.outcomes)
     m = config.n_combos
-    counts = np.bincount(combos, minlength=m)
-    sums = np.bincount(combos, weights=prods.astype(np.float64), minlength=m)
+    counts, sums, _, _ = _stats(_combo_index(batch.settings), folded, m)
     est = np.zeros(m)
     seen = counts > 0
     est[seen] = sums[seen] / counts[seen]
@@ -469,8 +416,8 @@ def sample_trial(
 ) -> TrialRecord:
     """Draw a single trial at fixed 1-based settings from an external generator.
 
-    Uses the same draw order as the batch sampler: detection uniforms, one
-    pattern uniform, then fair-sign uniforms.
+    Draws through the batch sampler, in its order: detection uniforms, one
+    parity uniform, then fair-sign uniforms.
     """
     n = config.n_parties
     settings = tuple(int(s) for s in settings)
@@ -478,23 +425,8 @@ def sample_trial(
         raise ValueError(f"expected {n} setting indices, got {len(settings)}")
     if any(s not in (1, 2, 3) for s in settings):
         raise ValueError(f"setting indices must be in 1..3, got {settings}")
-    classes = build_settings(n).phase_classes()
-    total = sum(classes[k][settings[k] - 1] for k in range(n)) % 12
-    cdf = _pattern_cdfs(n, config.visibility, [total])[total]
-    patterns = _sign_patterns(n)
-
-    detect_u = rng.random(n)
-    pattern_u = float(rng.random())
-    sign_u = rng.random(n)
-    detected = detect_u < config.efficiency
-    if detected.all():
-        idx = min(int(np.searchsorted(cdf, pattern_u, side="right")), 2 ** n - 1)
-        outcomes = tuple(int(v) for v in patterns[idx])
-    else:
-        outcomes = tuple(
-            (-1 if u < 0.5 else 1) if d else 0 for d, u in zip(detected, sign_u)
-        )
-    return TrialRecord(settings=settings, outcomes=outcomes)
+    outcomes = _sample(config, _combo_index(np.asarray([settings])), rng)[0]
+    return TrialRecord(settings=settings, outcomes=tuple(int(m) for m in outcomes))
 
 
 def visibility_sweep(

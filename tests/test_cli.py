@@ -96,6 +96,12 @@ class TestThresholds:
     def test_usage_error(self):
         assert run_cli("thresholds", "--n-max", "1").returncode == 2
 
+    def test_overflowing_n_max_is_a_usage_error(self):
+        res = run_cli("thresholds", "--n-max", "700")
+        assert res.returncode == 2
+        assert "--n-max" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestSimulate:
     def test_json_payload_and_violation(self):
@@ -129,6 +135,21 @@ class TestSimulate:
         eight = run_cli(*base, "--workers", "8")
         assert one.returncode == eight.returncode == 0
         assert one.stdout == eight.stdout
+
+    def test_infinite_standard_error_is_null(self):
+        # Round-robin gives each of the 3^8 combinations a single trial, whose
+        # sample variance is undefined; strict JSON has no Infinity.
+        res = run_cli(
+            "simulate", "--n", "8", "--v", "0.5", "--eta", "1.0",
+            "--trials", "6561", "--seed", "1",
+        )
+        assert res.returncode == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        data = json.loads(res.stdout, parse_constant=reject)
+        assert data["standard_error_lhs"] is None
 
     def test_human_format(self):
         res = run_cli(

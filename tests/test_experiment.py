@@ -28,11 +28,13 @@ from ghzbell import (
     TrialRecord,
     auxiliary_tensor,
     build_q_cached,
+    build_settings,
     entry_sum_closed_form,
     generate_trials,
     lhv_bound,
     run_experiment,
     sample_trial,
+    setting_phase_classes,
     summarize_batch,
     visibility_sweep,
 )
@@ -321,6 +323,29 @@ class TestEstimatorConsistency:
         assert summary.violated == (summary.lhs > summary.rhs)
         assert 0.0 <= summary.p_all_zero <= 1.0
         assert summary.standard_error_lhs > 0.0
+
+    def test_joint_sign_law_per_phase_class(self):
+        # All eight N = 3 sign patterns, in every total phase class c present,
+        # against P(r) = 2^-N (1 + V prod(r) cos(c pi/6)). Pearson chi-square
+        # with 7 degrees of freedom; 29.88 is its 1e-4 upper quantile.
+        n, v = 3, 0.8
+        cfg = ExperimentConfig(
+            n_parties=n, visibility=v, efficiency=1.0, trials=27 * 3000, seed=23
+        )
+        batch = generate_trials(cfg)
+        classes = setting_phase_classes(build_settings(n))[_combo_indices(batch)]
+        bits = (batch.outcomes > 0).astype(np.int64)
+        pattern = (bits * (2 ** np.arange(n - 1, -1, -1))).sum(axis=1)
+        parity = np.array([(-1) ** (n - bin(p).count("1")) for p in range(2 ** n)])
+        present = np.unique(classes)
+        assert present.size == 6
+        for c in present:
+            mask = classes == c
+            observed = np.bincount(pattern[mask], minlength=2 ** n)
+            probs = (1.0 + v * parity * math.cos(c * math.pi / 6)) / 2 ** n
+            expected = mask.sum() * probs
+            chi_sq = float(((observed - expected) ** 2 / expected).sum())
+            assert chi_sq < 29.88, (int(c), observed.tolist())
 
     def test_lost_stations_keep_fair_signs(self):
         # Among trials where exactly the second station dropped out, the first
