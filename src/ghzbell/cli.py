@@ -22,6 +22,7 @@ import sys
 
 from .checks import run_checks
 from .experiment import (
+    MAX_SEED,
     ExperimentConfig,
     ROUND_ROBIN,
     SETTING_POLICIES,
@@ -49,14 +50,30 @@ def _emit_json(data) -> None:
     _emit(json.dumps(data, indent=2))
 
 
-def _default_seed(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+def _seed(args, parser: argparse.ArgumentParser) -> int:
+    """--seed, else GHZBELL_SEED, else 0; out of 0..2^64-1 is a usage error."""
+    if args.seed is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        raw = os.environ.get(SEED_ENV_VAR)
+        if raw is None:
+            return 0
+        try:
+            seed, source = int(raw), SEED_ENV_VAR
+        except ValueError:
+            parser.error(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+    if not 0 <= seed <= MAX_SEED:
+        parser.error(f"{source} must be in 0..2^64-1, got {seed}")
+    return seed
+
+
+def _too_large(n: int, parser: argparse.ArgumentParser) -> None:
+    entries = 3 ** n
+    parser.error(
+        f"--n {n} needs 3^{n} = {entries} setting combinations; each "
+        f"per-combination array takes {8 * entries} bytes ({8 * entries / 2 ** 30:.1f} GiB), "
+        "more than this process can allocate"
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -195,7 +212,7 @@ def _cmd_thresholds(args, parser) -> int:
 def _cmd_simulate(args, parser) -> int:
     if args.workers < 1:
         parser.error(f"--workers must be positive, got {args.workers}")
-    seed = args.seed if args.seed is not None else _default_seed(parser)
+    seed = _seed(args, parser)
     try:
         config = ExperimentConfig(
             n_parties=args.n,
@@ -207,7 +224,10 @@ def _cmd_simulate(args, parser) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    summary = run_experiment(config, workers=args.workers)
+    try:
+        summary = run_experiment(config, workers=args.workers)
+    except MemoryError:
+        _too_large(args.n, parser)
     data = {"config": config.to_dict(), **summary.to_dict()}
     if args.format == "human":
         cfg = data["config"]
@@ -236,7 +256,7 @@ def _cmd_simulate(args, parser) -> int:
 def _cmd_sweep(args, parser) -> int:
     if args.workers < 1:
         parser.error(f"--workers must be positive, got {args.workers}")
-    seed = args.seed if args.seed is not None else _default_seed(parser)
+    seed = _seed(args, parser)
     try:
         grid = [float(tok) for tok in args.v_grid.split(",") if tok.strip()]
     except ValueError:
@@ -255,6 +275,8 @@ def _cmd_sweep(args, parser) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    except MemoryError:
+        _too_large(args.n, parser)
     data = {
         "n_parties": args.n,
         "efficiency": args.eta,

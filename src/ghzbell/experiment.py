@@ -31,7 +31,10 @@ entry by exactly (-1)^N (1-eta)^N.
 Determinism. Trials are split into fixed blocks of 65536. Block b draws all
 its randomness from child b of the experiment seed's SeedSequence and reduces
 to integer-valued sufficient statistics, so results are bit-identical for any
-worker count; worker threads only pick up blocks.
+worker count; worker threads only pick up blocks. The fair signs are a
+block's last draw and the statistics do not depend on them, so
+run_experiment skips them and still matches summarize_batch on the trials
+generate_trials draws.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ SETTING_POLICIES = (ROUND_ROBIN, UNIFORM_RANDOM)
 
 BLOCK_TRIALS = 65536
 MAX_SEED = 2 ** 64 - 1
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +81,7 @@ class ExperimentConfig:
             raise ValueError(f"efficiency must be in [0, 1], got {self.efficiency}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        _check_seed(self.seed)
         if self.setting_policy not in SETTING_POLICIES:
             raise ValueError(
                 f"setting policy must be one of {SETTING_POLICIES}, got {self.setting_policy!r}"
@@ -158,18 +165,55 @@ class TrialBatch:
     @classmethod
     def load(cls, path) -> "TrialBatch":
         settings, outcomes = [], []
-        with open(path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                left, sep, right = line.partition("|")
-                if not sep:
-                    raise ValueError(f"{path}:{lineno}: missing '|' separator")
-                settings.append([int(tok) for tok in left.split()])
-                outcomes.append([int(tok) for tok in right.split()])
-        if not settings:
-            raise ValueError(f"{path}: no trial records")
-        return cls(settings=np.asarray(settings), outcomes=np.asarray(outcomes))
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    if not line.strip():
+                        continue
+                    left, sep, right = line.partition("|")
+                    if not sep:
+                        raise ValueError(f"{path}:{lineno}: missing '|' separator")
+                    settings.append([int(tok) for tok in left.split()])
+                    outcomes.append([int(tok) for tok in right.split()])
+            if not settings:
+                raise ValueError(f"{path}: no trial records")
+            return cls(settings=np.asarray(settings), outcomes=np.asarray(outcomes))
+        except ValueError:
+            _raise_first_bad_record(path)
+            raise
+
+
+def _raise_first_bad_record(path) -> None:
+    """Raise a ValueError naming the first malformed record of a trials file.
+
+    Called only after a load has failed, so the loop in ``TrialBatch.load``
+    stays free of these checks. Returns if every record is well formed.
+    """
+    width = None
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            left, sep, right = line.partition("|")
+            if not sep:
+                raise ValueError(f"{where}: missing '|' separator") from None
+            try:
+                s_row = [int(tok) for tok in left.split()]
+                m_row = [int(tok) for tok in right.split()]
+            except ValueError:
+                raise ValueError(f"{where}: non-integer token in {line.strip()!r}") from None
+            if width is None:
+                width = len(s_row)
+            if len(s_row) != width or len(m_row) != width:
+                raise ValueError(
+                    f"{where}: expected {width} settings and {width} outcomes, "
+                    f"got {len(s_row)} and {len(m_row)}"
+                ) from None
+            if any(s not in (1, 2, 3) for s in s_row) or any(m not in (-1, 0, 1) for m in m_row):
+                raise ValueError(
+                    f"{where}: settings must be in 1..3 and outcomes in {{-1, 0, +1}}"
+                ) from None
 
 
 @dataclass(frozen=True)
@@ -229,35 +273,51 @@ def _combo_index(settings: np.ndarray) -> np.ndarray:
     return ((settings.astype(np.int64) - 1) * place).sum(axis=1)
 
 
+def _draw(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generator):
+    """Detection and outcome-product draws of one trial per entry of ``combos``.
+
+    Draws detection uniforms, then one parity uniform per trial. Returns the
+    (trials, N) detection mask, the all-detected and none-detected masks, and
+    the target parity (+1 or -1) of each all-detected trial, +1 with
+    probability (1 + V q)/2, q the quantum tensor entry. The outcome product
+    is that parity in an all-detected trial and 0 in every other trial.
+    """
+    n = config.n_parties
+    # Column-major, so the reductions over the N stations run along contiguous
+    # columns instead of over short rows.
+    detected = np.asfortranarray(rng.random((combos.size, n)) < config.efficiency)
+    parity_u = rng.random(combos.size)
+    all_det = detected.all(axis=1)
+    none_det = ~detected.any(axis=1)
+    q = build_q_cached(n).entries[combos[all_det]]
+    target = np.where(parity_u[all_det] < (1.0 + config.visibility * q) / 2.0, 1, -1)
+    return detected, all_det, none_det, target
+
+
 def _sample(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Outcomes of one trial per entry of ``combos``, drawn from ``rng``.
 
-    Draw order is fixed: detection uniforms, one parity uniform per trial,
-    then one fair-sign uniform per station. Every registered station takes a
-    fair sign. In an all-detected trial the last sign is then flipped when the
-    product misses a target parity drawn with P(+1) = (1 + V q)/2, q the
-    quantum tensor entry. The product is all the law depends on, so this
-    gives exactly P(r) = 2^-N (1 + V prod(r) q).
+    After the draws of ``_draw`` come one fair-sign uniform per station, last.
+    Every registered station takes a fair sign. In an all-detected trial the
+    last sign is then flipped when the product misses the target parity. The
+    product is all the law depends on, so this gives exactly
+    P(r) = 2^-N (1 + V prod(r) q).
     """
-    n = config.n_parties
-    detected = rng.random((combos.size, n)) < config.efficiency
-    parity_u = rng.random(combos.size)
-    outcomes = np.where(rng.random((combos.size, n)) < 0.5, -1, 1).astype(np.int8)
-    all_det = detected.all(axis=1)
-    q = build_q_cached(n).entries[combos[all_det]]
-    target = np.where(parity_u[all_det] < (1.0 + config.visibility * q) / 2.0, 1, -1)
-    outcomes[all_det, -1] *= target * outcomes[all_det].prod(axis=1)
-    outcomes[~detected] = 0
+    detected, all_det, _, target = _draw(config, combos, rng)
+    outcomes = np.where(rng.random(detected.shape) < 0.5, -1, 1).astype(np.int8)
+    signs = np.asfortranarray(outcomes[all_det]).prod(axis=1)
+    outcomes[all_det, -1] *= target * signs
+    outcomes *= detected
     return outcomes
 
 
-def _block_trials(
+def _block_combos(
     config: ExperimentConfig, block: int, seed_seq: np.random.SeedSequence
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one block. Returns (combo index, outcomes) arrays.
+) -> tuple[np.ndarray, np.random.Generator]:
+    """Combo index of each trial of one block, and the block's generator.
 
-    The setting combos are drawn first (uniform-random policy only), then the
-    outcomes.
+    The setting combos are drawn first (uniform-random policy only); the
+    trial draws follow from the returned generator.
     """
     start = block * BLOCK_TRIALS
     size = min(BLOCK_TRIALS, config.trials - start)
@@ -266,23 +326,35 @@ def _block_trials(
         combos = rng.integers(0, config.n_combos, size=size, dtype=np.int64)
     else:
         combos = (start + np.arange(size, dtype=np.int64)) % config.n_combos
-    return combos, _sample(config, combos, rng)
+    return combos, rng
 
 
-def _map_blocks(config: ExperimentConfig, func, workers: int) -> list:
+def _map_blocks(config: ExperimentConfig, func, workers: int):
+    """Iterator over ``func(block, seed_seq)`` for every block, in block order.
+
+    Results arrive one at a time, so a caller that folds them in keeps only
+    a few blocks' results alive at once. ``workers`` is checked when
+    iteration starts.
+    """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     blocks = _n_blocks(config.trials)
     children = np.random.SeedSequence(config.seed).spawn(blocks)
     if workers == 1 or blocks == 1:
-        return [func(b, children[b]) for b in range(blocks)]
+        yield from map(func, range(blocks), children)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda b: func(b, children[b]), range(blocks)))
+        yield from pool.map(func, range(blocks), children)
 
 
 def generate_trials(config: ExperimentConfig, workers: int = 1) -> TrialBatch:
     """Sample every trial of the experiment as an explicit batch."""
-    parts = _map_blocks(config, lambda b, seq: _block_trials(config, b, seq), workers)
+
+    def work(block, seq):
+        combos, rng = _block_combos(config, block, seq)
+        return combos, _sample(config, combos, rng)
+
+    parts = list(_map_blocks(config, work, workers))
     combos = np.concatenate([p[0] for p in parts])
     outcomes = np.concatenate([p[1] for p in parts])
     place = _place_values(config.n_parties)
@@ -290,14 +362,28 @@ def generate_trials(config: ExperimentConfig, workers: int = 1) -> TrialBatch:
     return TrialBatch(settings=settings, outcomes=outcomes)
 
 
-def _stats(combos: np.ndarray, outcomes: np.ndarray, n_combos: int):
-    """Integer sufficient statistics of a set of trials."""
-    prods = outcomes.astype(np.int64).prod(axis=1)
+def _tally(
+    combos: np.ndarray, hit: np.ndarray, products: np.ndarray, all_zero: int, n_combos: int
+):
+    """Integer sufficient statistics of a set of trials.
+
+    ``hit`` masks the trials with a nonzero outcome product, ``products``
+    holds those products (+1 or -1) in order, and ``all_zero`` counts the
+    trials where no station registered.
+    """
+    hit_combos = combos[hit]
     counts = np.bincount(combos, minlength=n_combos)
-    sum_prod = np.bincount(combos, weights=prods.astype(np.float64), minlength=n_combos)
-    nonzero = np.bincount(combos[prods != 0], minlength=n_combos)
-    all_zero = int((outcomes == 0).all(axis=1).sum())
+    sum_prod = np.bincount(hit_combos, weights=products, minlength=n_combos)
+    nonzero = np.bincount(hit_combos, minlength=n_combos)
     return counts, sum_prod, nonzero, all_zero
+
+
+def _stats(combos: np.ndarray, outcomes: np.ndarray, n_combos: int):
+    """Integer sufficient statistics of a set of explicit trials."""
+    cols = np.asfortranarray(outcomes)
+    prods = cols.prod(axis=1, dtype=np.int64)
+    hit = prods != 0
+    return _tally(combos, hit, prods[hit], int((~cols.any(axis=1)).sum()), n_combos)
 
 
 def _summary_from_stats(
@@ -362,15 +448,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSumm
     m = config.n_combos
 
     def work(block, seq):
-        combos, outcomes = _block_trials(config, block, seq)
-        return _stats(combos, outcomes, m)
+        combos, rng = _block_combos(config, block, seq)
+        _, all_det, none_det, target = _draw(config, combos, rng)
+        return _tally(combos, all_det, target, int(none_det.sum()), m)
 
-    parts = _map_blocks(config, work, workers)
     counts = np.zeros(m, dtype=np.int64)
     sum_prod = np.zeros(m, dtype=np.float64)
     nonzero = np.zeros(m, dtype=np.int64)
     all_zero = 0
-    for c, s, z, a in parts:
+    for c, s, z, a in _map_blocks(config, work, workers):
         counts += c
         sum_prod += s
         nonzero += z
@@ -443,6 +529,7 @@ def visibility_sweep(
     Each point derives an independent child seed from (seed, point index), so
     the whole sweep is reproducible from ``seed`` alone.
     """
+    _check_seed(seed)
     points = []
     for i, v in enumerate(v_grid):
         v = float(v)

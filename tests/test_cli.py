@@ -31,6 +31,31 @@ def run_cli(*args, env=None):
     )
 
 
+def _assert_reports_size(*args):
+    """Run the CLI at N = 20 and expect a usage error that states the size.
+
+    The child caps its own address space, so the 3^20-entry arrays fail to
+    allocate at once instead of being reserved for real.
+    """
+    limit = 2 * 2 ** 30
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from ghzbell.cli import main\n"
+        f"sys.exit(main({list(args)!r}))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1"),
+    )
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "3^20 = 3486784401" in res.stderr
+    assert "27894275208 bytes" in res.stderr
+
+
 class TestBound:
     def test_json_payload(self):
         res = run_cli("bound", "--n", "2")
@@ -191,6 +216,12 @@ class TestSimulate:
         )
         assert ok_random.returncode == 0
 
+    def test_oversized_n_reports_size(self):
+        _assert_reports_size(
+            "simulate", "--n", "20", "--v", "0.9", "--eta", "0.9", "--trials", "10",
+            "--policy", "uniform-random",
+        )
+
 
 class TestSweep:
     def test_csv_brackets_threshold(self):
@@ -234,6 +265,20 @@ class TestSweep:
             "--trials-per-point", "9",
         )
         assert out_of_range.returncode == 2
+
+    def test_oversized_n_reports_size(self):
+        _assert_reports_size(
+            "sweep", "--n", "20", "--eta", "0.9", "--v-grid", "0.5",
+            "--trials-per-point", "10", "--policy", "uniform-random",
+        )
+
+    def test_negative_seed_names_the_flag(self):
+        res = run_cli(
+            "sweep", "--n", "2", "--eta", "1.0", "--v-grid", "0.5",
+            "--trials-per-point", "9", "--seed", "-1",
+        )
+        assert res.returncode == 2
+        assert "--seed must be in 0..2^64-1, got -1" in res.stderr
 
 
 class TestVerify:

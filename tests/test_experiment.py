@@ -14,6 +14,8 @@ Statistical checks run at fixed seeds with 4 to 4.5 sigma windows, so they are
 deterministic once recorded.
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -177,6 +179,23 @@ class TestTrialBatch:
         with pytest.raises(ValueError):
             TrialBatch.load(empty)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2 | 1 1\n1 2 3 | 1 1 1\n", ":2: expected 2 settings and 2 outcomes, got 3 and 3"),
+            ("1 2 3 | 1 1 1\n\n1 2 3 | 1 x 1\n", ":3: non-integer token in '1 2 3 | 1 x 1'"),
+            ("1 2 | 1 1 1\n1 2 | 1 1 1\n", ":1: expected 2 settings and 2 outcomes, got 2 and 3"),
+            ("1 2 | 1 1\n1 4 | 1 1\n", ":2: settings must be in 1..3"),
+        ],
+        ids=["ragged", "bad-token", "unequal-halves", "out-of-range"],
+    )
+    def test_load_error_names_the_line(self, tmp_path, text, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with pytest.raises(ValueError) as err:
+            TrialBatch.load(bad)
+        assert str(err.value).startswith(str(bad) + message)
+
 
 class TestDeterminism:
     def test_repeat_run_identical(self):
@@ -206,13 +225,76 @@ class TestDeterminism:
         assert np.array_equal(one.settings, three.settings)
         assert np.array_equal(one.outcomes, three.outcomes)
 
-    def test_streaming_equals_batch_summary(self):
-        cfg = ExperimentConfig(
-            n_parties=3, visibility=0.8, efficiency=0.75, trials=27 * 50, seed=31
-        )
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param(
+                dict(n_parties=3, visibility=0.8, efficiency=0.75, trials=27 * 50, seed=31),
+                id="n3-round-robin",
+            ),
+            # Three blocks, the last one partial.
+            pytest.param(
+                dict(n_parties=2, visibility=0.7, efficiency=0.9, trials=9 * 15556, seed=29),
+                id="n2-partial-last-block",
+            ),
+            pytest.param(
+                dict(
+                    n_parties=4, visibility=0.9, efficiency=0.85, trials=140000, seed=7,
+                    setting_policy=UNIFORM_RANDOM,
+                ),
+                id="n4-uniform-random",
+            ),
+            pytest.param(
+                dict(n_parties=3, visibility=0.9, efficiency=0.0, trials=27 * 20, seed=5),
+                id="eta0",
+            ),
+            pytest.param(
+                dict(n_parties=3, visibility=0.9, efficiency=1.0, trials=27 * 20, seed=5),
+                id="eta1",
+            ),
+            pytest.param(
+                dict(n_parties=3, visibility=0.0, efficiency=0.8, trials=27 * 20, seed=5),
+                id="v0",
+            ),
+            pytest.param(
+                dict(n_parties=6, visibility=0.6, efficiency=0.9, trials=729 * 20, seed=4),
+                id="n6",
+            ),
+        ],
+    )
+    def test_streaming_equals_batch_summary(self, kwargs):
+        # run_experiment never draws the fair signs; generate_trials draws them
+        # after everything the summary depends on, so the two must agree exactly.
+        cfg = ExperimentConfig(**kwargs)
         assert _summaries_equal(
             run_experiment(cfg), summarize_batch(generate_trials(cfg), cfg)
         )
+
+    @pytest.mark.parametrize(
+        "kwargs, digest",
+        [
+            (
+                dict(
+                    n_parties=3, visibility=0.8, efficiency=0.75, trials=27 * 5000, seed=31,
+                    setting_policy=ROUND_ROBIN,
+                ),
+                "30716da4be25eed08fdbffef30f78909cde89f03f97387e6ed6638c459264b95",
+            ),
+            (
+                dict(
+                    n_parties=4, visibility=0.9, efficiency=0.9, trials=140000, seed=29,
+                    setting_policy=UNIFORM_RANDOM,
+                ),
+                "086a12886724df012cc87357bfc0616e00443852d13313451e0f78f81822e491",
+            ),
+        ],
+        ids=["round-robin", "uniform-random"],
+    )
+    def test_summary_golden_digest(self, kwargs, digest):
+        # Pins the random stream: a change that shifts any draw the summary
+        # depends on changes these digests.
+        payload = json.dumps(run_experiment(ExperimentConfig(**kwargs)).to_dict())
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
     def test_different_seeds_differ(self):
         base = dict(n_parties=2, visibility=0.9, efficiency=0.9, trials=900)
@@ -556,6 +638,11 @@ class TestVisibilitySweep:
             visibility_sweep(
                 n_parties=2, eta=1.0, v_grid=[0.5, 1.2], trials_per_point=9, seed=0
             )
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            visibility_sweep(2, 1.0, [0.5], 9, seed=seed)
 
     def test_point_to_dict(self):
         (point,) = visibility_sweep(
