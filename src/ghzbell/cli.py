@@ -46,8 +46,31 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _to_json(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2)`` (``value`` has string keys).
+
+    With ``indent`` set, json encodes every element in Python. Here a list,
+    such as the 3^N estimated tensor entries, goes to json's C encoder in one
+    call, with the newline and indent as its item separator. A nested list or
+    dict would show a bracket in that text; only then is the list rendered
+    element by element.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        body = ("," + inner).join(
+            f"{json.dumps(key)}: {_to_json(item, inner)}" for key, item in value.items()
+        )
+        return f"{{{inner}{body}{indent}}}"
+    if isinstance(value, (list, tuple)) and value:
+        body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+        if "[" in body or "{" in body:
+            body = ("," + inner).join(_to_json(item, inner) for item in value)
+        return f"[{inner}{body}{indent}]"
+    return json.dumps(value)
+
+
 def _emit_json(data) -> None:
-    _emit(json.dumps(data, indent=2))
+    _emit(_to_json(data))
 
 
 def _seed(args, parser: argparse.ArgumentParser) -> int:

@@ -40,6 +40,7 @@ generate_trials draws.
 from __future__ import annotations
 
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -136,14 +137,16 @@ class TrialBatch:
     outcomes: np.ndarray
 
     def __post_init__(self) -> None:
-        self.settings = np.asarray(self.settings, dtype=np.int8)
-        self.outcomes = np.asarray(self.outcomes, dtype=np.int8)
-        if self.settings.ndim != 2 or self.settings.shape != self.outcomes.shape:
+        # Checked before the int8 cast, which would wrap 257 to 1.
+        settings, outcomes = np.asarray(self.settings), np.asarray(self.outcomes)
+        if settings.ndim != 2 or settings.shape != outcomes.shape:
             raise ValueError("settings and outcomes must be equal-shaped 2-D arrays")
-        if self.settings.size and not np.isin(self.settings, (1, 2, 3)).all():
+        if settings.size and not np.isin(settings, (1, 2, 3)).all():
             raise ValueError("setting indices must be in 1..3")
-        if self.outcomes.size and not np.isin(self.outcomes, (-1, 0, 1)).all():
+        if outcomes.size and not np.isin(outcomes, (-1, 0, 1)).all():
             raise ValueError("outcomes must be in {-1, 0, +1}")
+        self.settings = settings.astype(np.int8, copy=False)
+        self.outcomes = outcomes.astype(np.int8, copy=False)
 
     def __len__(self) -> int:
         return self.settings.shape[0]
@@ -153,41 +156,74 @@ class TrialBatch:
         return self.settings.shape[1]
 
     def save(self, path) -> None:
+        record = " | ".join([" ".join(["%d"] * self.n_parties)] * 2) + "\n"
+        values = np.hstack([self.settings, self.outcomes]).ravel().tolist()
         with open(path, "w", encoding="ascii") as fh:
-            for s_row, m_row in zip(self.settings, self.outcomes):
-                fh.write(
-                    " ".join(str(int(s)) for s in s_row)
-                    + " | "
-                    + " ".join(str(int(m)) for m in m_row)
-                    + "\n"
-                )
+            fh.write((record * len(self)) % tuple(values))
 
     @classmethod
     def load(cls, path) -> "TrialBatch":
-        settings, outcomes = [], []
         try:
             with open(path, "r", encoding="ascii") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    if not line.strip():
-                        continue
-                    left, sep, right = line.partition("|")
-                    if not sep:
-                        raise ValueError(f"{path}:{lineno}: missing '|' separator")
-                    settings.append([int(tok) for tok in left.split()])
-                    outcomes.append([int(tok) for tok in right.split()])
-            if not settings:
+                values = _parse_records(fh.read())
+            if not len(values):
                 raise ValueError(f"{path}: no trial records")
-            return cls(settings=np.asarray(settings), outcomes=np.asarray(outcomes))
+            width = values.shape[1] // 2
+            return cls(settings=values[:, :width], outcomes=values[:, width:])
         except ValueError:
             _raise_first_bad_record(path)
             raise
 
 
+# Trials-file bytes by role: "d" digit, "s" sign, " " blank within a line
+# (what str.split() splits on), "\n" and "|" themselves, "x" anything else.
+_BYTE_ROLE = np.full(256, ord("x"), dtype=np.uint8)
+_BYTE_ROLE[[9, 11, 12, 13, 28, 29, 30, 31, 32]] = ord(" ")
+_BYTE_ROLE[[ord("\n"), ord("|")]] = [ord("\n"), ord("|")]
+_BYTE_ROLE[[ord("+"), ord("-")]] = ord("s")
+_BYTE_ROLE[ord("0") : ord("9") + 1] = ord("d")
+
+
+def _parse_records(text: str) -> np.ndarray:
+    """The (records, 2N) integers of a trials file's text, blank lines skipped.
+
+    Each non-blank line must be N tokens ``[+-]?[0-9]+``, one ``|`` and N more,
+    with the same N on every line. The check runs on the whole text at once: it
+    reduces the text to one event per token start, bar and line end and
+    compares that with the event string of a well-formed file.
+    """
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    role = _BYTE_ROLE[raw]
+    token = (role == ord("d")) | (role == ord("s"))
+    start = token & ~np.concatenate(([False], token[:-1]))
+    sign = role == ord("s")
+    digit_next = np.concatenate((role[1:] == ord("d"), [False]))
+    if (role == ord("x")).any() or (sign & ~(start & digit_next)).any():
+        raise ValueError("malformed trials file")
+    events = np.where(start, ord("t"), role)[start | (role == ord("|")) | (role == ord("\n"))]
+    line_end = events == ord("\n")
+    blank = line_end & np.concatenate(([True], line_end[:-1]))  # ends a line with no token
+    events = events[~blank].tobytes().rstrip(b"\n")
+    records, width = events.count(b"|"), max(events.find(b"|"), 0)
+    if events != ((b"t" * width + b"|" + b"t" * width + b"\n") * records)[:-1]:
+        raise ValueError("malformed trials file")
+    if not width:  # np.fromstring reads a blank text as [0]
+        return np.empty((records, 0), dtype=np.int64)
+    # Every other byte becomes a space: np.fromstring does not skip "|" or \x1c-\x1f.
+    digits = np.where(token, raw, ord(" ")).tobytes()
+    values = np.fromstring(digits, dtype=np.int64, sep=" ")
+    return values.reshape(records, 2 * width)
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _raise_first_bad_record(path) -> None:
     """Raise a ValueError naming the first malformed record of a trials file.
 
-    Called only after a load has failed, so the loop in ``TrialBatch.load``
-    stays free of these checks. Returns if every record is well formed.
+    Called only after a load has failed, so ``TrialBatch.load`` can check the
+    whole file at once and leave line numbers to this scan. It accepts what
+    ``_parse_records`` accepts and returns if every record is well formed.
     """
     width = None
     with open(path, "r", encoding="ascii") as fh:
@@ -198,11 +234,10 @@ def _raise_first_bad_record(path) -> None:
             left, sep, right = line.partition("|")
             if not sep:
                 raise ValueError(f"{where}: missing '|' separator") from None
-            try:
-                s_row = [int(tok) for tok in left.split()]
-                m_row = [int(tok) for tok in right.split()]
-            except ValueError:
+            s_row, m_row = left.split(), right.split()
+            if not all(_INTEGER.fullmatch(tok) for tok in s_row + m_row):
                 raise ValueError(f"{where}: non-integer token in {line.strip()!r}") from None
+            s_row, m_row = [int(tok) for tok in s_row], [int(tok) for tok in m_row]
             if width is None:
                 width = len(s_row)
             if len(s_row) != width or len(m_row) != width:
@@ -218,7 +253,14 @@ def _raise_first_bad_record(path) -> None:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Result of one simulated experiment."""
+    """Result of one simulated experiment.
+
+    ``lhs = |(Q, E_est)|`` is the absolute value of a noisy sum, so it is
+    biased upward where ``(Q, E)`` is near zero: at ``(Q, E) = 0`` its mean is
+    about 0.8 ``standard_error_lhs`` (sqrt(2/pi) for a normal sum), and the
+    bias fades once ``|(Q, E)|`` is a few standard errors. ``violated`` is
+    ``lhs > rhs`` on the estimate as it stands.
+    """
 
     estimated_tensor: CorrelationTensor
     p_all_zero: float

@@ -142,7 +142,7 @@ class CorrelationTensor:
         return float(self.as_grid()[tuple(i - 1 for i in indices)])
 
     def to_dict(self) -> dict:
-        return {"n_parties": self.n_parties, "entries": [float(x) for x in self.entries]}
+        return {"n_parties": self.n_parties, "entries": self.entries.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorrelationTensor":

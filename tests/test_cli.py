@@ -5,11 +5,16 @@ codes, JSON/CSV payloads and byte-level reproducibility. Exit conventions:
 0 success, 1 failed verification, 2 usage error.
 """
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+
+import pytest
+
+from ghzbell.cli import _to_json
 
 CMD = [sys.executable, "-m", "ghzbell"]
 SQRT3 = math.sqrt(3.0)
@@ -315,3 +320,49 @@ class TestTopLevel:
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
+
+
+class TestJsonRendering:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "bound --n 4",
+            "thresholds --n-max 6",
+            "simulate --n 3 --v 0.9 --eta 0.95 --trials 2700 --seed 2",
+            "simulate --n 8 --v 0.5 --eta 1.0 --trials 6561 --seed 1",
+            "sweep --n 3 --eta 0.9 --v-grid 0.4,0.9 --trials-per-point 270",
+            "verify --n-max 3 --format json",
+        ],
+        ids=["bound", "thresholds", "simulate-n3", "simulate-n8-null-se", "sweep", "verify"],
+    )
+    def test_stdout_is_indented_json(self, args):
+        res = run_cli(*args.split())
+        assert res.returncode == 0
+        assert res.stdout == json.dumps(json.loads(res.stdout), indent=2) + "\n"
+
+    def test_simulate_golden_digest(self):
+        # sha256 of this stdout as printed by json.dumps(..., indent=2).
+        res = run_cli(
+            "simulate", "--n", "8", "--v", "0.6", "--eta", "0.98",
+            "--trials", "13122", "--seed", "1",
+        )
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+            "4c8819a001f9168dfd1c415a7a1e02ee7578c15246586f5cf903ac9efed722a9"
+        )
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            {"a": [], "b": {}, "c": [[]]},
+            [1, [2.5, {}], {"k": [None, True, "\u00e9\n"]}],
+            {"x": float("nan"), "y": [float("inf"), -0.0, 1e300, -1]},
+            (1, 2.5),
+            ["a[b", "{", 3],
+            "scalar",
+        ],
+    )
+    def test_renderer_matches_json_dumps(self, value):
+        assert _to_json(value) == json.dumps(value, indent=2)

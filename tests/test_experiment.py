@@ -180,6 +180,45 @@ class TestTrialBatch:
             TrialBatch.load(empty)
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "1 3|-1 0\n2 2|1 1\n",
+            "1\t3 |\t-1 0\n2 2 | 1 1",
+            "\n1 3 | -1 0\n\n  \n2 2 | 1 1\n\n",
+            " 1 3 | -1 0  \n2 2 | 1 1 \t\n",
+            "+1 3 | -1 +0\n2 2 | +1 1\n",
+            "1 3 | -1 0\r\n2 2 | 1 1\r\n",
+        ],
+        ids=["no-spaces", "tabs", "blank-lines", "trailing-spaces", "plus-signs", "crlf"],
+    )
+    def test_load_spacing_variants_roundtrip(self, tmp_path, text):
+        path = tmp_path / "trials.txt"
+        path.write_bytes(text.encode("ascii"))
+        batch = TrialBatch.load(path)
+        assert batch.settings.dtype == batch.outcomes.dtype == np.int8
+        assert batch.settings.tolist() == [[1, 3], [2, 2]]
+        assert batch.outcomes.tolist() == [[-1, 0], [1, 1]]
+        batch.save(path)
+        assert path.read_text() == "1 3 | -1 0\n2 2 | 1 1\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2 | 1 1\n1 257 | 1 1\n", ":2: settings must be in 1..3"),
+            ("1 2 | 1 1\n0_1 2 | 1 1\n", ":2: non-integer token in '0_1 2 | 1 1'"),
+        ],
+        ids=["wraps-to-int8", "underscore"],
+    )
+    def test_load_rejects_what_int8_or_int_would_mangle(self, tmp_path, text, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with pytest.raises(ValueError) as err:
+            TrialBatch.load(bad)
+        assert str(err.value).startswith(str(bad) + message)
+        with pytest.raises(ValueError):
+            TrialBatch(settings=np.array([[1, 257]]), outcomes=np.ones((1, 2)))
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("1 2 | 1 1\n1 2 3 | 1 1 1\n", ":2: expected 2 settings and 2 outcomes, got 3 and 3"),
