@@ -2,27 +2,27 @@
 
 Each check recomputes one identity of the toolkit through two independent
 routes (direct evaluation vs closed form, exhaustive search vs dynamic
-program, sampled strategies vs analytic bound) and reports pass/fail.
+program, every folded three-outcome strategy vs analytic bound) and reports
+pass/fail.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .lhv import (
     SIGN_TRIPLES,
-    THREE_OUTCOME,
+    DeterministicStrategy,
     lhv_bound,
     max_score_brute,
     max_score_factorized,
     party_phasor,
-    random_strategy,
     strategy_score,
     strategy_score_factorized,
-    to_two_outcome,
     violation_factor,
 )
 from .quantum import (
@@ -80,30 +80,27 @@ def _check_entry_sum() -> CheckResult:
     )
 
 
-def _check_bound_brute(n_max: int) -> CheckResult:
-    top = min(n_max, 8)
+def _check_bound_brute(brute: dict) -> CheckResult:
     worst = 0.0
-    for n in range(2, top + 1):
-        best, strategy = max_score_brute(n)
+    for n, (best, strategy) in brute.items():
         worst = max(worst, abs(best - lhv_bound(n)))
         q = quantum_tensor(build_settings(n))
         worst = max(worst, abs(strategy_score(strategy, q) - best))
     return CheckResult(
         name="bound-brute",
         passed=worst < IDENTITY_TOL,
-        detail=f"max |brute max - 2^(N-1) sqrt(3)| = {worst:.3e} over N=2..{top}",
+        detail=f"max |brute max - 2^(N-1) sqrt(3)| = {worst:.3e} over N=2..{max(brute)}",
     )
 
 
-def _check_oracle_equivalence(n_max: int) -> CheckResult:
-    top = min(n_max, 8)
+def _check_oracle_equivalence(brute: dict) -> CheckResult:
+    top = max(brute)
     ok = True
     worst = 0.0
-    for n in range(2, top + 1):
-        brute, _ = max_score_brute(n)
+    for n, (best, _) in brute.items():
         dp = max_score_factorized(n)
-        ok = ok and round(brute, 9) == round(dp, 9)
-        worst = max(worst, abs(brute - dp))
+        ok = ok and round(best, 9) == round(dp, 9)
+        worst = max(worst, abs(best - dp))
     return CheckResult(
         name="oracle-equivalence",
         passed=ok,
@@ -116,7 +113,8 @@ def _check_factorization_identity() -> CheckResult:
     for n in (2, 3):
         grid = build_settings(n)
         q = quantum_tensor(grid)
-        for strategy in _all_strategies(n):
+        for assignments in product(SIGN_TRIPLES, repeat=n):
+            strategy = DeterministicStrategy(assignments=assignments)
             direct = strategy_score(strategy, q)
             phasor = strategy_score_factorized(strategy, grid)
             worst = max(worst, abs(direct - phasor))
@@ -125,17 +123,6 @@ def _check_factorization_identity() -> CheckResult:
         passed=worst < IDENTITY_TOL,
         detail=f"max |tensor score - phasor score| = {worst:.3e}, exhaustive N=2,3",
     )
-
-
-def _all_strategies(n_parties: int):
-    from itertools import product
-
-    from .lhv import DeterministicStrategy
-
-    for combo in product(range(8), repeat=n_parties):
-        yield DeterministicStrategy(
-            assignments=tuple(SIGN_TRIPLES[c] for c in combo)
-        )
 
 
 def _check_phasor_sets() -> CheckResult:
@@ -219,19 +206,25 @@ def _check_efficiency_consistency() -> CheckResult:
     )
 
 
+def _folded_scores() -> np.ndarray:
+    """Scores at N = 3 of all 27^3 three-outcome strategies, zeros folded to -1."""
+    folded = np.asarray(list(product((-1, 0, 1), repeat=3)), dtype=np.float64)
+    folded[folded == 0] = -1.0
+    q = quantum_tensor(build_settings(3)).as_grid()
+    return np.einsum("ai,bj,ck,ijk->abc", folded, folded, folded, q)
+
+
 def _check_folded_strategies() -> CheckResult:
-    rng = np.random.default_rng(20260814)
-    grid = build_settings(3)
-    q = quantum_tensor(grid)
+    scores = _folded_scores()
+    worst = float(scores.max())
     bound = lhv_bound(3)
-    worst = -math.inf
-    for _ in range(10_000):
-        strategy = random_strategy(3, rng, alphabet=THREE_OUTCOME)
-        worst = max(worst, strategy_score(to_two_outcome(strategy), q))
     return CheckResult(
         name="folded-strategy-bound",
         passed=worst <= bound + IDENTITY_TOL,
-        detail=f"max folded score {worst:.9f} vs bound {bound:.9f} over 10000 samples",
+        detail=(
+            f"max folded score {worst:.9f} vs bound {bound:.9f} "
+            f"over all {scores.size} strategies"
+        ),
     )
 
 
@@ -239,11 +232,12 @@ def run_checks(n_max: int = 6, inject_fault: bool = False) -> list[CheckResult]:
     """Run every check; ``n_max`` caps the exhaustive-search depth (<= 8)."""
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
+    brute = {n: max_score_brute(n) for n in range(2, min(n_max, 8) + 1)}
     return [
         _check_norm_identity(inject_fault),
         _check_entry_sum(),
-        _check_bound_brute(n_max),
-        _check_oracle_equivalence(n_max),
+        _check_bound_brute(brute),
+        _check_oracle_equivalence(brute),
         _check_factorization_identity(),
         _check_phasor_sets(),
         _check_violation_factor(),

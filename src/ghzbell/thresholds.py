@@ -104,28 +104,24 @@ def _efficiency_margin(eta: float, n_parties: int) -> float:
 def critical_efficiency(n_parties: int) -> float:
     """Smallest detection efficiency allowing violation at perfect visibility.
 
-    Bisection on [1e-6, 1] to 1e-12 absolute tolerance. When q_N != 0 the
-    margin also vanishes at eta = 0 and dips negative before recovering, so
-    instead of monotonicity the solver asserts a single minus-to-plus sign
-    change across the bracket, which is what makes the bracketed root unique.
-    When q_N = 0 (N = 1 mod 3) the root has the closed form
-    (2^N sqrt(3) / 3^N)^(1/N); the bisection result is still returned, and the
-    two agree to the solver tolerance.
+    Bisection on [1e-6, 1] to 1e-12 absolute tolerance for the root of the
+    margin g(eta) = (3^N/2) eta^N + |q_N| (1-eta)^N - 2^(N-1) sqrt(3). The root
+    is unique: g is convex on [0, 1] for N >= 2 and |q_N| is 0 or exactly the
+    bound, so g(0) < 0, or g(0) = 0 with g'(0) = -N |q_N| < 0; as g(1) > 0, g
+    crosses zero exactly once on (0, 1]. RuntimeError reports a failed premise
+    (|q_N| / bound not 0 or 1) or bracket. When q_N = 0 (N = 1 mod 3) the root
+    also has the closed form (2^N sqrt(3) / 3^N)^(1/N).
     """
     if n_parties < 2:
         raise ValueError(f"need at least 2 parties, got {n_parties}")
+    ratio = abs(entry_sum_closed_form(n_parties)) / lhv_bound(n_parties)
+    if ratio not in (0.0, 1.0):
+        raise RuntimeError(f"|q_N| / bound = {ratio!r} is neither 0 nor 1")
     lo, hi = BISECTION_LO, 1.0
     g_lo, g_hi = _efficiency_margin(lo, n_parties), _efficiency_margin(hi, n_parties)
     if not (g_lo < 0.0 < g_hi):
         raise RuntimeError(
             f"bisection bracket does not straddle the root: g({lo})={g_lo}, g({hi})={g_hi}"
-        )
-    samples = [lo + (hi - lo) * i / 200 for i in range(201)]
-    signs = [_efficiency_margin(x, n_parties) >= 0.0 for x in samples]
-    changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    if changes != 1:
-        raise RuntimeError(
-            f"margin changes sign {changes} times on the bracket; root not unique"
         )
     for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)

@@ -1,0 +1,58 @@
+"""Tests for the self-verification suite behind ``ghzbell verify``.
+
+Core claims covered here:
+  * the brute-force maximum is computed once per N and shared by the two
+    checks that need it, and every check passes at N_max = 8,
+  * the folded three-outcome check scores all 27^3 strategies at N = 3, its
+    maximum is the bound, and it fails against a slightly lowered bound.
+"""
+
+import pytest
+
+import ghzbell.checks as checks
+from ghzbell import lhv_bound
+
+
+def test_brute_force_search_runs_once_per_n(monkeypatch):
+    calls = []
+    search = checks.max_score_brute
+
+    def counting(n):
+        calls.append(n)
+        return search(n)
+
+    monkeypatch.setattr(checks, "max_score_brute", counting)
+    results = checks.run_checks(8)
+    assert sorted(calls) == list(range(2, 9))
+    assert len(results) == 11
+    assert [r.name for r in results if not r.passed] == []
+    by_name = {r.name: r for r in results}
+    assert "N=2..8" in by_name["bound-brute"].detail
+    assert "N=2..8" in by_name["oracle-equivalence"].detail
+
+
+@pytest.mark.parametrize("n_max", [2, 5])
+def test_brute_force_depth_follows_n_max(monkeypatch, n_max):
+    calls = []
+    search = checks.max_score_brute
+    monkeypatch.setattr(checks, "max_score_brute", lambda n: calls.append(n) or search(n))
+    checks.run_checks(n_max)
+    assert sorted(calls) == list(range(2, n_max + 1))
+
+
+def test_folded_check_is_exhaustive():
+    result = checks._check_folded_strategies()
+    assert result.name == "folded-strategy-bound"
+    assert result.passed
+    assert result.detail.endswith("over all 19683 strategies")
+    assert checks._folded_scores().size == 27 ** 3
+
+
+def test_folded_maximum_equals_the_bound():
+    assert checks._folded_scores().max() == pytest.approx(lhv_bound(3), abs=1e-9)
+
+
+def test_folded_check_fails_against_a_lowered_bound(monkeypatch):
+    real_bound = checks.lhv_bound
+    monkeypatch.setattr(checks, "lhv_bound", lambda n: real_bound(n) - 1e-6)
+    assert not checks._check_folded_strategies().passed

@@ -352,6 +352,30 @@ class TestJsonRendering:
         )
 
     @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                "thresholds --n-max 646 --format csv",
+                "0af6590be0003e3a5c7fb80ef22672f5ba9658eb090dff96eaeb880d6092e085",
+            ),
+            (
+                "bound --n 8",
+                "602c8cbf8d4765f1a44ae3aab2638c2407fa76aa3aba9899ea07ec7cad121cc0",
+            ),
+            (
+                "bound --n 8 --format human",
+                "7b5e5cc780230a04df2ce1c542b0a4fac5e14af006c2fc0241b82d64ccc1dd5d",
+            ),
+        ],
+        ids=["thresholds-csv-646", "bound-n8-json", "bound-n8-human"],
+    )
+    def test_exact_side_golden_digest(self, args, digest):
+        # sha256 of the stdout printed before the exact side was reworked.
+        res = run_cli(*args.split())
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "value",
         [
             {},

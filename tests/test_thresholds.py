@@ -223,3 +223,28 @@ class TestThresholdResultValidation:
             ThresholdResult(
                 n_parties=2, eta=1.0, v_critical=-0.1, bound_lhs=1.0, q_n_abs=0.0
             )
+
+
+class TestEfficiencyRootUniqueness:
+    """critical_efficiency relies on convexity for a unique root; check it here."""
+
+    def test_margin_changes_sign_once(self):
+        # The 201-point scan critical_efficiency used to run on every call.
+        from ghzbell.thresholds import BISECTION_LO, _efficiency_margin
+
+        lo, hi = BISECTION_LO, 1.0
+        samples = [lo + (hi - lo) * i / 200 for i in range(201)]
+        for n in range(2, 647):
+            signs = [_efficiency_margin(x, n) >= 0.0 for x in samples]
+            changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+            assert changes == 1, f"N={n}: {changes} sign changes"
+
+    @pytest.mark.parametrize("fraction", [0.5, 1.0 + 2.0 ** -52, 1e-300])
+    def test_premise_check_rejects_other_entry_sums(self, monkeypatch, fraction):
+        import ghzbell.thresholds as thresholds
+
+        monkeypatch.setattr(
+            thresholds, "entry_sum_closed_form", lambda n: fraction * lhv_bound(n)
+        )
+        with pytest.raises(RuntimeError, match="neither 0 nor 1"):
+            critical_efficiency(5)
