@@ -7,7 +7,8 @@ Contents:
     strategy_score        -- scalar product of the quantum tensor with it
     party_phasor          -- exact phasor of one party's assignment
     strategy_score_factorized -- same score through the phasor product
-    max_score_brute       -- exhaustive maximum over all 8^N strategies
+    max_score_brute       -- exhaustive maximum over all 8^N strategies: scores
+                             4^N sign representatives and signs the rest
     max_score_factorized  -- dynamic program over the 12 phase classes
     lhv_bound             -- the classical bound 2^(N-1) sqrt(3)
     bound_attaining_strategy -- explicit strategy reaching the bound
@@ -20,8 +21,9 @@ phasors, each a signed sum of three unit phasors whose phases sit two pi/6
 steps apart. Those sums always land on magnitude 0 or 2 with a phase that is
 again a multiple of pi/6, so the whole search lives on 12 exact phase classes.
 The exhaustive route below never touches that structure: it contracts the
-quantum tensor directly against all sign assignments, which keeps the two
-maximizers independent of each other.
+quantum tensor directly against sign assignments (half of each party's sign
+triples, the other half by a sign flip), which keeps the two maximizers
+independent of each other.
 """
 
 from __future__ import annotations
@@ -220,16 +222,22 @@ def bound_attaining_strategy(n_parties: int) -> DeterministicStrategy:
 def max_score_brute(n_parties: int) -> tuple[float, DeterministicStrategy]:
     """Exhaustive maximum of the score over all 8^N two-outcome strategies.
 
-    Contracts the quantum tensor against the 8 possible sign triples of each
-    party (a distributive regrouping of the defining 3^N-term sum), then takes
-    the maximum over the resulting 8^N scores. Ties are broken toward the
-    lexicographically smallest strategy under party-major, setting-minor
-    ordering with -1 before +1. Limited to N <= 8.
+    The score is linear in each party's sign triple, and SIGN_TRIPLES[7 - d]
+    == -SIGN_TRIPLES[d], so flipping any one party's triple negates the
+    score. Every strategy's score is therefore +-s for the representative s
+    whose triples all start with -1 (indices d < 4): + after an even number of
+    flips, - after an odd one. The quantum tensor is contracted against those
+    4 triples per party (a distributive regrouping of the defining 3^N-term
+    sum), and the maximum over all 8^N scores is the largest |s| of the 4^N
+    representatives. Ties are broken toward the lexicographically smallest
+    strategy under party-major, setting-minor ordering with -1 before +1: for
+    s > 0 that is the representative itself, for s < 0 the representative with
+    only its last party flipped. Limited to N <= 8.
     """
     if not 2 <= n_parties <= 8:
         raise ValueError(f"exhaustive search supports 2..8 parties, got {n_parties}")
     q_grid = quantum_tensor(build_settings(n_parties)).as_grid()
-    triples = np.asarray(SIGN_TRIPLES, dtype=np.float64)
+    triples = np.asarray(SIGN_TRIPLES[:4], dtype=np.float64)
     letters = string.ascii_lowercase
     tensor_axes = letters[:n_parties]
     strategy_axes = letters[n_parties:2 * n_parties]
@@ -238,11 +246,17 @@ def max_score_brute(n_parties: int) -> tuple[float, DeterministicStrategy]:
         + f",{tensor_axes}->{strategy_axes}"
     )
     scores = np.einsum(subscripts, *([triples] * n_parties), q_grid, optimize=True).ravel()
-    best = float(scores.max())
+    magnitudes = np.abs(scores)
+    best = float(magnitudes.max())
     # Mathematically distinct scores differ by at least 2^N (1 - sqrt(3)/2),
     # so this tolerance only absorbs float summation noise within one value.
     threshold = best - 1e-9 * max(1.0, abs(best))
-    index = int(np.argmax(scores >= threshold))
+    hits = np.flatnonzero(magnitudes >= threshold)
+    rep_digits = np.unravel_index(hits, (4,) * n_parties)
+    candidates = np.ravel_multi_index(rep_digits, (8,) * n_parties)
+    flipped = scores[hits] < 0
+    candidates[flipped] += 7 - 2 * rep_digits[-1][flipped]
+    index = int(candidates.min())
     digits = [(index // 8 ** (n_parties - 1 - k)) % 8 for k in range(n_parties)]
     strategy = DeterministicStrategy(assignments=tuple(SIGN_TRIPLES[d] for d in digits))
     return best, strategy

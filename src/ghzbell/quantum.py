@@ -54,6 +54,11 @@ def _phase_class(phase: Fraction) -> int:
     return int(c) % 12
 
 
+# The grid is fixed (SettingsGrid rejects any other), so its classes are too.
+_FIRST_PARTY_CLASSES = tuple(_phase_class(p) for p in FIRST_PARTY_PHASES)
+_OTHER_PARTY_CLASSES = tuple(_phase_class(p) for p in OTHER_PARTY_PHASES)
+
+
 @dataclass(frozen=True)
 class SettingsGrid:
     """Measurement phases for N parties, three settings each.
@@ -82,10 +87,7 @@ class SettingsGrid:
 
     def phase_classes(self) -> tuple[tuple[int, int, int], ...]:
         """Each phase as its integer multiple of pi/6, per party and setting."""
-        return tuple(
-            (_phase_class(t[0]), _phase_class(t[1]), _phase_class(t[2]))
-            for t in self.phases
-        )
+        return (_FIRST_PARTY_CLASSES,) + (_OTHER_PARTY_CLASSES,) * (self.n_parties - 1)
 
     def radians(self) -> tuple[tuple[float, float, float], ...]:
         """Phases as plain float radians."""

@@ -22,6 +22,7 @@ closed form sqrt(3) (2/3)^N.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -31,6 +32,7 @@ from .quantum import entry_sum_closed_form
 BISECTION_LO = 1e-6
 BISECTION_TOL = 1e-12
 BISECTION_MAX_ITER = 200
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,9 @@ class ThresholdResult:
     """Critical visibility at one (N, eta) point.
 
     ``v_critical`` above 1 means no physical visibility violates the bound at
-    this efficiency; math.inf marks the degenerate case of a negative
-    numerator (cannot occur for eta in (0, 1], kept for totality).
+    this efficiency; math.inf marks a value beyond float64, or the degenerate
+    case of a negative numerator (cannot occur for eta in (0, 1], kept for
+    totality).
     """
 
     n_parties: int
@@ -73,6 +76,8 @@ def critical_visibility(n_parties: int, eta: float = 1.0) -> ThresholdResult:
 
     v_cr = [2^(N-1) sqrt(3) - |q_N| (1-eta)^N] / [eta^N 3^N / 2]. Requires
     eta in (0, 1]; eta = 0 leaves no detected coincidences to violate with.
+    Where eta^N underflows to 0 the same value comes from its logarithm, and
+    math.inf stands for a value beyond float64.
     """
     if n_parties < 2:
         raise ValueError(f"need at least 2 parties, got {n_parties}")
@@ -81,10 +86,17 @@ def critical_visibility(n_parties: int, eta: float = 1.0) -> ThresholdResult:
     bound = lhv_bound(n_parties)
     q_abs = abs(entry_sum_closed_form(n_parties))
     numerator = bound - q_abs * (1.0 - eta) ** n_parties
+    denominator = eta ** n_parties * 3.0 ** n_parties / 2.0
     if numerator < 0.0:
         v_critical = math.inf
+    elif denominator > 0.0:
+        v_critical = numerator / denominator
     else:
-        v_critical = numerator / (eta ** n_parties * 3.0 ** n_parties / 2.0)
+        # eta^N underflowed: log v = log(2 bound (1 - c (1-eta)^N)) - N log(3 eta),
+        # where c = q_abs / bound is 0 or 1. Above float64 the value is inf.
+        deficit = -math.expm1(n_parties * math.log1p(-eta)) if q_abs else 1.0
+        log_v = math.log(2.0 * bound * deficit) - n_parties * math.log(3.0 * eta)
+        v_critical = math.exp(log_v) if log_v < LOG_FLOAT_MAX else math.inf
     return ThresholdResult(
         n_parties=n_parties,
         eta=eta,

@@ -366,8 +366,24 @@ class TestJsonRendering:
                 "bound --n 8 --format human",
                 "7b5e5cc780230a04df2ce1c542b0a4fac5e14af006c2fc0241b82d64ccc1dd5d",
             ),
+            (
+                "verify --n-max 8 --format json",
+                "95d9b2965d412476d0e6f02ca8747f76e736cebc0f986e8657e0b34c52b5e381",
+            ),
+            (
+                "verify --n-max 8 --format human",
+                "852d8efb083c234551b38d37f7fe4c4e928c4f56d260c0e7ecf86061c8b9bf57",
+            ),
+            (
+                # The argmax's last party plays (+1, -1, -1): a flipped representative.
+                "bound --n 4",
+                "12ef20f7474fe9b561633acb9ab22a0cd8b6881a488074681862803568676b3c",
+            ),
         ],
-        ids=["thresholds-csv-646", "bound-n8-json", "bound-n8-human"],
+        ids=[
+            "thresholds-csv-646", "bound-n8-json", "bound-n8-human",
+            "verify-n8-json", "verify-n8-human", "bound-n4-json",
+        ],
     )
     def test_exact_side_golden_digest(self, args, digest):
         # sha256 of the stdout printed before the exact side was reworked.

@@ -15,6 +15,8 @@ Core claims covered here:
 import cmath
 import itertools
 import math
+import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from ghzbell import (
     to_two_outcome,
     violation_factor,
 )
+from ghzbell.lhv import SIGN_TRIPLES
 
 SQRT3 = math.sqrt(3.0)
 
@@ -65,6 +68,23 @@ def _naive_max(n):
         elif abs(total - best) <= 1e-9:
             winners.append(strategy.assignments)
     return best, winners
+
+
+def _reference_brute(n):
+    """Maximum and argmax over all 8^n scores from one 8-triple contraction."""
+    q_grid = quantum_tensor(build_settings(n)).as_grid()
+    triples = np.asarray(SIGN_TRIPLES, dtype=np.float64)
+    tensor_axes = string.ascii_lowercase[:n]
+    strategy_axes = string.ascii_lowercase[n:2 * n]
+    subscripts = (
+        ",".join(s + t for s, t in zip(strategy_axes, tensor_axes))
+        + f",{tensor_axes}->{strategy_axes}"
+    )
+    scores = np.einsum(subscripts, *([triples] * n), q_grid, optimize=True).ravel()
+    best = float(scores.max())
+    index = int(np.argmax(scores >= best - 1e-9 * max(1.0, abs(best))))
+    digits = [(index // 8 ** (n - 1 - k)) % 8 for k in range(n)]
+    return best, tuple(SIGN_TRIPLES[d] for d in digits)
 
 
 class TestDeterministicStrategy:
@@ -245,6 +265,26 @@ class TestMaxScore:
             best, argmax = max_score_brute(n)
             q = quantum_tensor(build_settings(n))
             assert strategy_score(argmax, q) == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_brute_equals_full_contraction(self, n):
+        # The 4^N sign representatives give the same float and the same
+        # tie-break as scoring all 8^N strategies; at N = 4 and 7 the argmax
+        # is a representative with its last party flipped.
+        best, argmax = max_score_brute(n)
+        ref_best, ref_argmax = _reference_brute(n)
+        assert best == ref_best
+        assert argmax.assignments == ref_argmax
+
+    def test_brute_peak_memory(self):
+        # Scoring every strategy at N = 8 once took a 128 MiB array.
+        tracemalloc.start()
+        try:
+            max_score_brute(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_brute_size_limits(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Property-based tests of the thresholds and the two classical maximizers.
 
 Core claims covered here:
-  * the critical visibility falls as the detection efficiency rises,
+  * the critical visibility falls as the detection efficiency rises, and it
+    is defined (finite or inf, never an error) for every efficiency in (0, 1],
   * at the critical efficiency the critical visibility is exactly 1,
   * the critical efficiency falls with N and approaches 2/3 from above,
   * the phase-class dynamic program is never beaten by a sampled strategy
@@ -10,12 +11,16 @@ Core claims covered here:
 Examples are derandomized so that a run is reproducible.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzbell import (
     build_settings,
+    entry_sum_closed_form,
+    lhv_bound,
     critical_efficiency,
     critical_visibility,
     max_score_brute,
@@ -37,6 +42,20 @@ def test_critical_visibility_decreases_in_efficiency(n, a, b):
     v_lo = critical_visibility(n, lo).v_critical
     v_hi = critical_visibility(n, hi).v_critical
     assert v_lo >= v_hi * (1.0 - 1e-12)
+
+
+@PROPERTY
+@given(n=TABLE_N, eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+def test_critical_visibility_never_raises(n, eta):
+    v = critical_visibility(n, eta).v_critical
+    assert v >= 0.0
+    denominator = eta ** n * 3.0 ** n / 2.0
+    if denominator > 0.0:
+        # Where eta^N does not underflow, the value is the plain quotient.
+        numerator = lhv_bound(n) - abs(entry_sum_closed_form(n)) * (1.0 - eta) ** n
+        assert v == numerator / denominator
+    else:
+        assert v > 1.0 or math.isinf(v)
 
 
 @PROPERTY

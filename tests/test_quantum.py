@@ -32,6 +32,7 @@ from ghzbell import (
     tensor_entry_sum,
     tensor_norm_sq,
 )
+from ghzbell.quantum import _phase_class
 
 SQRT3 = math.sqrt(3.0)
 SEVEN_VALUES = {0.0, 0.5, -0.5, SQRT3 / 2, -SQRT3 / 2, 1.0, -1.0}
@@ -53,6 +54,13 @@ class TestSettingsGrid:
     def test_phase_classes(self):
         grid = build_settings(2)
         assert grid.phase_classes() == ((1, 3, 5), (0, 2, 4))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_phase_classes_follow_the_stored_phases(self, n):
+        grid = build_settings(n)
+        assert grid.phase_classes() == tuple(
+            tuple(_phase_class(p) for p in triple) for triple in grid.phases
+        )
 
     def test_too_few_parties(self):
         with pytest.raises(ValueError):
