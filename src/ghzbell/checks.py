@@ -9,7 +9,7 @@ pass/fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 import numpy as np
@@ -51,7 +51,7 @@ class CheckResult:
     detail: str
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return asdict(self)
 
 
 def _check_norm_identity(inject_fault: bool) -> CheckResult:

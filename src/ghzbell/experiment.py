@@ -39,10 +39,11 @@ generate_trials draws.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -98,14 +99,7 @@ class ExperimentConfig:
         return 3 ** self.n_parties
 
     def to_dict(self) -> dict:
-        return {
-            "n_parties": self.n_parties,
-            "visibility": self.visibility,
-            "efficiency": self.efficiency,
-            "trials": self.trials,
-            "seed": self.seed,
-            "setting_policy": self.setting_policy,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -292,12 +286,7 @@ class SweepPoint:
     violated: bool
 
     def to_dict(self) -> dict:
-        return {
-            "visibility": self.visibility,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "violated": self.violated,
-        }
+        return asdict(self)
 
 
 def _n_blocks(trials: int) -> int:
@@ -470,15 +459,10 @@ def _summary_from_stats(
     )
 
 
-_Q_CACHE: dict[int, CorrelationTensor] = {}
-
-
+@functools.cache
 def build_q_cached(n_parties: int) -> CorrelationTensor:
     """Quantum tensor, cached per party count (it is immutable)."""
-    tensor = _Q_CACHE.get(n_parties)
-    if tensor is None:
-        tensor = _Q_CACHE.setdefault(n_parties, quantum_tensor(build_settings(n_parties)))
-    return tensor
+    return quantum_tensor(build_settings(n_parties))
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSummary:

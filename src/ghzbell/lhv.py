@@ -134,10 +134,7 @@ def party_phasor(
     v = tuple(int(x) for x in party_assignment)
     if len(v) != 3 or any(x not in (-1, 1) for x in v):
         raise ValueError(f"party assignment must be three signs, got {party_assignment!r}")
-    classes = grid.phase_classes()[party]
-    if (classes[1] - classes[0]) % 12 != 2 or (classes[2] - classes[1]) % 12 != 2:
-        raise ValueError("party settings must be two phase classes (pi/3) apart")
-    base = classes[0]
+    base = grid.phase_classes()[party][0]
     x, y = v[0] - v[2], v[1] + v[2]
     relative = {
         (0, 0): None,

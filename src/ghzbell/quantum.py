@@ -10,17 +10,15 @@ Contents:
     tensor_norm_sq, tensor_entry_sum, scalar_product -- inner-product helpers
     entry_sum_closed_form -- closed form for the tensor entry sum
 
-Every phase in the grid is an exact rational multiple of pi (stored as a
-Fraction in units of pi) and every phase in play is a multiple of pi/6, so
-tensor entries are evaluated through an exact 12-entry cosine table and land
-exactly in {0, +-1/2, +-sqrt(3)/2, +-1}.
+Every phase in the grid is a multiple of pi/6 (stored as that integer
+multiple, its phase class), so tensor entries are evaluated through an exact
+12-entry cosine table and land exactly in {0, +-1/2, +-sqrt(3)/2, +-1}.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -39,70 +37,39 @@ SIN12 = (
 )
 _COS12_ARRAY = np.asarray(COS12, dtype=np.float64)
 
-# Phase triples in units of pi: the first party's triple is offset by pi/6,
-# every other party shares the unshifted triple. Spacing within a party is
+# Phase classes in units of pi/6: the first party measures at pi/6, pi/2 and
+# 5pi/6, every other party at 0, pi/3 and 2pi/3. Spacing within a party is
 # exactly pi/3.
-FIRST_PARTY_PHASES = (Fraction(1, 6), Fraction(1, 2), Fraction(5, 6))
-OTHER_PARTY_PHASES = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
-
-
-def _phase_class(phase: Fraction) -> int:
-    """Integer c with phase = c * pi/6 (phase given in units of pi), mod 12."""
-    c = phase * 6
-    if c.denominator != 1:
-        raise ValueError(f"phase {phase}*pi is not a multiple of pi/6")
-    return int(c) % 12
-
-
-# The grid is fixed (SettingsGrid rejects any other), so its classes are too.
-_FIRST_PARTY_CLASSES = tuple(_phase_class(p) for p in FIRST_PARTY_PHASES)
-_OTHER_PARTY_CLASSES = tuple(_phase_class(p) for p in OTHER_PARTY_PHASES)
+FIRST_PARTY_CLASSES = (1, 3, 5)
+OTHER_PARTY_CLASSES = (0, 2, 4)
 
 
 @dataclass(frozen=True)
 class SettingsGrid:
-    """Measurement phases for N parties, three settings each.
+    """The paper's fixed measurement phases for N parties, three settings each.
 
-    ``phases[k][i]`` is party k's phase for setting i, in units of pi.
-    Party 0 must carry (1/6, 1/2, 5/6) and every later party (0, 1/3, 2/3);
-    construction rejects anything else.
+    Party 0 measures at (pi/6, pi/2, 5pi/6) and every later party at
+    (0, pi/3, 2pi/3); ``n_parties`` alone determines the grid.
     """
 
     n_parties: int
-    phases: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
         if self.n_parties < 2:
             raise ValueError(f"need at least 2 parties, got {self.n_parties}")
-        if len(self.phases) != self.n_parties:
-            raise ValueError("one phase triple required per party")
-        for k, triple in enumerate(self.phases):
-            expected = FIRST_PARTY_PHASES if k == 0 else OTHER_PARTY_PHASES
-            if tuple(triple) != expected:
-                raise ValueError(f"party {k} phases {triple} differ from the fixed grid")
-            if not (triple[0] < triple[1] < triple[2]):
-                raise ValueError("phases must be strictly increasing within a party")
-            if triple[1] - triple[0] != Fraction(1, 3) or triple[2] - triple[1] != Fraction(1, 3):
-                raise ValueError("settings within a party must be pi/3 apart")
 
     def phase_classes(self) -> tuple[tuple[int, int, int], ...]:
         """Each phase as its integer multiple of pi/6, per party and setting."""
-        return (_FIRST_PARTY_CLASSES,) + (_OTHER_PARTY_CLASSES,) * (self.n_parties - 1)
+        return (FIRST_PARTY_CLASSES,) + (OTHER_PARTY_CLASSES,) * (self.n_parties - 1)
 
     def radians(self) -> tuple[tuple[float, float, float], ...]:
         """Phases as plain float radians."""
-        return tuple(
-            (float(t[0]) * math.pi, float(t[1]) * math.pi, float(t[2]) * math.pi)
-            for t in self.phases
-        )
+        return tuple(tuple(c / 6 * math.pi for c in t) for t in self.phase_classes())
 
 
 def build_settings(n_parties: int) -> SettingsGrid:
     """Grid for ``n_parties`` parties: offset triple for party 0, shared triple after."""
-    if n_parties < 2:
-        raise ValueError(f"need at least 2 parties, got {n_parties}")
-    phases = (FIRST_PARTY_PHASES,) + (OTHER_PARTY_PHASES,) * (n_parties - 1)
-    return SettingsGrid(n_parties=n_parties, phases=phases)
+    return SettingsGrid(n_parties=n_parties)
 
 
 @dataclass(frozen=True, eq=False)

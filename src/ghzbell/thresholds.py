@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .lhv import lhv_bound
@@ -40,9 +40,7 @@ class ThresholdResult:
     """Critical visibility at one (N, eta) point.
 
     ``v_critical`` above 1 means no physical visibility violates the bound at
-    this efficiency; math.inf marks a value beyond float64, or the degenerate
-    case of a negative numerator (cannot occur for eta in (0, 1], kept for
-    totality).
+    this efficiency; math.inf marks a value beyond float64.
     """
 
     n_parties: int
@@ -61,14 +59,7 @@ class ThresholdResult:
         return self.v_critical <= 1.0
 
     def to_dict(self) -> dict:
-        return {
-            "n_parties": self.n_parties,
-            "eta": self.eta,
-            "v_critical": self.v_critical,
-            "bound_lhs": self.bound_lhs,
-            "q_n_abs": self.q_n_abs,
-            "attainable": self.attainable,
-        }
+        return {**asdict(self), "attainable": self.attainable}
 
 
 def critical_visibility(n_parties: int, eta: float = 1.0) -> ThresholdResult:
@@ -87,9 +78,7 @@ def critical_visibility(n_parties: int, eta: float = 1.0) -> ThresholdResult:
     q_abs = abs(entry_sum_closed_form(n_parties))
     numerator = bound - q_abs * (1.0 - eta) ** n_parties
     denominator = eta ** n_parties * 3.0 ** n_parties / 2.0
-    if numerator < 0.0:
-        v_critical = math.inf
-    elif denominator > 0.0:
+    if denominator > 0.0:
         v_critical = numerator / denominator
     else:
         # eta^N underflowed: log v = log(2 bound (1 - c (1-eta)^N)) - N log(3 eta),
@@ -174,12 +163,7 @@ class ThresholdRow:
     eta_cr: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "v_cr_new": self.v_cr_new,
-            "v_cr_old": self.v_cr_old,
-            "eta_cr": self.eta_cr,
-        }
+        return asdict(self)
 
 
 def threshold_table(n_max: int) -> list[ThresholdRow]:

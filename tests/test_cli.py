@@ -392,6 +392,35 @@ class TestJsonRendering:
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                "thresholds --n-max 12",
+                "12d3652fd2b96377b61d12931fb88da4b298843c50e3b91baa47e63c8e1949b3",
+            ),
+            (
+                "thresholds --n-max 40 --format human",
+                "da46800375cd6d9e6c8f8861bda0bc989456debd77811e99fbc129f1d2c18175",
+            ),
+            (
+                "sweep --n 3 --eta 0.9 --v-grid 0.4,0.9 --trials-per-point 270",
+                "746aa36e34046d3e4a5d4264c5645c646d56a196d22d59d224f0a899dc24bb15",
+            ),
+            (
+                "sweep --n 2 --eta 0.8 --v-grid 0.5,0.95 --trials-per-point 900 --format human",
+                "504af17f3653da4f6ac807916a08d0325515f6fb302a485cb0ad40dabefa60fa",
+            ),
+        ],
+        ids=["thresholds-n12-json", "thresholds-n40-human", "sweep-n3-json", "sweep-n2-human"],
+    )
+    def test_row_and_point_golden_digest(self, args, digest):
+        # sha256 of the stdout printed while every to_dict listed its keys by
+        # hand; pins the key order that the dataclass-derived dicts must keep.
+        res = run_cli(*args.split())
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "value",
         [
             {},

@@ -32,7 +32,6 @@ from ghzbell import (
     tensor_entry_sum,
     tensor_norm_sq,
 )
-from ghzbell.quantum import _phase_class
 
 SQRT3 = math.sqrt(3.0)
 SEVEN_VALUES = {0.0, 0.5, -0.5, SQRT3 / 2, -SQRT3 / 2, 1.0, -1.0}
@@ -42,8 +41,13 @@ class TestSettingsGrid:
     def test_build_settings_phases(self):
         grid = build_settings(3)
         assert grid.n_parties == 3
-        assert grid.phases[0] == (Fraction(1, 6), Fraction(1, 2), Fraction(5, 6))
-        assert grid.phases[1] == grid.phases[2] == (Fraction(0), Fraction(1, 3), Fraction(2, 3))
+        assert grid.phase_classes() == ((1, 3, 5), (0, 2, 4), (0, 2, 4))
+        # The same phases as exact fractions of pi, to the last bit.
+        first = (Fraction(1, 6), Fraction(1, 2), Fraction(5, 6))
+        other = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
+        assert grid.radians() == tuple(
+            tuple(float(p) * math.pi for p in triple) for triple in (first, other, other)
+        )
 
     def test_radians(self):
         grid = build_settings(2)
@@ -58,23 +62,26 @@ class TestSettingsGrid:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_phase_classes_follow_the_stored_phases(self, n):
         grid = build_settings(n)
-        assert grid.phase_classes() == tuple(
-            tuple(_phase_class(p) for p in triple) for triple in grid.phases
-        )
+        classes, radians = grid.phase_classes(), grid.radians()
+        assert len(classes) == len(radians) == n
+        for k in range(n):
+            for i in range(3):
+                assert radians[k][i] == classes[k][i] / 6 * math.pi
 
     def test_too_few_parties(self):
         with pytest.raises(ValueError):
             build_settings(1)
 
     def test_rejects_nonstandard_phases(self):
-        good = build_settings(2)
-        with pytest.raises(ValueError):
-            SettingsGrid(n_parties=2, phases=(good.phases[1], good.phases[1]))
+        other = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
+        with pytest.raises(TypeError):
+            SettingsGrid(n_parties=2, phases=(other, other))
 
     def test_rejects_wrong_triple_count(self):
-        good = build_settings(2)
-        with pytest.raises(ValueError):
-            SettingsGrid(n_parties=3, phases=good.phases)
+        first = (Fraction(1, 6), Fraction(1, 2), Fraction(5, 6))
+        other = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
+        with pytest.raises(TypeError):
+            SettingsGrid(n_parties=3, phases=(first, other))
 
 
 class TestJointProbability:
