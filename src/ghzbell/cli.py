@@ -20,6 +20,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .checks import run_checks
 from .experiment import (
     MAX_SEED,
@@ -53,7 +55,9 @@ def _to_json(value, indent: str = "\n") -> str:
     such as the 3^N estimated tensor entries, goes to json's C encoder in one
     call, with the newline and indent as its item separator. A nested list or
     dict would show a bracket in that text; only then is the list rendered
-    element by element.
+    element by element. A list of floats alone is rendered through a table of
+    its distinct bit patterns (which keeps -0.0 and 0.0 apart): json renders
+    each distinct value once and the table is read back by index.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
@@ -61,6 +65,12 @@ def _to_json(value, indent: str = "\n") -> str:
             f"{json.dumps(key)}: {_to_json(item, inner)}" for key, item in value.items()
         )
         return f"{{{inner}{body}{indent}}}"
+    if isinstance(value, list) and value and set(map(type, value)) == {float}:
+        floats = np.fromiter(value, dtype=np.float64, count=len(value))
+        bits, index = np.unique(floats.view(np.int64), return_inverse=True)
+        reprs = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+        body = ("," + inner).join(np.array(reprs, dtype=object)[index].tolist())
+        return f"[{inner}{body}{indent}]"
     if isinstance(value, (list, tuple)) and value:
         body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
         if "[" in body or "{" in body:
@@ -88,6 +98,12 @@ def _seed(args, parser: argparse.ArgumentParser) -> int:
     if not 0 <= seed <= MAX_SEED:
         parser.error(f"{source} must be in 0..2^64-1, got {seed}")
     return seed
+
+
+def _check_size(n: int, parser: argparse.ArgumentParser) -> None:
+    """Usage error when numpy cannot even size a 3^n-entry float64 array."""
+    if 8 * 3 ** n > sys.maxsize:
+        _too_large(n, parser)
 
 
 def _too_large(n: int, parser: argparse.ArgumentParser) -> None:
@@ -247,6 +263,7 @@ def _cmd_simulate(args, parser) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    _check_size(args.n, parser)
     try:
         summary = run_experiment(config, workers=args.workers)
     except MemoryError:
@@ -286,6 +303,7 @@ def _cmd_sweep(args, parser) -> int:
         parser.error(f"--v-grid must be comma-separated numbers, got {args.v_grid!r}")
     if not grid:
         parser.error("--v-grid must contain at least one visibility")
+    _check_size(args.n, parser)
     try:
         points = visibility_sweep(
             n_parties=args.n,

@@ -31,8 +31,10 @@ entry by exactly (-1)^N (1-eta)^N.
 Determinism. Trials are split into fixed blocks of 65536. Block b draws all
 its randomness from child b of the experiment seed's SeedSequence and reduces
 to integer-valued sufficient statistics, so results are bit-identical for any
-worker count; worker threads only pick up blocks. The fair signs are a
-block's last draw and the statistics do not depend on them, so
+worker count and any grouping of blocks; worker threads only pick up blocks.
+run_experiment tallies blocks together once they hold 3^N trials, so its
+dense per-combination passes number O(trials / 3^N + 1). The fair signs are
+a block's last draw and the statistics do not depend on them, so
 run_experiment skips them and still matches summarize_batch on the trials
 generate_trials draws.
 """
@@ -393,28 +395,25 @@ def generate_trials(config: ExperimentConfig, workers: int = 1) -> TrialBatch:
     return TrialBatch(settings=settings, outcomes=outcomes)
 
 
-def _tally(
-    combos: np.ndarray, hit: np.ndarray, products: np.ndarray, all_zero: int, n_combos: int
-):
-    """Integer sufficient statistics of a set of trials.
+def _tally(combos: np.ndarray, hit: np.ndarray, products: np.ndarray, n_combos: int):
+    """Per-combination trial counts, product sums and nonzero-product counts.
 
-    ``hit`` masks the trials with a nonzero outcome product, ``products``
-    holds those products (+1 or -1) in order, and ``all_zero`` counts the
-    trials where no station registered.
+    ``hit`` masks the trials with a nonzero outcome product, and ``products``
+    holds those products (+1 or -1) in order.
     """
     hit_combos = combos[hit]
     counts = np.bincount(combos, minlength=n_combos)
     sum_prod = np.bincount(hit_combos, weights=products, minlength=n_combos)
     nonzero = np.bincount(hit_combos, minlength=n_combos)
-    return counts, sum_prod, nonzero, all_zero
+    return counts, sum_prod, nonzero
 
 
 def _stats(combos: np.ndarray, outcomes: np.ndarray, n_combos: int):
-    """Integer sufficient statistics of a set of explicit trials."""
+    """Integer sufficient statistics of a set of explicit trials, all-zero count last."""
     cols = np.asfortranarray(outcomes)
     prods = cols.prod(axis=1, dtype=np.int64)
     hit = prods != 0
-    return _tally(combos, hit, prods[hit], int((~cols.any(axis=1)).sum()), n_combos)
+    return (*_tally(combos, hit, prods[hit], n_combos), int((~cols.any(axis=1)).sum()))
 
 
 def _summary_from_stats(
@@ -426,26 +425,25 @@ def _summary_from_stats(
 ) -> ExperimentSummary:
     n = config.n_parties
     m = config.n_combos
-    est = np.zeros(m)
-    seen = counts > 0
-    est[seen] = sum_prod[seen] / counts[seen]
+    est = np.divide(sum_prod, counts, out=np.zeros(m), where=counts > 0)
 
     # Sample variance (ddof=1) of the product per combination; (prod)^2 is the
-    # nonzero indicator, so sum of squares == nonzero count.
-    se_sq = np.full(m, np.inf)
+    # nonzero indicator, so sum of squares == nonzero count. Entries with
+    # fewer than 2 trials have no variance and are left at 0 here.
     enough = counts >= 2
-    var = (nonzero[enough] - sum_prod[enough] ** 2 / counts[enough]) / (counts[enough] - 1)
-    se_sq[enough] = np.clip(var, 0.0, None) / counts[enough]
+    mean_sq = np.divide(sum_prod ** 2, counts, out=np.zeros(m), where=enough)
+    var = np.divide(nonzero - mean_sq, counts - 1, out=np.zeros(m), where=enough)
+    se_sq = np.divide(np.clip(var, 0.0, None), counts, out=np.zeros(m), where=enough)
 
     q = build_q_cached(n)
     lhs = abs(float(np.dot(q.entries, est)))
-    # Zero-weight entries contribute nothing even when their se is infinite,
-    # so multiply only where the weight is positive.
+    # The standard error is infinite exactly when a weighted entry has no
+    # variance; zero-weight entries contribute nothing either way.
     weights = q.entries ** 2
-    pos = weights > 0.0
-    terms = np.zeros(m)
-    terms[pos] = weights[pos] * se_sq[pos]
-    se_lhs = float(np.sqrt(np.sum(terms)))
+    if (weights[~enough] > 0.0).any():
+        se_lhs = math.inf
+    else:
+        se_lhs = float(np.sqrt(np.sum(weights * se_sq)))
 
     p_all_zero = all_zero / config.trials
     rhs = lhv_bound(n) - p_all_zero * abs(entry_sum_closed_form(n))
@@ -469,24 +467,35 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSumm
     """Simulate the whole experiment and reduce it to an ExperimentSummary.
 
     Statistics are merged from fixed per-seed trial blocks, so the summary is
-    bit-identical for any ``workers`` value.
+    bit-identical for any ``workers`` value. Finished blocks are held until
+    they hold 3^N trials, then tallied in one pass; the rest at the end. Up
+    to N = 10 a full block holds at least 3^N trials and is tallied alone;
+    beyond, this saves a dense 3^N pass per block.
     """
     m = config.n_combos
 
     def work(block, seq):
         combos, rng = _block_combos(config, block, seq)
         _, all_det, none_det, target = _draw(config, combos, rng)
-        return _tally(combos, all_det, target, int(none_det.sum()), m)
+        return combos, all_det, target, int(none_det.sum())
 
     counts = np.zeros(m, dtype=np.int64)
     sum_prod = np.zeros(m, dtype=np.float64)
     nonzero = np.zeros(m, dtype=np.int64)
     all_zero = 0
-    for c, s, z, a in _map_blocks(config, work, workers):
-        counts += c
-        sum_prod += s
-        nonzero += z
-        all_zero += a
+    held, blocks_left = [], _n_blocks(config.trials)
+    for *arrays, none_count in _map_blocks(config, work, workers):
+        held.append(arrays)
+        all_zero += none_count
+        blocks_left -= 1
+        del arrays  # so a tallied block is freed before the next block draws
+        if sum(part[0].size for part in held) < m and blocks_left:
+            continue
+        arrays = held[0] if len(held) == 1 else [np.concatenate(col) for col in zip(*held)]
+        held = []
+        for total, part in zip((counts, sum_prod, nonzero), _tally(*arrays, m)):
+            total += part
+        del arrays, part
     return _summary_from_stats(config, counts, sum_prod, nonzero, all_zero)
 
 
@@ -517,9 +526,7 @@ def auxiliary_tensor(batch: TrialBatch, config: ExperimentConfig) -> Correlation
     folded = np.where(batch.outcomes == 0, -1, batch.outcomes)
     m = config.n_combos
     counts, sums, _, _ = _stats(_combo_index(batch.settings), folded, m)
-    est = np.zeros(m)
-    seen = counts > 0
-    est[seen] = sums[seen] / counts[seen]
+    est = np.divide(sums, counts, out=np.zeros(m), where=counts > 0)
     return CorrelationTensor(n_parties=config.n_parties, entries=est)
 
 

@@ -227,6 +227,16 @@ class TestSimulate:
             "--policy", "uniform-random",
         )
 
+    def test_n_beyond_numpy_size_limit_names_the_flag(self):
+        # 8 * 3^45 bytes is past what numpy can even size an array for.
+        res = run_cli(
+            "simulate", "--n", "45", "--v", "0.5", "--eta", "0.5", "--trials", "10",
+            "--policy", "uniform-random",
+        )
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "--n 45 needs 3^45" in res.stderr
+
 
 class TestSweep:
     def test_csv_brackets_threshold(self):
@@ -276,6 +286,15 @@ class TestSweep:
             "sweep", "--n", "20", "--eta", "0.9", "--v-grid", "0.5",
             "--trials-per-point", "10", "--policy", "uniform-random",
         )
+
+    def test_n_beyond_numpy_size_limit_names_the_flag(self):
+        res = run_cli(
+            "sweep", "--n", "45", "--eta", "0.5", "--v-grid", "0.5",
+            "--trials-per-point", "10", "--policy", "uniform-random",
+        )
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "--n 45 needs 3^45" in res.stderr
 
     def test_negative_seed_names_the_flag(self):
         res = run_cli(
@@ -350,6 +369,29 @@ class TestJsonRendering:
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
             "4c8819a001f9168dfd1c415a7a1e02ee7578c15246586f5cf903ac9efed722a9"
         )
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                "simulate --n 11 --v 0.7 --eta 0.9 --trials 354294 --seed 3"
+                " --policy uniform-random",
+                "f116d2bf48298b782a9a8393564acf9ce4b36d2daada6aca1437d94c4b5a6705",
+            ),
+            (
+                "simulate --n 12 --v 0.6 --eta 0.98 --trials 1062882 --seed 7",
+                "b00bf2781e74a6ae4c8ce341a62b6fbfadb118239cb60ff3e4787e1606b0d9f1",
+            ),
+        ],
+        ids=["simulate-n11-uniform-random", "simulate-n12-round-robin"],
+    )
+    def test_multi_block_simulate_golden_digest(self, args, digest):
+        # 3^N exceeds one 65536-trial block here, so several blocks are held
+        # and tallied together. sha256 of the stdout printed when every block
+        # was tallied on its own.
+        res = run_cli(*args.split())
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -431,6 +473,13 @@ class TestJsonRendering:
             (1, 2.5),
             ["a[b", "{", 3],
             "scalar",
+            [0.5],
+            [-0.0, 0.0, -0.0, 0.0],
+            [float("nan"), float("inf"), -float("inf"), -float("nan"), float("nan")],
+            [5e-324, 1e300, -5e-324, 5e-324, 1e300, 0.1, 1.0, -1.0],
+            {"entries": [0.25, -0.25, 0.25, 0.0, -0.0], "n": 2},
+            [[1.5, 1.5], [2.0], [-0.0, float("nan")]],
+            [1.0, 1, True],
         ],
     )
     def test_renderer_matches_json_dumps(self, value):

@@ -250,6 +250,14 @@ class TestDeterminism:
         )
         assert _summaries_equal(run_experiment(cfg, workers=1), run_experiment(cfg, workers=4))
 
+    def test_workers_do_not_change_multi_block_tally(self):
+        # 2 * 3^11 trials span six blocks, held and tallied together twice:
+        # after the third block (196608 >= 3^11 trials) and at the end.
+        cfg = ExperimentConfig(
+            n_parties=11, visibility=0.7, efficiency=0.9, trials=2 * 3 ** 11, seed=3
+        )
+        assert _summaries_equal(run_experiment(cfg, workers=1), run_experiment(cfg, workers=3))
+
     def test_workers_do_not_change_trials(self):
         cfg = ExperimentConfig(
             n_parties=2,
@@ -298,6 +306,14 @@ class TestDeterminism:
             pytest.param(
                 dict(n_parties=6, visibility=0.6, efficiency=0.9, trials=729 * 20, seed=4),
                 id="n6",
+            ),
+            # 3^11 > 65536: blocks 0-2 are tallied together, block 3 on its own.
+            pytest.param(
+                dict(
+                    n_parties=11, visibility=0.7, efficiency=0.9, trials=200000, seed=6,
+                    setting_policy=UNIFORM_RANDOM,
+                ),
+                id="n11-multi-block",
             ),
         ],
     )

@@ -6,11 +6,14 @@ Core claims covered here:
   * at the critical efficiency the critical visibility is exactly 1,
   * the critical efficiency falls with N and approaches 2/3 from above,
   * the phase-class dynamic program is never beaten by a sampled strategy
-    and equals the exhaustive maximum wherever that one runs (N <= 8).
+    and equals the exhaustive maximum wherever that one runs (N <= 8),
+  * the CLI's JSON renderer prints what json.dumps(value, indent=2) prints,
+    also for float lists with signed zeros, NaNs, infinities and repeats.
 
 Examples are derandomized so that a run is reproducible.
 """
 
+import json
 import math
 
 import numpy as np
@@ -29,6 +32,7 @@ from ghzbell import (
     random_strategy,
     strategy_score,
 )
+from ghzbell.cli import _to_json
 
 PROPERTY = settings(derandomize=True, deadline=None)
 TABLE_N = st.integers(min_value=2, max_value=646)
@@ -90,3 +94,18 @@ def test_factorized_maximum_bounds_sampled_and_equals_exhaustive(n, seed):
     assert sampled <= factorized + 1e-9
     brute, _ = max_score_brute(n)
     assert round(brute, 9) == round(factorized, 9)
+
+
+# Few distinct values, so lists repeat them, plus any float at all.
+FLOAT = st.sampled_from([-0.0, 0.0, 5e-324, 1e300, -1.0, 0.5]) | st.floats()
+JSON_VALUE = st.recursive(
+    st.lists(FLOAT, min_size=1) | st.none() | st.booleans() | st.integers() | FLOAT | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=12,
+)
+
+
+@PROPERTY
+@given(value=JSON_VALUE)
+def test_renderer_matches_json_dumps(value):
+    assert _to_json(value) == json.dumps(value, indent=2)
