@@ -48,8 +48,8 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _to_json(value, indent: str = "\n") -> str:
-    """The text of ``json.dumps(value, indent=2)`` (``value`` has string keys).
+def _json_pieces(value, indent: str = "\n"):
+    """The text of ``json.dumps(value, indent=2)`` in pieces (string keys only).
 
     With ``indent`` set, json encodes every element in Python. Here a list,
     such as the 3^N estimated tensor entries, goes to json's C encoder in one
@@ -57,30 +57,42 @@ def _to_json(value, indent: str = "\n") -> str:
     dict would show a bracket in that text; only then is the list rendered
     element by element. A list of floats alone is rendered through a table of
     its distinct bit patterns (which keeps -0.0 and 0.0 apart): json renders
-    each distinct value once and the table is read back by index.
+    each distinct value once and the table is read back by index. That text is
+    a piece of its own, so a 3^N-entry list is joined once and never copied.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
-        body = ("," + inner).join(
-            f"{json.dumps(key)}: {_to_json(item, inner)}" for key, item in value.items()
-        )
-        return f"{{{inner}{body}{indent}}}"
-    if isinstance(value, list) and value and set(map(type, value)) == {float}:
+        for i, (key, item) in enumerate(value.items()):
+            yield ("," if i else "{") + f"{inner}{json.dumps(key)}: "
+            yield from _json_pieces(item, inner)
+        yield indent + "}"
+    elif isinstance(value, list) and value and set(map(type, value)) == {float}:
         floats = np.fromiter(value, dtype=np.float64, count=len(value))
         bits, index = np.unique(floats.view(np.int64), return_inverse=True)
         reprs = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-        body = ("," + inner).join(np.array(reprs, dtype=object)[index].tolist())
-        return f"[{inner}{body}{indent}]"
-    if isinstance(value, (list, tuple)) and value:
+        yield "[" + inner
+        yield ("," + inner).join(np.array(reprs, dtype=object)[index].tolist())
+        yield indent + "]"
+    elif isinstance(value, (list, tuple)) and value:
         body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
         if "[" in body or "{" in body:
-            body = ("," + inner).join(_to_json(item, inner) for item in value)
-        return f"[{inner}{body}{indent}]"
-    return json.dumps(value)
+            for i, item in enumerate(value):
+                yield ("," if i else "[") + inner
+                yield from _json_pieces(item, inner)
+        else:
+            yield f"[{inner}{body}"
+        yield indent + "]"
+    else:
+        yield json.dumps(value)
+
+
+def _to_json(value) -> str:
+    return "".join(_json_pieces(value))
 
 
 def _emit_json(data) -> None:
-    _emit(_to_json(data))
+    sys.stdout.writelines(_json_pieces(data))
+    sys.stdout.write("\n")
 
 
 def _seed(args, parser: argparse.ArgumentParser) -> int:

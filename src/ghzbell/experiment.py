@@ -120,13 +120,23 @@ class TrialRecord:
             raise ValueError(f"outcomes must be in {{-1, 0, +1}}, got {self.outcomes}")
 
 
+# Trials-file cells: "%d" of an int8 value and the separator after it, zero-
+# padded to 8 bytes as one uint64. Cell 256 * k + u holds the value whose uint8
+# view is u, followed by separator k: " ", " | " or "\n".
+_CELLS = np.array(
+    ["%d%s" % (v, sep) for sep in (" ", " | ", "\n") for v in [*range(128), *range(-128, 0)]],
+    dtype="S8",
+).view(np.uint64)
+
+
 @dataclass
 class TrialBatch:
     """Column-oriented batch of trials.
 
     ``settings`` is (trials, N) with 1-based setting indices; ``outcomes`` is
     (trials, N) with values in {-1, 0, +1}. Persists as newline-delimited
-    ``s_1 ... s_N | m_1 ... m_N`` records.
+    ``s_1 ... s_N | m_1 ... m_N`` records: ``save`` writes each value's cell of
+    ``_CELLS``, and ``load`` reads values as ``_parse_records`` describes.
     """
 
     settings: np.ndarray
@@ -152,20 +162,23 @@ class TrialBatch:
         return self.settings.shape[1]
 
     def save(self, path) -> None:
-        record = " | ".join([" ".join(["%d"] * self.n_parties)] * 2) + "\n"
-        values = np.hstack([self.settings, self.outcomes]).ravel().tolist()
+        n = self.n_parties
+        text = " | \n" * len(self)
+        if n:
+            separators = 256 * np.array([0] * (n - 1) + [1] + [0] * (n - 1) + [2])
+            values = np.hstack([self.settings, self.outcomes]).view(np.uint8)
+            text = _CELLS[values + separators].tobytes().translate(None, b"\0").decode("ascii")
         with open(path, "w", encoding="ascii") as fh:
-            fh.write((record * len(self)) % tuple(values))
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "TrialBatch":
         try:
-            with open(path, "r", encoding="ascii") as fh:
+            with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
                 values = _parse_records(fh.read())
             if not len(values):
                 raise ValueError(f"{path}: no trial records")
-            width = values.shape[1] // 2
-            return cls(settings=values[:, :width], outcomes=values[:, width:])
+            return cls(*map(np.ascontiguousarray, np.split(values, 2, axis=1)))
         except ValueError:
             _raise_first_bad_record(path)
             raise
@@ -179,35 +192,50 @@ _BYTE_ROLE[[ord("\n"), ord("|")]] = [ord("\n"), ord("|")]
 _BYTE_ROLE[[ord("+"), ord("-")]] = ord("s")
 _BYTE_ROLE[ord("0") : ord("9") + 1] = ord("d")
 
+# "0".."9" read 0..9; "p".."y", the same digits moved up by 64 after a "-", read 0..-9.
+_DIGITS = bytes.maketrans(b"0123456789pqrstuvwxy", bytes(np.r_[0:10, 0:-10:-1].astype(np.int8)))
+# The sign and first four significant digits of a longer token saturate to the
+# same int8 as the token, with no digit string too long for int().
+_TOKEN_HEAD = re.compile(rb"([+-]?)0*([0-9]{1,4})")
+
 
 def _parse_records(text: str) -> np.ndarray:
-    """The (records, 2N) integers of a trials file's text, blank lines skipped.
+    """The (records, 2N) int8 values of a trials file's text, blank lines skipped.
 
     Each non-blank line must be N tokens ``[+-]?[0-9]+``, one ``|`` and N more,
     with the same N on every line. The check runs on the whole text at once: it
     reduces the text to one event per token start, bar and line end and
-    compares that with the event string of a well-formed file.
+    compares that with the event string of a well-formed file, in uint8 and bool
+    arrays only. A token's value is its last digit, negated after a ``-``; only
+    longer tokens, which ``save`` never writes, go through ``int``, saturated to
+    int8: ``"0001"`` reads as 1, ``"257"`` as 127, which the constructor rejects.
     """
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    role = _BYTE_ROLE[raw]
-    token = (role == ord("d")) | (role == ord("s"))
+    data = text.encode("ascii", "surrogateescape")
+    roles = data.translate(_BYTE_ROLE)
+    raw, role = np.frombuffer(data, dtype=np.uint8), np.frombuffer(roles, dtype=np.uint8)
+    digit, sign = role == ord("d"), role == ord("s")
+    token = digit | sign
     start = token & ~np.concatenate(([False], token[:-1]))
-    sign = role == ord("s")
-    digit_next = np.concatenate((role[1:] == ord("d"), [False]))
-    if (role == ord("x")).any() or (sign & ~(start & digit_next)).any():
+    digit_next = np.concatenate((digit[1:], [False]))
+    if b"x" in roles or (sign & ~(start & digit_next)).any():
         raise ValueError("malformed trials file")
-    events = np.where(start, ord("t"), role)[start | (role == ord("|")) | (role == ord("\n"))]
-    line_end = events == ord("\n")
-    blank = line_end & np.concatenate(([True], line_end[:-1]))  # ends a line with no token
-    events = events[~blank].tobytes().rstrip(b"\n")
+    # Token starts are "d" or "s" bytes, both below "t"; dropping the other
+    # token bytes and the blanks leaves one event per start, bar and line end.
+    events = np.maximum(role, start * np.uint8(ord("t"))).tobytes().translate(None, b"ds ")
+    while b"\n\n" in events:  # blank lines
+        events = events.replace(b"\n\n", b"\n")
+    events = events.strip(b"\n")
     records, width = events.count(b"|"), max(events.find(b"|"), 0)
     if events != ((b"t" * width + b"|" + b"t" * width + b"\n") * records)[:-1]:
         raise ValueError("malformed trials file")
-    if not width:  # np.fromstring reads a blank text as [0]
-        return np.empty((records, 0), dtype=np.int64)
-    # Every other byte becomes a space: np.fromstring does not skip "|" or \x1c-\x1f.
-    digits = np.where(token, raw, ord(" ")).tobytes()
-    values = np.fromstring(digits, dtype=np.int64, sep=" ")
+    end = digit & ~digit_next
+    minus = np.concatenate(([False], raw[:-1] == ord("-")))
+    last = (raw + np.uint8(64) * minus) * end  # 0 except at each token's last digit
+    values = np.frombuffer(bytearray(last).translate(_DIGITS, b"\0"), dtype=np.int8)
+    if (digit[1:] & digit[:-1]).any():
+        longer = np.flatnonzero(np.concatenate(([False], digit[:-1]))[end])
+        heads = (_TOKEN_HEAD.match(data, a).groups() for a in np.flatnonzero(start)[longer])
+        values[longer] = [min(max(int(sign + digits), -128), 127) for sign, digits in heads]
     return values.reshape(records, 2 * width)
 
 
@@ -222,7 +250,7 @@ def _raise_first_bad_record(path) -> None:
     ``_parse_records`` accepts and returns if every record is well formed.
     """
     width = None
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue

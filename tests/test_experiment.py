@@ -188,8 +188,13 @@ class TestTrialBatch:
             " 1 3 | -1 0  \n2 2 | 1 1 \t\n",
             "+1 3 | -1 +0\n2 2 | +1 1\n",
             "1 3 | -1 0\r\n2 2 | 1 1\r\n",
+            "1 3 | -1 0\r2 2 | 1 1\r",
+            "1 " + "0" * 5000 + "3 | -1 0\n2 2 | 1 +" + "0" * 5000 + "1\n",
         ],
-        ids=["no-spaces", "tabs", "blank-lines", "trailing-spaces", "plus-signs", "crlf"],
+        ids=[
+            "no-spaces", "tabs", "blank-lines", "trailing-spaces", "plus-signs", "crlf", "lone-cr",
+            "leading-zeros-past-int-digit-limit",
+        ],
     )
     def test_load_spacing_variants_roundtrip(self, tmp_path, text):
         path = tmp_path / "trials.txt"
@@ -234,6 +239,23 @@ class TestTrialBatch:
         with pytest.raises(ValueError) as err:
             TrialBatch.load(bad)
         assert str(err.value).startswith(str(bad) + message)
+
+    def test_zero_column_and_zero_trial_batches(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        TrialBatch(settings=np.empty((3, 0)), outcomes=np.empty((3, 0))).save(path)
+        assert path.read_text() == " | \n" * 3
+        batch = TrialBatch.load(path)
+        assert batch.settings.shape == batch.outcomes.shape == (3, 0)
+        TrialBatch(settings=np.empty((0, 4)), outcomes=np.empty((0, 4))).save(path)
+        assert path.read_text() == ""
+
+    def test_load_names_the_line_of_a_non_ascii_byte(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes("1 2 | 1 1\n1 2 | 1 \u00e9\n".encode("utf-8"))
+        with pytest.raises(ValueError) as err:
+            TrialBatch.load(bad)
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith(f"{bad}:2: non-integer token")
 
 
 class TestDeterminism:

@@ -8,24 +8,32 @@ Core claims covered here:
   * the phase-class dynamic program is never beaten by a sampled strategy
     and equals the exhaustive maximum wherever that one runs (N <= 8),
   * the CLI's JSON renderer prints what json.dumps(value, indent=2) prints,
-    also for float lists with signed zeros, NaNs, infinities and repeats.
+    also for float lists with signed zeros, NaNs, infinities and repeats,
+  * a trials file loads to what a line-by-line reading gives, or fails with
+    the same message, and a saved batch is the text of a "%d" formatter.
 
 Examples are derandomized so that a run is reproducible.
 """
 
+import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzbell import (
+    ExperimentConfig,
+    TrialBatch,
     build_settings,
     entry_sum_closed_form,
     lhv_bound,
     critical_efficiency,
     critical_visibility,
+    generate_trials,
     max_score_brute,
     max_score_factorized,
     quantum_tensor,
@@ -33,6 +41,7 @@ from ghzbell import (
     strategy_score,
 )
 from ghzbell.cli import _to_json
+from ghzbell.experiment import _raise_first_bad_record
 
 PROPERTY = settings(derandomize=True, deadline=None)
 TABLE_N = st.integers(min_value=2, max_value=646)
@@ -109,3 +118,90 @@ JSON_VALUE = st.recursive(
 @given(value=JSON_VALUE)
 def test_renderer_matches_json_dumps(value):
     assert _to_json(value) == json.dumps(value, indent=2)
+
+
+# Trials files near the grammar: records of one width with the odd token too
+# many or too few, odd tokens, every blank, blank lines, any line ending, and
+# now and then one stray character.
+ODD_TOKENS = ["01", "0002", "+3", "-0", "+0", "-001", "10", "257", "-129", "4", "+-1", "1-"]
+SETTING = st.sampled_from(["1", "2", "3"] * 8 + ODD_TOKENS)
+OUTCOME = st.sampled_from(["-1", "0", "1"] * 8 + ODD_TOKENS)
+BLANK = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", " \t "])
+STRAY = st.sampled_from(list("1230-+|\n\r\t\x0b\x0c\x1c x_\u00e9"))
+
+
+@st.composite
+def trials_texts(draw):
+    width = draw(st.integers(min_value=0, max_value=3))
+    count = st.sampled_from([width] * 6 + [width + 1, max(width - 1, 0)])
+    record = st.builds(
+        lambda left, bar, right, blank: blank.join(left) + bar + blank.join(right),
+        count.flatmap(lambda k: st.lists(SETTING, min_size=k, max_size=k)),
+        st.sampled_from([" | ", "|", "\t|  "]),
+        count.flatmap(lambda k: st.lists(OUTCOME, min_size=k, max_size=k)),
+        BLANK,
+    )
+    lines = draw(st.lists(record | st.sampled_from(["", "  ", "\t"]), min_size=1, max_size=6))
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+    text += draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
+    for where, char in draw(st.lists(st.tuples(st.integers(0, 10 ** 6), STRAY), max_size=1)):
+        where %= len(text) + 1
+        text = text[:where] + char + text[where:]
+    return text
+
+
+def _load(path: Path):
+    try:
+        batch = TrialBatch.load(path)
+    except ValueError as err:
+        return str(err)
+    return batch.settings.shape, batch.settings.tolist(), batch.outcomes.tolist()
+
+
+def _load_line_by_line(path: Path):
+    try:
+        _raise_first_bad_record(path)
+    except ValueError as err:
+        return str(err)
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        rows = [line.replace("|", " ").split() for line in fh if line.strip()]
+    if not rows:
+        return f"{path}: no trial records"
+    values = np.array([[int(token) for token in row] for row in rows], dtype=np.int64)
+    width = values.shape[1] // 2
+    return (len(rows), width), values[:, :width].tolist(), values[:, width:].tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(text=trials_texts())
+def test_load_matches_a_line_by_line_reading(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trials.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert _load(path) == _load_line_by_line(path)
+
+
+@PROPERTY
+@given(
+    n=st.integers(min_value=1, max_value=13),
+    trials=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_save_matches_the_record_formatter(n, trials, seed):
+    rng = np.random.default_rng(seed)
+    settings_ = rng.integers(1, 4, size=(trials, n))
+    outcomes = rng.integers(-1, 2, size=(trials, n))
+    record = " | ".join([" ".join(["%d"] * n)] * 2) + "\n"
+    expected = (record * trials) % tuple(np.hstack([settings_, outcomes]).ravel().tolist())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trials.txt"
+        TrialBatch(settings=settings_, outcomes=outcomes).save(path)
+        assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_saved_trials_file_golden_digest(tmp_path):
+    batch = generate_trials(ExperimentConfig(4, 0.9, 0.5, 32400, seed=5))
+    path = tmp_path / "trials.txt"
+    batch.save(path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "1b0eaf5c97df9b961e9c880526bea4d64f4865bb8db9d7a934aa09e4ddcb5789"
