@@ -51,14 +51,14 @@ def _emit(text: str) -> None:
 def _json_pieces(value, indent: str = "\n"):
     """The text of ``json.dumps(value, indent=2)`` in pieces (string keys only).
 
-    With ``indent`` set, json encodes every element in Python. Here a list,
-    such as the 3^N estimated tensor entries, goes to json's C encoder in one
-    call, with the newline and indent as its item separator. A nested list or
-    dict would show a bracket in that text; only then is the list rendered
-    element by element. A list of floats alone is rendered through a table of
-    its distinct bit patterns (which keeps -0.0 and 0.0 apart): json renders
-    each distinct value once and the table is read back by index. That text is
-    a piece of its own, so a 3^N-entry list is joined once and never copied.
+    A 1-D float64 ndarray, such as the 3^N estimated tensor entries, prints as
+    its ``tolist()`` would, without that list of floats: json renders each
+    distinct bit pattern (which keeps -0.0 and 0.0 apart) once, and the
+    entries are read back from that table by index and joined as one piece,
+    never copied. With ``indent`` set, json encodes every element in Python,
+    so any other list goes to json's C encoder in one call, with the newline
+    and indent as its item separator. A nested list or dict would show a
+    bracket in that text; only then is the list rendered element by element.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
@@ -66,9 +66,8 @@ def _json_pieces(value, indent: str = "\n"):
             yield ("," if i else "{") + f"{inner}{json.dumps(key)}: "
             yield from _json_pieces(item, inner)
         yield indent + "}"
-    elif isinstance(value, list) and value and set(map(type, value)) == {float}:
-        floats = np.fromiter(value, dtype=np.float64, count=len(value))
-        bits, index = np.unique(floats.view(np.int64), return_inverse=True)
+    elif isinstance(value, np.ndarray) and value.size:
+        bits, index = np.unique(value.view(np.int64), return_inverse=True)
         reprs = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
         yield "[" + inner
         yield ("," + inner).join(np.array(reprs, dtype=object)[index].tolist())
@@ -83,7 +82,7 @@ def _json_pieces(value, indent: str = "\n"):
             yield f"[{inner}{body}"
         yield indent + "]"
     else:
-        yield json.dumps(value)
+        yield "[]" if isinstance(value, np.ndarray) else json.dumps(value)
 
 
 def _to_json(value) -> str:
@@ -280,7 +279,7 @@ def _cmd_simulate(args, parser) -> int:
         summary = run_experiment(config, workers=args.workers)
     except MemoryError:
         _too_large(args.n, parser)
-    data = {"config": config.to_dict(), **summary.to_dict()}
+    data = {"config": config.to_dict(), **summary._json_fields()}
     if args.format == "human":
         cfg = data["config"]
         _emit(

@@ -32,11 +32,14 @@ Determinism. Trials are split into fixed blocks of 65536. Block b draws all
 its randomness from child b of the experiment seed's SeedSequence and reduces
 to integer-valued sufficient statistics, so results are bit-identical for any
 worker count and any grouping of blocks; worker threads only pick up blocks.
-run_experiment tallies blocks together once they hold 3^N trials, so its
-dense per-combination passes number O(trials / 3^N + 1). The fair signs are
-a block's last draw and the statistics do not depend on them, so
-run_experiment skips them and still matches summarize_batch on the trials
-generate_trials draws.
+Each trial reduces to one signed key: 2 combo + 1 for outcome product +1,
+2 combo for -1 and 2 * 3^N for 0, so a tally is two unweighted bincounts,
+of the combos and of the keys. run_experiment tallies blocks together once
+they hold 3^N trials, so its dense per-combination passes number
+O(trials / 3^N + 1). The fair signs are a block's last draw and the
+statistics do not depend on them, so run_experiment takes the keys straight
+from the detection and parity draws and still matches summarize_batch on the
+trials generate_trials draws.
 """
 
 from __future__ import annotations
@@ -199,6 +202,12 @@ _DIGITS = bytes.maketrans(b"0123456789pqrstuvwxy", bytes(np.r_[0:10, 0:-10:-1].a
 _TOKEN_HEAD = re.compile(rb"([+-]?)0*([0-9]{1,4})")
 
 
+def _saturated(data: bytes, at: int = 0) -> int:
+    """The int8-saturated value of the token that starts at ``data[at]``."""
+    sign, digits = _TOKEN_HEAD.match(data, at).groups()
+    return min(max(int(sign + digits), -128), 127)
+
+
 def _parse_records(text: str) -> np.ndarray:
     """The (records, 2N) int8 values of a trials file's text, blank lines skipped.
 
@@ -234,8 +243,7 @@ def _parse_records(text: str) -> np.ndarray:
     values = np.frombuffer(bytearray(last).translate(_DIGITS, b"\0"), dtype=np.int8)
     if (digit[1:] & digit[:-1]).any():
         longer = np.flatnonzero(np.concatenate(([False], digit[:-1]))[end])
-        heads = (_TOKEN_HEAD.match(data, a).groups() for a in np.flatnonzero(start)[longer])
-        values[longer] = [min(max(int(sign + digits), -128), 127) for sign, digits in heads]
+        values[longer] = [_saturated(data, at) for at in np.flatnonzero(start)[longer]]
     return values.reshape(records, 2 * width)
 
 
@@ -247,7 +255,8 @@ def _raise_first_bad_record(path) -> None:
 
     Called only after a load has failed, so ``TrialBatch.load`` can check the
     whole file at once and leave line numbers to this scan. It accepts what
-    ``_parse_records`` accepts and returns if every record is well formed.
+    ``_parse_records`` accepts, reading tokens through the same ``_saturated``,
+    and returns if every record is well formed.
     """
     width = None
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -261,7 +270,7 @@ def _raise_first_bad_record(path) -> None:
             s_row, m_row = left.split(), right.split()
             if not all(_INTEGER.fullmatch(tok) for tok in s_row + m_row):
                 raise ValueError(f"{where}: non-integer token in {line.strip()!r}") from None
-            s_row, m_row = [int(tok) for tok in s_row], [int(tok) for tok in m_row]
+            s_row, m_row = ([_saturated(tok.encode()) for tok in row] for row in (s_row, m_row))
             if width is None:
                 width = len(s_row)
             if len(s_row) != width or len(m_row) != width:
@@ -293,17 +302,21 @@ class ExperimentSummary:
     violated: bool
     standard_error_lhs: float
 
-    def to_dict(self) -> dict:
-        """JSON-ready fields; an infinite standard error becomes None (null)."""
-        se = self.standard_error_lhs
+    def _json_fields(self) -> dict:
+        """``to_dict`` with the estimated entries left as their float64 array."""
+        se, tensor = self.standard_error_lhs, self.estimated_tensor
         return {
             "p_all_zero": self.p_all_zero,
             "lhs": self.lhs,
             "rhs": self.rhs,
             "violated": self.violated,
             "standard_error_lhs": se if math.isfinite(se) else None,
-            "estimated_tensor": self.estimated_tensor.to_dict(),
+            "estimated_tensor": {"n_parties": tensor.n_parties, "entries": tensor.entries},
         }
+
+    def to_dict(self) -> dict:
+        """JSON-ready fields; an infinite standard error becomes None (null)."""
+        return {**self._json_fields(), "estimated_tensor": self.estimated_tensor.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -338,21 +351,21 @@ def _draw(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generator
     """Detection and outcome-product draws of one trial per entry of ``combos``.
 
     Draws detection uniforms, then one parity uniform per trial. Returns the
-    (trials, N) detection mask, the all-detected and none-detected masks, and
-    the target parity (+1 or -1) of each all-detected trial, +1 with
-    probability (1 + V q)/2, q the quantum tensor entry. The outcome product
-    is that parity in an all-detected trial and 0 in every other trial.
+    (trials, N) detection mask, the all-detected mask and each trial's signed
+    key. In an all-detected trial the key is 2 combo + 1 for target parity +1,
+    drawn with probability (1 + V q)/2 for q the quantum tensor entry, and
+    2 combo for parity -1; the outcome product is that parity. Every other
+    trial has product 0 and the key 2 * 3^N.
     """
-    n = config.n_parties
+    n, m = config.n_parties, config.n_combos
     # Column-major, so the reductions over the N stations run along contiguous
     # columns instead of over short rows.
     detected = np.asfortranarray(rng.random((combos.size, n)) < config.efficiency)
     parity_u = rng.random(combos.size)
     all_det = detected.all(axis=1)
-    none_det = ~detected.any(axis=1)
-    q = build_q_cached(n).entries[combos[all_det]]
-    target = np.where(parity_u[all_det] < (1.0 + config.visibility * q) / 2.0, 1, -1)
-    return detected, all_det, none_det, target
+    plus = parity_u < (1.0 + config.visibility * build_q_cached(n).entries[combos]) / 2.0
+    key = np.where(all_det, 2 * combos + plus, 2 * m)
+    return detected, all_det, key
 
 
 def _sample(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -360,14 +373,14 @@ def _sample(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generat
 
     After the draws of ``_draw`` come one fair-sign uniform per station, last.
     Every registered station takes a fair sign. In an all-detected trial the
-    last sign is then flipped when the product misses the target parity. The
-    product is all the law depends on, so this gives exactly
-    P(r) = 2^-N (1 + V prod(r) q).
+    last sign is then flipped when the product misses the target parity, the
+    low bit of the key. The product is all the law depends on, so this gives
+    exactly P(r) = 2^-N (1 + V prod(r) q).
     """
-    detected, all_det, _, target = _draw(config, combos, rng)
+    detected, all_det, key = _draw(config, combos, rng)
     outcomes = np.where(rng.random(detected.shape) < 0.5, -1, 1).astype(np.int8)
     signs = np.asfortranarray(outcomes[all_det]).prod(axis=1)
-    outcomes[all_det, -1] *= target * signs
+    outcomes[all_det, -1] *= (2 * (key[all_det] & 1) - 1) * signs
     outcomes *= detected
     return outcomes
 
@@ -423,25 +436,25 @@ def generate_trials(config: ExperimentConfig, workers: int = 1) -> TrialBatch:
     return TrialBatch(settings=settings, outcomes=outcomes)
 
 
-def _tally(combos: np.ndarray, hit: np.ndarray, products: np.ndarray, n_combos: int):
+def _tally(combos: np.ndarray, key: np.ndarray, n_combos: int):
     """Per-combination trial counts, product sums and nonzero-product counts.
 
-    ``hit`` masks the trials with a nonzero outcome product, and ``products``
-    holds those products (+1 or -1) in order.
+    ``key`` is each trial's signed key (see ``_draw``): 2 combo + 1 for
+    product +1, 2 combo for -1, and 2 * ``n_combos`` for product 0. Two
+    unweighted bincounts give every statistic; the sums are exact in float64.
     """
-    hit_combos = combos[hit]
     counts = np.bincount(combos, minlength=n_combos)
-    sum_prod = np.bincount(hit_combos, weights=products, minlength=n_combos)
-    nonzero = np.bincount(hit_combos, minlength=n_combos)
-    return counts, sum_prod, nonzero
+    signs = np.bincount(key, minlength=2 * n_combos + 1)[:-1].reshape(n_combos, 2)
+    minus, plus = signs[:, 0], signs[:, 1]
+    return counts, (plus - minus).astype(np.float64), plus + minus
 
 
 def _stats(combos: np.ndarray, outcomes: np.ndarray, n_combos: int):
     """Integer sufficient statistics of a set of explicit trials, all-zero count last."""
     cols = np.asfortranarray(outcomes)
     prods = cols.prod(axis=1, dtype=np.int64)
-    hit = prods != 0
-    return (*_tally(combos, hit, prods[hit], n_combos), int((~cols.any(axis=1)).sum()))
+    key = np.where(prods != 0, 2 * combos + (prods > 0), 2 * n_combos)
+    return (*_tally(combos, key, n_combos), int((~cols.any(axis=1)).sum()))
 
 
 def _summary_from_stats(
@@ -495,17 +508,18 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSumm
     """Simulate the whole experiment and reduce it to an ExperimentSummary.
 
     Statistics are merged from fixed per-seed trial blocks, so the summary is
-    bit-identical for any ``workers`` value. Finished blocks are held until
-    they hold 3^N trials, then tallied in one pass; the rest at the end. Up
-    to N = 10 a full block holds at least 3^N trials and is tallied alone;
-    beyond, this saves a dense 3^N pass per block.
+    bit-identical for any ``workers`` value. A block keeps only its combos,
+    the signed keys of ``_draw`` and its none-detected count. Finished blocks
+    are held until they hold 3^N trials, then tallied in one ``_tally`` pass;
+    the rest at the end. Up to N = 10 a full block holds at least 3^N trials
+    and is tallied alone; beyond, this saves a dense 3^N pass per block.
     """
     m = config.n_combos
 
     def work(block, seq):
         combos, rng = _block_combos(config, block, seq)
-        _, all_det, none_det, target = _draw(config, combos, rng)
-        return combos, all_det, target, int(none_det.sum())
+        detected, _, key = _draw(config, combos, rng)
+        return combos, key, combos.size - int(detected.any(axis=1).sum())
 
     counts = np.zeros(m, dtype=np.int64)
     sum_prod = np.zeros(m, dtype=np.float64)

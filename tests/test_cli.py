@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ghzbell.cli import _to_json
@@ -484,3 +485,22 @@ class TestJsonRendering:
     )
     def test_renderer_matches_json_dumps(self, value):
         assert _to_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [],
+            [0.5],
+            [-0.0, 0.0, -0.0, 0.0],
+            [float("nan"), float("inf"), -float("inf"), -float("nan"), float("nan")],
+            [5e-324, 1e300, -5e-324, 5e-324, 1e300, 0.1, 1.0, -1.0],
+            [0.25, -0.25, 0.25, 0.0, -0.0] * 3,
+        ],
+        ids=["empty", "one", "signed-zeros", "nan-inf", "extremes", "repeats"],
+    )
+    def test_renderer_prints_a_float_array_as_its_list(self, entries):
+        array = np.array(entries, dtype=np.float64)
+        value = {"n": 2, "tensor": {"n_parties": 2, "entries": array}, "after": [1.5]}
+        expected = {"n": 2, "tensor": {"n_parties": 2, "entries": entries}, "after": [1.5]}
+        assert _to_json(value) == json.dumps(expected, indent=2)
+        assert _to_json(array) == json.dumps(entries, indent=2)

@@ -4,6 +4,7 @@ Core claims covered here:
   * configs validate their ranges, including the round-robin divisibility rule,
   * trial generation is bit-reproducible from the seed and independent of the
     worker count, and the streaming summary equals the batch summary exactly,
+  * the signed-key tally equals a per-combination loop over explicit trials,
   * per-entry estimates converge to eta^N V Q within statistical error, the
     all-zero frequency converges to (1-eta)^N, and folding lost detections to
     -1 shifts every entry by (-1)^N (1-eta)^N,
@@ -40,6 +41,7 @@ from ghzbell import (
     summarize_batch,
     visibility_sweep,
 )
+from ghzbell.experiment import _stats, _tally
 
 SQRT3 = math.sqrt(3.0)
 
@@ -240,6 +242,25 @@ class TestTrialBatch:
             TrialBatch.load(bad)
         assert str(err.value).startswith(str(bad) + message)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2 | 1 1\n1 " + "1" * 5000 + " | 1 1\n", ":2: settings must be in 1..3"),
+            (
+                "1 2 | 1 1\n" + "0" * 5000 + "1 2 | 1 1\n1 2 | 1\n",
+                ":3: expected 2 settings and 2 outcomes, got 2 and 1",
+            ),
+        ],
+        ids=["on-the-bad-line", "before-the-bad-line"],
+    )
+    def test_load_error_names_the_line_past_a_very_long_token(self, tmp_path, text, message):
+        # A token of more than 4300 digits is beyond int(); it is read saturated.
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with pytest.raises(ValueError) as err:
+            TrialBatch.load(bad)
+        assert str(err.value).startswith(str(bad) + message)
+
     def test_zero_column_and_zero_trial_batches(self, tmp_path):
         path = tmp_path / "trials.txt"
         TrialBatch(settings=np.empty((3, 0)), outcomes=np.empty((3, 0))).save(path)
@@ -385,6 +406,42 @@ class TestDeterminism:
         )
         with pytest.raises(ValueError):
             run_experiment(cfg, workers=0)
+
+
+class TestTally:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
+    def test_stats_match_a_per_combination_loop(self, n, eta):
+        m = 3 ** n
+        rng = np.random.default_rng(100 * n + int(10 * eta))
+        trials = 4 * m
+        combos = rng.integers(0, m, size=trials)
+        signs = np.where(rng.random((trials, n)) < 0.5, -1, 1)
+        outcomes = (signs * (rng.random((trials, n)) < eta)).astype(np.int8)
+        outcomes[:3] = 0  # all-zero rows
+        outcomes[3:6, 0] = 0  # zero-product rows with registered stations
+        counts, sum_prod, nonzero, all_zero = _stats(combos, outcomes, m)
+
+        want_counts, want_sums, want_nonzero = [0] * m, [0] * m, [0] * m
+        for c, row in zip(combos.tolist(), outcomes.tolist()):
+            product = math.prod(row)
+            want_counts[c] += 1
+            want_sums[c] += product
+            want_nonzero[c] += product != 0
+        assert counts.tolist() == want_counts
+        assert sum_prod.tolist() == [float(x) for x in want_sums]
+        assert nonzero.tolist() == want_nonzero
+        assert all_zero == sum(not any(row) for row in outcomes.tolist())
+        assert sum_prod.dtype == np.float64 and nonzero.dtype == np.int64
+
+    def test_signed_keys_tally_to_counts_sums_and_nonzero(self):
+        m = 3
+        combos = np.array([0, 0, 0, 1, 1, 2, 2])
+        key = np.array([1, 1, 0, 2 * m, 3, 2 * m, 2 * m])
+        counts, sum_prod, nonzero = _tally(combos, key, m)
+        assert counts.tolist() == [3, 2, 2]
+        assert sum_prod.tolist() == [1.0, 1.0, 0.0]
+        assert nonzero.tolist() == [3, 1, 0]
 
 
 class TestSettingPolicies:

@@ -8,7 +8,9 @@ Core claims covered here:
   * the phase-class dynamic program is never beaten by a sampled strategy
     and equals the exhaustive maximum wherever that one runs (N <= 8),
   * the CLI's JSON renderer prints what json.dumps(value, indent=2) prints,
-    also for float lists with signed zeros, NaNs, infinities and repeats,
+    also for float lists with signed zeros, NaNs, infinities and repeats, and
+    for float64 arrays as for their lists,
+  * run_experiment summarizes exactly what generate_trials draws,
   * a trials file loads to what a line-by-line reading gives, or fails with
     the same message, and a saved batch is the text of a "%d" formatter.
 
@@ -26,6 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzbell import (
+    BLOCK_TRIALS,
+    SETTING_POLICIES,
     ExperimentConfig,
     TrialBatch,
     build_settings,
@@ -38,7 +42,9 @@ from ghzbell import (
     max_score_factorized,
     quantum_tensor,
     random_strategy,
+    run_experiment,
     strategy_score,
+    summarize_batch,
 )
 from ghzbell.cli import _to_json
 from ghzbell.experiment import _raise_first_bad_record
@@ -118,6 +124,43 @@ JSON_VALUE = st.recursive(
 @given(value=JSON_VALUE)
 def test_renderer_matches_json_dumps(value):
     assert _to_json(value) == json.dumps(value, indent=2)
+
+
+@PROPERTY
+@given(value=st.lists(FLOAT, max_size=12))
+def test_renderer_prints_a_float_array_as_its_list(value):
+    array = np.array(value, dtype=np.float64)
+    assert _to_json(array) == json.dumps(value, indent=2)
+    wrapped = {"entries": array, "inner": {"entries": array, "n": len(value)}}
+    as_lists = {"entries": value, "inner": {"entries": value, "n": len(value)}}
+    assert _to_json(wrapped) == json.dumps(as_lists, indent=2)
+
+
+# Extreme values at and near the two ends of [0, 1], or anything between.
+UNIT = st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53]) | st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    visibility=UNIT,
+    efficiency=UNIT,
+    policy=st.sampled_from(SETTING_POLICIES),
+    # Up to two full blocks, then a partial one.
+    trials=st.builds(
+        lambda full, tail: full * BLOCK_TRIALS + tail, st.integers(0, 2), st.integers(1, 2000)
+    ),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_streaming_summary_equals_the_summary_of_generated_trials(
+    n, visibility, efficiency, policy, trials, seed
+):
+    if policy == "round-robin":
+        trials = -(-trials // 3 ** n) * 3 ** n
+    config = ExperimentConfig(n, visibility, efficiency, trials, seed, policy)
+    assert run_experiment(config).to_dict() == summarize_batch(
+        generate_trials(config), config
+    ).to_dict()
 
 
 # Trials files near the grammar: records of one width with the odd token too
