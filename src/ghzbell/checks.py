@@ -26,6 +26,7 @@ from .lhv import (
     violation_factor,
 )
 from .quantum import (
+    CorrelationTensor,
     build_settings,
     entry_sum_closed_form,
     quantum_tensor,
@@ -54,12 +55,11 @@ class CheckResult:
         return asdict(self)
 
 
-def _check_norm_identity(inject_fault: bool) -> CheckResult:
+def _check_norm_identity(tensors: dict, inject_fault: bool) -> CheckResult:
     # A fault injection knob exercises the failure path of the harness itself.
     offset = 1e-3 if inject_fault else 0.0
     worst = 0.0
-    for n in range(2, 11):
-        q = quantum_tensor(build_settings(n))
+    for n, q in tensors.items():
         worst = max(worst, abs(tensor_norm_sq(q) - (3.0 ** n / 2.0 + offset)))
     return CheckResult(
         name="norm-identity",
@@ -68,10 +68,9 @@ def _check_norm_identity(inject_fault: bool) -> CheckResult:
     )
 
 
-def _check_entry_sum() -> CheckResult:
+def _check_entry_sum(tensors: dict) -> CheckResult:
     worst = 0.0
-    for n in range(2, 11):
-        q = quantum_tensor(build_settings(n))
+    for n, q in tensors.items():
         worst = max(worst, abs(tensor_entry_sum(q) - entry_sum_closed_form(n)))
     return CheckResult(
         name="entry-sum-identity",
@@ -80,12 +79,11 @@ def _check_entry_sum() -> CheckResult:
     )
 
 
-def _check_bound_brute(brute: dict) -> CheckResult:
+def _check_bound_brute(brute: dict, tensors: dict) -> CheckResult:
     worst = 0.0
     for n, (best, strategy) in brute.items():
         worst = max(worst, abs(best - lhv_bound(n)))
-        q = quantum_tensor(build_settings(n))
-        worst = max(worst, abs(strategy_score(strategy, q) - best))
+        worst = max(worst, abs(strategy_score(strategy, tensors[n]) - best))
     return CheckResult(
         name="bound-brute",
         passed=worst < IDENTITY_TOL,
@@ -108,14 +106,13 @@ def _check_oracle_equivalence(brute: dict) -> CheckResult:
     )
 
 
-def _check_factorization_identity() -> CheckResult:
+def _check_factorization_identity(tensors: dict) -> CheckResult:
     worst = 0.0
     for n in (2, 3):
         grid = build_settings(n)
-        q = quantum_tensor(grid)
         for assignments in product(SIGN_TRIPLES, repeat=n):
             strategy = DeterministicStrategy(assignments=assignments)
-            direct = strategy_score(strategy, q)
+            direct = strategy_score(strategy, tensors[n])
             phasor = strategy_score_factorized(strategy, grid)
             worst = max(worst, abs(direct - phasor))
     return CheckResult(
@@ -206,16 +203,16 @@ def _check_efficiency_consistency() -> CheckResult:
     )
 
 
-def _folded_scores() -> np.ndarray:
+def _folded_scores(q: CorrelationTensor | None = None) -> np.ndarray:
     """Scores at N = 3 of all 27^3 three-outcome strategies, zeros folded to -1."""
     folded = np.asarray(list(product((-1, 0, 1), repeat=3)), dtype=np.float64)
     folded[folded == 0] = -1.0
-    q = quantum_tensor(build_settings(3)).as_grid()
-    return np.einsum("ai,bj,ck,ijk->abc", folded, folded, folded, q)
+    q = quantum_tensor(build_settings(3)) if q is None else q
+    return np.einsum("ai,bj,ck,ijk->abc", folded, folded, folded, q.as_grid())
 
 
-def _check_folded_strategies() -> CheckResult:
-    scores = _folded_scores()
+def _check_folded_strategies(q: CorrelationTensor | None = None) -> CheckResult:
+    scores = _folded_scores(q)
     worst = float(scores.max())
     bound = lhv_bound(3)
     return CheckResult(
@@ -233,16 +230,17 @@ def run_checks(n_max: int = 6, inject_fault: bool = False) -> list[CheckResult]:
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     brute = {n: max_score_brute(n) for n in range(2, min(n_max, 8) + 1)}
+    tensors = {n: quantum_tensor(build_settings(n)) for n in range(2, 11)}
     return [
-        _check_norm_identity(inject_fault),
-        _check_entry_sum(),
-        _check_bound_brute(brute),
+        _check_norm_identity(tensors, inject_fault),
+        _check_entry_sum(tensors),
+        _check_bound_brute(brute, tensors),
         _check_oracle_equivalence(brute),
-        _check_factorization_identity(),
+        _check_factorization_identity(tensors),
         _check_phasor_sets(),
         _check_violation_factor(),
         _check_visibility_closed_form(),
         _check_threshold_percents(),
         _check_efficiency_consistency(),
-        _check_folded_strategies(),
+        _check_folded_strategies(tensors[3]),
     ]

@@ -342,9 +342,13 @@ def _place_values(n_parties: int) -> np.ndarray:
 
 
 def _combo_index(settings: np.ndarray) -> np.ndarray:
-    """Combo index of each row of 1-based settings, in CorrelationTensor order."""
-    place = _place_values(settings.shape[1])
-    return ((settings.astype(np.int64) - 1) * place).sum(axis=1)
+    """Combo index of each 1-based settings row in CorrelationTensor order, by Horner's rule."""
+    idx = np.zeros(settings.shape[0], dtype=np.int64)
+    for k in range(settings.shape[1]):
+        idx *= 3
+        idx += settings[:, k]
+        idx -= 1
+    return idx
 
 
 def _draw(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generator):

@@ -56,6 +56,11 @@ SIGN_TRIPLES = tuple(product((-1, 1), repeat=3))
 
 _ALLOWED_VALUES = {TWO_OUTCOME: (-1, 1), THREE_OUTCOME: (-1, 0, 1)}
 
+# Phasor phase class relative to the party's first setting, by (v1 - v3, v2 + v3).
+_RELATIVE_CLASS = {
+    (0, 0): None, (2, 0): 0, (-2, 0): 6, (0, 2): 2, (0, -2): 8, (2, -2): 10, (-2, 2): 4
+}
+
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
@@ -135,16 +140,7 @@ def party_phasor(
     if len(v) != 3 or any(x not in (-1, 1) for x in v):
         raise ValueError(f"party assignment must be three signs, got {party_assignment!r}")
     base = grid.phase_classes()[party][0]
-    x, y = v[0] - v[2], v[1] + v[2]
-    relative = {
-        (0, 0): None,
-        (2, 0): 0,
-        (-2, 0): 6,
-        (0, 2): 2,
-        (0, -2): 8,
-        (2, -2): 10,
-        (-2, 2): 4,
-    }[(x, y)]
+    relative = _RELATIVE_CLASS[(v[0] - v[2], v[1] + v[2])]
     if relative is None:
         return PartyPhasor(magnitude=0, phase_class=0)
     return PartyPhasor(magnitude=2, phase_class=(base + relative) % 12)

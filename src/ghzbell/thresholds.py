@@ -25,6 +25,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import Callable
 
 from .lhv import lhv_bound
 from .quantum import entry_sum_closed_form
@@ -95,11 +96,12 @@ def critical_visibility(n_parties: int, eta: float = 1.0) -> ThresholdResult:
     )
 
 
-def _efficiency_margin(eta: float, n_parties: int) -> float:
-    """Quantum-minus-classical margin at V = 1; its positive root is eta_cr."""
+def _efficiency_margin(n_parties: int) -> Callable[[float], float]:
+    """Quantum-minus-classical margin g(eta) at V = 1; its positive root is eta_cr."""
     bound = lhv_bound(n_parties)
     q_abs = abs(entry_sum_closed_form(n_parties))
-    return eta ** n_parties * 3.0 ** n_parties / 2.0 + q_abs * (1.0 - eta) ** n_parties - bound
+    three_n = 3.0 ** n_parties
+    return lambda eta: eta ** n_parties * three_n / 2.0 + q_abs * (1.0 - eta) ** n_parties - bound
 
 
 def critical_efficiency(n_parties: int) -> float:
@@ -113,20 +115,19 @@ def critical_efficiency(n_parties: int) -> float:
     (|q_N| / bound not 0 or 1) or bracket. When q_N = 0 (N = 1 mod 3) the root
     also has the closed form (2^N sqrt(3) / 3^N)^(1/N).
     """
-    if n_parties < 2:
-        raise ValueError(f"need at least 2 parties, got {n_parties}")
     ratio = abs(entry_sum_closed_form(n_parties)) / lhv_bound(n_parties)
     if ratio not in (0.0, 1.0):
         raise RuntimeError(f"|q_N| / bound = {ratio!r} is neither 0 nor 1")
+    margin = _efficiency_margin(n_parties)
     lo, hi = BISECTION_LO, 1.0
-    g_lo, g_hi = _efficiency_margin(lo, n_parties), _efficiency_margin(hi, n_parties)
+    g_lo, g_hi = margin(lo), margin(hi)
     if not (g_lo < 0.0 < g_hi):
         raise RuntimeError(
             f"bisection bracket does not straddle the root: g({lo})={g_lo}, g({hi})={g_hi}"
         )
     for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if _efficiency_margin(mid, n_parties) < 0.0:
+        if margin(mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -137,8 +138,6 @@ def critical_efficiency(n_parties: int) -> float:
 
 def efficiency_closed_form(n_parties: int) -> float:
     """Closed-form eta_cr for the q_N = 0 cases (N = 1 mod 3)."""
-    if n_parties < 2:
-        raise ValueError(f"need at least 2 parties, got {n_parties}")
     if entry_sum_closed_form(n_parties) != 0.0:
         raise ValueError(
             f"closed form only holds when the entry sum vanishes (N = 1 mod 3), got N={n_parties}"

@@ -2,7 +2,8 @@
 
 Core claims covered here:
   * the brute-force maximum is computed once per N and shared by the two
-    checks that need it, and every check passes at N_max = 8,
+    checks that need it, each N's quantum tensor is built at most once per
+    run, and every check passes at N_max = 8,
   * the folded three-outcome check scores all 27^3 strategies at N = 3, its
     maximum is the bound, and it fails against a slightly lowered bound.
 """
@@ -29,6 +30,21 @@ def test_brute_force_search_runs_once_per_n(monkeypatch):
     by_name = {r.name: r for r in results}
     assert "N=2..8" in by_name["bound-brute"].detail
     assert "N=2..8" in by_name["oracle-equivalence"].detail
+
+
+def test_quantum_tensor_built_once_per_n(monkeypatch):
+    calls = []
+    build = checks.quantum_tensor
+
+    def counting(grid):
+        calls.append(grid.n_parties)
+        return build(grid)
+
+    monkeypatch.setattr(checks, "quantum_tensor", counting)
+    results = checks.run_checks(8)
+    assert sorted(calls) == list(range(2, 11))
+    assert len(results) == 11
+    assert [r.name for r in results if not r.passed] == []
 
 
 @pytest.mark.parametrize("n_max", [2, 5])

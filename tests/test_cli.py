@@ -133,6 +133,13 @@ class TestThresholds:
         assert "--n-max" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_first_overflowing_n_max_is_a_usage_error(self):
+        # --n-max 646 is the last table that fits (see the csv-646 digest).
+        res = run_cli("thresholds", "--n-max", "647")
+        assert res.returncode == 2
+        assert "--n-max 647" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestSimulate:
     def test_json_payload_and_violation(self):

@@ -5,6 +5,7 @@ Core claims covered here:
   * trial generation is bit-reproducible from the seed and independent of the
     worker count, and the streaming summary equals the batch summary exactly,
   * the signed-key tally equals a per-combination loop over explicit trials,
+  * the column-wise combo index equals the place-value sum for N = 2..12,
   * per-entry estimates converge to eta^N V Q within statistical error, the
     all-zero frequency converges to (1-eta)^N, and folding lost detections to
     -1 shifts every entry by (-1)^N (1-eta)^N,
@@ -41,7 +42,7 @@ from ghzbell import (
     summarize_batch,
     visibility_sweep,
 )
-from ghzbell.experiment import _stats, _tally
+from ghzbell.experiment import BLOCK_TRIALS, _combo_index, _stats, _tally
 
 SQRT3 = math.sqrt(3.0)
 
@@ -433,6 +434,19 @@ class TestTally:
         assert nonzero.tolist() == want_nonzero
         assert all_zero == sum(not any(row) for row in outcomes.tolist())
         assert sum_prod.dtype == np.float64 and nonzero.dtype == np.int64
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_combo_index_matches_place_values(self, n):
+        rng = np.random.default_rng(n)
+        rows = BLOCK_TRIALS + 3 ** min(n, 8) + 1
+        settings = rng.integers(1, 4, size=(rows, n), dtype=np.int8)
+        settings[0], settings[1] = 1, 3  # lowest and highest combination
+        place = 3 ** (n - 1 - np.arange(n, dtype=np.int64))
+        want = ((settings.astype(np.int64) - 1) * place).sum(axis=1)
+        got = _combo_index(settings)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert got[0] == 0 and got[1] == 3 ** n - 1
 
     def test_signed_keys_tally_to_counts_sums_and_nonzero(self):
         m = 3

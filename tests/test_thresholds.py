@@ -158,8 +158,9 @@ class TestCriticalEfficiency:
         assert eta40 == pytest.approx(0.6758849197415822, abs=1e-10)
 
     def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            critical_efficiency(1)
+        for solver in (critical_efficiency, efficiency_closed_form):
+            with pytest.raises(ValueError, match="need at least 2 parties, got 1"):
+                solver(1)
 
 
 class TestEfficiencyClosedForm:
@@ -271,13 +272,15 @@ class TestEfficiencyRootUniqueness:
     """critical_efficiency relies on convexity for a unique root; check it here."""
 
     def test_margin_changes_sign_once(self):
-        # The 201-point scan critical_efficiency used to run on every call.
+        # The 201-point scan critical_efficiency used to run on every call,
+        # over the same margin function its bisection evaluates.
         from ghzbell.thresholds import BISECTION_LO, _efficiency_margin
 
         lo, hi = BISECTION_LO, 1.0
         samples = [lo + (hi - lo) * i / 200 for i in range(201)]
         for n in range(2, 647):
-            signs = [_efficiency_margin(x, n) >= 0.0 for x in samples]
+            margin = _efficiency_margin(n)
+            signs = [margin(x) >= 0.0 for x in samples]
             changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
             assert changes == 1, f"N={n}: {changes} sign changes"
 
@@ -290,3 +293,17 @@ class TestEfficiencyRootUniqueness:
         )
         with pytest.raises(RuntimeError, match="neither 0 nor 1"):
             critical_efficiency(5)
+
+
+class TestOverflowBoundary:
+    """3^N / 2 is a finite double up to N = 646; N = 647 must still raise."""
+
+    def test_last_finite_row_matches_the_table(self):
+        eta = critical_efficiency(646)
+        assert math.isfinite(eta)
+        # eta_cr of the last row of `ghzbell thresholds --n-max 646 --format csv`.
+        assert repr(eta) == "0.6672337871552247"
+
+    def test_first_overflowing_n_raises(self):
+        with pytest.raises(OverflowError):
+            critical_efficiency(647)
