@@ -469,16 +469,21 @@ def _summary_from_stats(
     all_zero: int,
 ) -> ExperimentSummary:
     n = config.n_parties
-    m = config.n_combos
-    est = np.divide(sum_prod, counts, out=np.zeros(m), where=counts > 0)
-
     # Sample variance (ddof=1) of the product per combination; (prod)^2 is the
-    # nonzero indicator, so sum of squares == nonzero count. Entries with
-    # fewer than 2 trials have no variance and are left at 0 here.
+    # nonzero indicator, so sum of squares == nonzero count. Plain divides
+    # into one buffer; entries with no trials have no estimate and those with
+    # fewer than 2 no variance, so they are set to 0 afterwards.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = sum_prod / counts
+        se_sq = sum_prod ** 2
+        se_sq /= counts
+        np.subtract(nonzero, se_sq, out=se_sq)
+        se_sq /= counts - 1
+        np.clip(se_sq, 0.0, None, out=se_sq)
+        se_sq /= counts
     enough = counts >= 2
-    mean_sq = np.divide(sum_prod ** 2, counts, out=np.zeros(m), where=enough)
-    var = np.divide(nonzero - mean_sq, counts - 1, out=np.zeros(m), where=enough)
-    se_sq = np.divide(np.clip(var, 0.0, None), counts, out=np.zeros(m), where=enough)
+    est[counts == 0] = 0.0
+    se_sq[~enough] = 0.0
 
     q = build_q_cached(n)
     lhs = abs(float(np.dot(q.entries, est)))

@@ -5,13 +5,29 @@ Core claims covered here:
     checks that need it, each N's quantum tensor is built at most once per
     run, and every check passes at N_max = 8,
   * the folded three-outcome check scores all 27^3 strategies at N = 3, its
-    maximum is the bound, and it fails against a slightly lowered bound.
+    maximum is the bound, and it fails against a slightly lowered bound,
+  * the factorization check's two tables reproduce ``strategy_score`` and
+    ``strategy_score_factorized`` bit for bit for every sign strategy at
+    N = 2, 3, and the check fails on a rotated phasor or a perturbed tensor.
 """
 
+from itertools import product
+
+import numpy as np
 import pytest
 
 import ghzbell.checks as checks
-from ghzbell import lhv_bound
+from ghzbell import (
+    SIGN_TRIPLES,
+    CorrelationTensor,
+    DeterministicStrategy,
+    PartyPhasor,
+    build_settings,
+    lhv_bound,
+    quantum_tensor,
+    strategy_score,
+    strategy_score_factorized,
+)
 
 
 def test_brute_force_search_runs_once_per_n(monkeypatch):
@@ -72,3 +88,42 @@ def test_folded_check_fails_against_a_lowered_bound(monkeypatch):
     real_bound = checks.lhv_bound
     monkeypatch.setattr(checks, "lhv_bound", lambda n: real_bound(n) - 1e-6)
     assert not checks._check_folded_strategies().passed
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_factorization_tables_match_the_library_scores(n):
+    grid = build_settings(n)
+    q = quantum_tensor(grid)
+    direct, phasor = checks._factorization_scores(n, q)
+    assert direct.shape == phasor.shape == (8 ** n,)
+    for i, assignments in enumerate(product(SIGN_TRIPLES, repeat=n)):
+        strategy = DeterministicStrategy(assignments=assignments)
+        assert float(direct[i]).hex() == strategy_score(strategy, q).hex()
+        assert float(phasor[i]).hex() == strategy_score_factorized(strategy, grid).hex()
+
+
+def _tensors():
+    return {n: quantum_tensor(build_settings(n)) for n in (2, 3)}
+
+
+def test_factorization_check_fails_on_a_rotated_phasor(monkeypatch):
+    real = checks.party_phasor
+
+    def rotated(triple, party, grid):
+        p = real(triple, party, grid)
+        if tuple(triple) == (1, 1, -1) and p.magnitude:
+            return PartyPhasor(magnitude=p.magnitude, phase_class=(p.phase_class + 1) % 12)
+        return p
+
+    monkeypatch.setattr(checks, "party_phasor", rotated)
+    assert not checks._check_factorization_identity(_tensors()).passed
+
+
+def test_factorization_check_fails_on_a_perturbed_tensor():
+    tensors = _tensors()
+    entries = tensors[3].entries.copy()
+    entries[13] += 1e-6
+    tensors[3] = CorrelationTensor(n_parties=3, entries=entries)
+    result = checks._check_factorization_identity(tensors)
+    assert not result.passed
+    assert "1.000e-06" in result.detail

@@ -6,6 +6,8 @@ Core claims covered here:
     worker count, and the streaming summary equals the batch summary exactly,
   * the signed-key tally equals a per-combination loop over explicit trials,
   * the column-wise combo index equals the place-value sum for N = 2..12,
+  * the summary's estimate, lhs and standard error equal the masked-divide
+    formulas bit for bit, the infinite standard error included,
   * per-entry estimates converge to eta^N V Q within statistical error, the
     all-zero frequency converges to (1-eta)^N, and folding lost detections to
     -1 shifts every entry by (-1)^N (1-eta)^N,
@@ -42,7 +44,13 @@ from ghzbell import (
     summarize_batch,
     visibility_sweep,
 )
-from ghzbell.experiment import BLOCK_TRIALS, _combo_index, _stats, _tally
+from ghzbell.experiment import (
+    BLOCK_TRIALS,
+    _combo_index,
+    _stats,
+    _summary_from_stats,
+    _tally,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -456,6 +464,78 @@ class TestTally:
         assert counts.tolist() == [3, 2, 2]
         assert sum_prod.tolist() == [1.0, 1.0, 0.0]
         assert nonzero.tolist() == [3, 1, 0]
+
+
+def _masked_divide_summary(n, counts, sum_prod, nonzero):
+    """Reference: estimate, lhs and standard error by masked divides."""
+    m = 3 ** n
+    est = np.divide(sum_prod, counts, out=np.zeros(m), where=counts > 0)
+    enough = counts >= 2
+    mean_sq = np.divide(sum_prod ** 2, counts, out=np.zeros(m), where=enough)
+    var = np.divide(nonzero - mean_sq, counts - 1, out=np.zeros(m), where=enough)
+    se_sq = np.divide(np.clip(var, 0.0, None), counts, out=np.zeros(m), where=enough)
+    q = build_q_cached(n)
+    lhs = abs(float(np.dot(q.entries, est)))
+    weights = q.entries ** 2
+    if (weights[~enough] > 0.0).any():
+        return est, lhs, math.inf
+    return est, lhs, float(np.sqrt(np.sum(weights * se_sq)))
+
+
+class TestSummaryFromStats:
+    @staticmethod
+    def _stats_with_trial_counts(n, seed, weighted_low):
+        """Counts of 0, 1, 2 and many trials; weighted entries get >= 2 unless asked."""
+        m = 3 ** n
+        rng = np.random.default_rng(seed)
+        counts = rng.choice([0, 1, 2, 3, 40], size=m).astype(np.int64)
+        weighted = build_q_cached(n).entries != 0.0
+        assert weighted.any() and not weighted.all()
+        counts[weighted] = np.maximum(counts[weighted], 2)
+        if weighted_low is not None:
+            counts[np.flatnonzero(weighted)[0]] = weighted_low
+        nonzero = rng.binomial(counts, 0.7)
+        sum_prod = (nonzero - 2 * rng.binomial(nonzero, 0.3)).astype(np.float64)
+        return counts, sum_prod, nonzero
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("weighted_low", [None, 0, 1])
+    def test_matches_masked_divides_bit_for_bit(self, n, weighted_low):
+        counts, sum_prod, nonzero = self._stats_with_trial_counts(n, n, weighted_low)
+        trials = max(int(counts.sum()), 1)
+        config = ExperimentConfig(n, 0.8, 0.9, trials, seed=1, setting_policy=UNIFORM_RANDOM)
+        got = _summary_from_stats(config, counts, sum_prod, nonzero, 2)
+        est, lhs, se = _masked_divide_summary(n, counts, sum_prod, nonzero)
+        entries = got.estimated_tensor.entries
+        assert np.array_equal(entries.view(np.int64), est.view(np.int64))
+        assert got.lhs.hex() == lhs.hex()
+        assert got.standard_error_lhs.hex() == se.hex()
+        assert math.isinf(se) == (weighted_low is not None)
+        assert got.p_all_zero == 2 / trials
+
+    def test_clips_a_negative_variance_to_zero(self):
+        n = 2
+        counts = np.full(9, 2, dtype=np.int64)
+        nonzero = np.full(9, 2, dtype=np.int64)
+        sum_prod = np.zeros(9)
+        nonzero[0], sum_prod[0] = 0, 2.0  # inconsistent on purpose: variance -2
+        config = ExperimentConfig(n, 0.8, 0.9, 18, seed=1, setting_policy=UNIFORM_RANDOM)
+        got = _summary_from_stats(config, counts, sum_prod, nonzero, 0)
+        est, lhs, se = _masked_divide_summary(n, counts, sum_prod, nonzero)
+        assert np.array_equal(got.estimated_tensor.entries.view(np.int64), est.view(np.int64))
+        assert got.lhs.hex() == lhs.hex()
+        assert got.standard_error_lhs.hex() == se.hex()
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    def test_matches_masked_divides_on_simulated_trials(self, eta):
+        config = ExperimentConfig(3, 0.6, eta, 27 * 5, seed=4, setting_policy=UNIFORM_RANDOM)
+        batch = generate_trials(config)
+        stats = _stats(_combo_indices(batch), batch.outcomes, config.n_combos)
+        got = _summary_from_stats(config, *stats)
+        est, lhs, se = _masked_divide_summary(3, *stats[:3])
+        assert np.array_equal(got.estimated_tensor.entries.view(np.int64), est.view(np.int64))
+        assert got.lhs.hex() == lhs.hex()
+        assert got.standard_error_lhs.hex() == se.hex()
 
 
 class TestSettingPolicies:
