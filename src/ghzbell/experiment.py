@@ -470,9 +470,9 @@ def _summary_from_stats(
 ) -> ExperimentSummary:
     n = config.n_parties
     # Sample variance (ddof=1) of the product per combination; (prod)^2 is the
-    # nonzero indicator, so sum of squares == nonzero count. Plain divides
-    # into one buffer; entries with no trials have no estimate and those with
-    # fewer than 2 no variance, so they are set to 0 afterwards.
+    # nonzero indicator, so sum of squares == nonzero count. Entries with no
+    # trials have no estimate and those with fewer than 2 no variance; they
+    # are set to 0 after the divides.
     with np.errstate(divide="ignore", invalid="ignore"):
         est = sum_prod / counts
         se_sq = sum_prod ** 2
