@@ -180,7 +180,7 @@ def _check_visibility_closed_form() -> CheckResult:
     )
 
 
-def _check_threshold_percents() -> CheckResult:
+def _check_threshold_percents(etas: dict) -> CheckResult:
     expectations = [
         (percent_string(critical_visibility(2, 1.0).v_critical), "77.0"),
         (percent_string(critical_visibility(3, 1.0).v_critical), "51.3"),
@@ -192,10 +192,10 @@ def _check_threshold_percents() -> CheckResult:
         (percent_string(two_setting_visibility_threshold(4)), "35.4"),
         (percent_string(two_setting_visibility_threshold(5)), "25.0"),
         (percent_string(two_setting_visibility_threshold(10)), "4.4"),
-        (percent_string(critical_efficiency(2)), "87.0"),
-        (percent_string(critical_efficiency(3)), "79.8"),
-        (percent_string(critical_efficiency(4)), "76.5"),
-        (percent_string(critical_efficiency(5)), "74.4"),
+        (percent_string(etas[2]), "87.0"),
+        (percent_string(etas[3]), "79.8"),
+        (percent_string(etas[4]), "76.5"),
+        (percent_string(etas[5]), "74.4"),
     ]
     bad = [f"{got}!={want}" for got, want in expectations if got != want]
     return CheckResult(
@@ -205,12 +205,11 @@ def _check_threshold_percents() -> CheckResult:
     )
 
 
-def _check_efficiency_consistency() -> CheckResult:
+def _check_efficiency_consistency(etas: dict) -> CheckResult:
     worst = 0.0
-    for n in range(2, 13):
-        eta = critical_efficiency(n)
+    for n, eta in etas.items():
         worst = max(worst, abs(critical_visibility(n, eta).v_critical - 1.0))
-    worst_closed = abs(critical_efficiency(4) - efficiency_closed_form(4))
+    worst_closed = abs(etas[4] - efficiency_closed_form(4))
     return CheckResult(
         name="efficiency-consistency",
         passed=worst < IDENTITY_TOL and worst_closed < CLOSED_FORM_TOL,
@@ -249,6 +248,7 @@ def run_checks(n_max: int = 6, inject_fault: bool = False) -> list[CheckResult]:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     brute = {n: max_score_brute(n) for n in range(2, min(n_max, 8) + 1)}
     tensors = {n: quantum_tensor(build_settings(n)) for n in range(2, 11)}
+    etas = dict(zip(range(2, 13), critical_efficiency(range(2, 13)).tolist()))
     return [
         _check_norm_identity(tensors, inject_fault),
         _check_entry_sum(tensors),
@@ -258,7 +258,7 @@ def run_checks(n_max: int = 6, inject_fault: bool = False) -> list[CheckResult]:
         _check_phasor_sets(),
         _check_violation_factor(),
         _check_visibility_closed_form(),
-        _check_threshold_percents(),
-        _check_efficiency_consistency(),
+        _check_threshold_percents(etas),
+        _check_efficiency_consistency(etas),
         _check_folded_strategies(tensors[3]),
     ]

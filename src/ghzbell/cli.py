@@ -43,6 +43,15 @@ from .thresholds import percent_string, render_table_csv, threshold_table
 
 SEED_ENV_VAR = "GHZBELL_SEED"
 
+# The flag that sets each ExperimentConfig field, named by usage errors.
+SIMULATE_FLAGS = {
+    "n_parties": "--n",
+    "visibility": "--v",
+    "efficiency": "--eta",
+    "trials": "--trials",
+}
+SWEEP_FLAGS = {**SIMULATE_FLAGS, "visibility": "--v-grid", "trials": "--trials-per-point"}
+
 
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -109,6 +118,12 @@ def _seed(args, parser: argparse.ArgumentParser) -> int:
     if not 0 <= seed <= MAX_SEED:
         parser.error(f"{source} must be in 0..2^64-1, got {seed}")
     return seed
+
+
+def _config_error(exc: ValueError, flags: dict, parser: argparse.ArgumentParser) -> None:
+    """Usage error for a rejected config value, led by the flag that set it."""
+    flag = flags.get(getattr(exc, "field", None))
+    parser.error(f"{flag}: {exc}" if flag else str(exc))
 
 
 def _check_size(n: int, parser: argparse.ArgumentParser) -> None:
@@ -273,7 +288,7 @@ def _cmd_simulate(args, parser) -> int:
             setting_policy=args.policy,
         )
     except ValueError as exc:
-        parser.error(str(exc))
+        _config_error(exc, SIMULATE_FLAGS, parser)
     _check_size(args.n, parser)
     try:
         summary = run_experiment(config, workers=args.workers)
@@ -326,7 +341,7 @@ def _cmd_sweep(args, parser) -> int:
             workers=args.workers,
         )
     except ValueError as exc:
-        parser.error(str(exc))
+        _config_error(exc, SWEEP_FLAGS, parser)
     except MemoryError:
         _too_large(args.n, parser)
     data = {

@@ -63,6 +63,14 @@ BLOCK_TRIALS = 65536
 MAX_SEED = 2 ** 64 - 1
 
 
+class _FieldError(ValueError):
+    """A rejected per-run ExperimentConfig value; ``field`` names its field."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
 def _check_seed(seed: int) -> None:
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
@@ -81,20 +89,21 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.n_parties < 2:
-            raise ValueError(f"need at least 2 parties, got {self.n_parties}")
+            raise _FieldError("n_parties", f"need at least 2 parties, got {self.n_parties}")
         if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
+            raise _FieldError("visibility", f"visibility must be in [0, 1], got {self.visibility}")
         if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must be in [0, 1], got {self.efficiency}")
+            raise _FieldError("efficiency", f"efficiency must be in [0, 1], got {self.efficiency}")
         if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
+            raise _FieldError("trials", f"trials must be positive, got {self.trials}")
         _check_seed(self.seed)
         if self.setting_policy not in SETTING_POLICIES:
             raise ValueError(
                 f"setting policy must be one of {SETTING_POLICIES}, got {self.setting_policy!r}"
             )
         if self.setting_policy == ROUND_ROBIN and self.trials % 3 ** self.n_parties != 0:
-            raise ValueError(
+            raise _FieldError(
+                "trials",
                 "round-robin needs trials divisible by 3^N for exactly equal "
                 f"per-combination counts: {self.trials} % {3 ** self.n_parties} != 0"
             )
@@ -618,7 +627,7 @@ def visibility_sweep(
     for i, v in enumerate(v_grid):
         v = float(v)
         if not 0.0 <= v <= 1.0:
-            raise ValueError(f"visibility grid values must be in [0, 1], got {v}")
+            raise _FieldError("visibility", f"visibility grid values must be in [0, 1], got {v}")
         child = int(np.random.SeedSequence(entropy=[int(seed), i]).generate_state(1, np.uint64)[0])
         config = ExperimentConfig(
             n_parties=n_parties,

@@ -3,7 +3,8 @@
 Contents:
     ThresholdResult     -- critical visibility at a given efficiency
     critical_visibility -- smallest visibility violating the bound at fixed eta
-    critical_efficiency -- smallest efficiency admitting violation at V = 1
+    critical_efficiency -- smallest efficiency admitting violation at V = 1,
+                           for one N or, in one bisection, for many
     two_setting_visibility_threshold -- the classic two-setting figure 2^((1-N)/2)
     ThresholdRow, threshold_table    -- per-N comparison table
     render_table_csv    -- CSV serialization with the pinned header
@@ -17,6 +18,14 @@ with q_N the quantum tensor entry sum. Solving at equality in V gives
 critical_visibility; setting V = 1 and solving for eta gives
 critical_efficiency. At eta = 1 the critical visibility collapses to the
 closed form sqrt(3) (2/3)^N.
+
+critical_efficiency bisects for the roots of every requested N at once,
+elementwise over numpy arrays, so threshold_table and the checks solve all
+their N in one call. Its per-N constants (3^N, |q_N|, the bound) stay exact
+Python floats; only the margin is evaluated in numpy, whose SIMD ``pow`` can
+differ from libm's in the last bit. Over N = 2..646 no bisection decision
+lies within hundreds of ulps of 0, so the results equal those of a per-N
+bisection in plain floats bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable
+
+import numpy as np
 
 from .lhv import lhv_bound
 from .quantum import entry_sum_closed_form
@@ -96,44 +106,70 @@ def critical_visibility(n_parties: int, eta: float = 1.0) -> ThresholdResult:
     )
 
 
-def _efficiency_margin(n_parties: int) -> Callable[[float], float]:
-    """Quantum-minus-classical margin g(eta) at V = 1; its positive root is eta_cr."""
-    bound = lhv_bound(n_parties)
-    q_abs = abs(entry_sum_closed_form(n_parties))
-    three_n = 3.0 ** n_parties
-    return lambda eta: eta ** n_parties * three_n / 2.0 + q_abs * (1.0 - eta) ** n_parties - bound
+def _efficiency_margin(n_parties):
+    """Quantum-minus-classical margin g(eta) at V = 1; its positive root is eta_cr.
+
+    ``n_parties`` is one N or a sequence of them. The per-N constants are
+    computed in Python, checking the premise of critical_efficiency on the
+    way (an N below 2 raises ValueError, an N whose 3^N leaves float64 raises
+    OverflowError), and g evaluates in numpy, elementwise over an array of
+    eta of the same shape as ``n_parties``.
+    """
+    ns = np.asarray(n_parties)
+    constants = []
+    for n in ns.ravel().tolist():
+        bound = lhv_bound(n)
+        q_abs = abs(entry_sum_closed_form(n))
+        if q_abs / bound not in (0.0, 1.0):
+            raise RuntimeError(f"N={n}: |q_N| / bound = {q_abs / bound!r} is neither 0 nor 1")
+        constants.append((n, 3.0 ** n, q_abs, bound))
+    n, three_n, q_abs, bound = np.array(constants, dtype=np.float64).T.reshape(4, *ns.shape)
+    return lambda eta: eta ** n * three_n / 2.0 + q_abs * (1.0 - eta) ** n - bound
 
 
-def critical_efficiency(n_parties: int) -> float:
+def critical_efficiency(n_parties):
     """Smallest detection efficiency allowing violation at perfect visibility.
 
     Bisection on [1e-6, 1] to 1e-12 absolute tolerance for the root of the
     margin g(eta) = (3^N/2) eta^N + |q_N| (1-eta)^N - 2^(N-1) sqrt(3). The root
     is unique: g is convex on [0, 1] for N >= 2 and |q_N| is 0 or exactly the
     bound, so g(0) < 0, or g(0) = 0 with g'(0) = -N |q_N| < 0; as g(1) > 0, g
-    crosses zero exactly once on (0, 1]. RuntimeError reports a failed premise
-    (|q_N| / bound not 0 or 1) or bracket. When q_N = 0 (N = 1 mod 3) the root
-    also has the closed form (2^N sqrt(3) / 3^N)^(1/N).
+    crosses zero exactly once on (0, 1]. RuntimeError names the first N whose
+    premise (|q_N| / bound is 0 or 1) or bracket fails. When q_N = 0
+    (N = 1 mod 3) the root also has the closed form (2^N sqrt(3) / 3^N)^(1/N).
+
+    An int gives a float. A sequence of N gives a float64 array, solved by one
+    bisection that runs elementwise over all of them: each entry halves its own
+    bracket and freezes once it is narrower than the tolerance, so it takes
+    the same steps as a bisection of that N alone. Pass every N at once: most
+    of a call's cost is its 40 or so numpy steps, whatever the number of N.
+    numpy's SIMD ``pow`` may differ from libm's in the last bit, but over N = 2..646 every bisection decision has
+    |g(mid)| >= 2^-46 max(A + B, bound), with A and B the two power terms:
+    hundreds of ulps, so a few-ulp error in ``pow`` changes no decision and no
+    digit of the result.
     """
-    ratio = abs(entry_sum_closed_form(n_parties)) / lhv_bound(n_parties)
-    if ratio not in (0.0, 1.0):
-        raise RuntimeError(f"|q_N| / bound = {ratio!r} is neither 0 nor 1")
     margin = _efficiency_margin(n_parties)
-    lo, hi = BISECTION_LO, 1.0
+    lo = np.full(np.shape(n_parties), BISECTION_LO)
+    hi = np.ones_like(lo)
     g_lo, g_hi = margin(lo), margin(hi)
-    if not (g_lo < 0.0 < g_hi):
+    bad = ~((g_lo < 0.0) & (0.0 < g_hi))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
         raise RuntimeError(
-            f"bisection bracket does not straddle the root: g({lo})={g_lo}, g({hi})={g_hi}"
+            f"N={np.ravel(n_parties)[i]}: bisection bracket does not straddle the root: "
+            f"g({BISECTION_LO})={float(g_lo.flat[i])!r}, g(1.0)={float(g_hi.flat[i])!r}"
         )
+    active = np.ones(lo.shape, dtype=bool)
     for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if margin(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < BISECTION_TOL:
+        below = margin(mid) < 0.0
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active &= hi - lo >= BISECTION_TOL
+        if not active.any():
             break
-    return 0.5 * (lo + hi)
+    eta = 0.5 * (lo + hi)
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def efficiency_closed_form(n_parties: int) -> float:
@@ -169,17 +205,16 @@ def threshold_table(n_max: int) -> list[ThresholdRow]:
     """Rows for N = 2..n_max: three-setting and two-setting visibility, eta_cr."""
     if n_max < 2:
         raise ValueError(f"table needs n_max >= 2, got {n_max}")
-    rows = []
-    for n in range(2, n_max + 1):
-        rows.append(
-            ThresholdRow(
-                n=n,
-                v_cr_new=critical_visibility(n, 1.0).v_critical,
-                v_cr_old=two_setting_visibility_threshold(n),
-                eta_cr=critical_efficiency(n),
-            )
+    ns = range(2, n_max + 1)
+    return [
+        ThresholdRow(
+            n=n,
+            v_cr_new=critical_visibility(n, 1.0).v_critical,
+            v_cr_old=two_setting_visibility_threshold(n),
+            eta_cr=eta,
         )
-    return rows
+        for n, eta in zip(ns, critical_efficiency(ns).tolist())
+    ]
 
 
 CSV_HEADER = "n,v_cr_new,v_cr_old,eta_cr"

@@ -3,7 +3,8 @@
 Core claims covered here:
   * the brute-force maximum is computed once per N and shared by the two
     checks that need it, each N's quantum tensor is built at most once per
-    run, and every check passes at N_max = 8,
+    run, every critical efficiency comes from one call for N = 2..12, and
+    every check passes at N_max = 8,
   * the folded three-outcome check scores all 27^3 strategies at N = 3, its
     maximum is the bound, and it fails against a slightly lowered bound,
   * the factorization check's two tables reproduce ``strategy_score`` and
@@ -60,6 +61,20 @@ def test_quantum_tensor_built_once_per_n(monkeypatch):
     results = checks.run_checks(8)
     assert sorted(calls) == list(range(2, 11))
     assert len(results) == 11
+    assert [r.name for r in results if not r.passed] == []
+
+
+def test_critical_efficiency_solved_once_for_all_n(monkeypatch):
+    calls = []
+    solve = checks.critical_efficiency
+
+    def counting(ns):
+        calls.append(list(ns))
+        return solve(ns)
+
+    monkeypatch.setattr(checks, "critical_efficiency", counting)
+    results = checks.run_checks(2)
+    assert calls == [list(range(2, 13))]
     assert [r.name for r in results if not r.passed] == []
 
 

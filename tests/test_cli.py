@@ -313,6 +313,45 @@ class TestSweep:
         assert "--seed must be in 0..2^64-1, got -1" in res.stderr
 
 
+class TestConfigErrorsNameTheFlag:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                "simulate --n 1 --v 1.0 --eta 1.0 --trials 9",
+                "--n: need at least 2 parties, got 1",
+            ),
+            (
+                "simulate --n 2 --v 1.5 --eta 1.0 --trials 9",
+                "--v: visibility must be in [0, 1], got 1.5",
+            ),
+            (
+                "sweep --n 2 --eta 1.5 --v-grid 0.5 --trials-per-point 9",
+                "--eta: efficiency must be in [0, 1], got 1.5",
+            ),
+            (
+                "simulate --n 2 --v 1.0 --eta 1.0 --trials 10",
+                "--trials: round-robin needs trials divisible by 3^N",
+            ),
+            (
+                "sweep --n 2 --eta 1.0 --v-grid 0.5 --trials-per-point 10",
+                "--trials-per-point: round-robin needs trials divisible by 3^N",
+            ),
+            (
+                "sweep --n 2 --eta 1.0 --v-grid 0.5,1.2 --trials-per-point 9",
+                "--v-grid: visibility grid values must be in [0, 1], got 1.2",
+            ),
+        ],
+        ids=["n", "v", "eta", "trials", "trials-per-point", "v-grid"],
+    )
+    def test_message_leads_with_the_flag(self, args, message):
+        res = run_cli(*args.split())
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert f"error: {message}" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 class TestVerify:
     def test_all_checks_pass(self):
         res = run_cli("verify", "--n-max", "4")

@@ -6,13 +6,18 @@ Core claims covered here:
   * the critical efficiency solves visibility(eta) = 1, collapses to the
     closed form (2^N sqrt(3) / 3^N)^(1/N) whenever the entry sum vanishes,
     decreases with N and stays above 2/3,
+  * one elementwise bisection over a sequence of N returns, bit for bit, the
+    roots of per-N bisections, and no bisection decision over N = 2..646 is
+    close enough to 0 for a last-bit error in numpy's SIMD pow to flip it,
   * the two-setting reference threshold is 2^((1-N)/2) and is overtaken by
     the three-setting one from N = 4 on,
   * tabulation and percent rendering are exact and reproducible.
 """
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from ghzbell import (
@@ -307,3 +312,104 @@ class TestOverflowBoundary:
     def test_first_overflowing_n_raises(self):
         with pytest.raises(OverflowError):
             critical_efficiency(647)
+
+
+class TestElementwiseBisection:
+    """critical_efficiency over a sequence of N: one bisection, the same bits."""
+
+    ALL_N = range(2, 647)
+
+    def test_sequence_matches_per_n_calls_bit_for_bit(self):
+        together = critical_efficiency(self.ALL_N)
+        assert isinstance(together, np.ndarray)
+        assert together.dtype == np.float64
+        assert together.shape == (len(self.ALL_N),)
+        alone = [critical_efficiency(n) for n in self.ALL_N]
+        assert [x.hex() for x in together.tolist()] == [x.hex() for x in alone]
+
+    def test_values_match_the_scalar_solver_golden(self):
+        # sha256 of the float.hex lines of critical_efficiency(n), N = 2..646,
+        # as the per-N scalar bisection in plain Python floats returned them.
+        text = "".join(x.hex() + "\n" for x in critical_efficiency(self.ALL_N).tolist())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d644a77295b34f20083e48e7cc1461a4074b601badd0a4e110200ade9be00cfa"
+        )
+
+    def test_int_gives_a_float(self):
+        assert type(critical_efficiency(5)) is float
+        assert type(critical_efficiency(np.int64(5))) is float
+        assert critical_efficiency(5) == critical_efficiency([5])[0]
+
+    def test_empty_sequence_gives_an_empty_array(self):
+        assert critical_efficiency([]).shape == (0,)
+
+    def test_decisions_clear_pow_rounding(self):
+        # Replay every bisection in plain Python floats (libm pow) and keep
+        # the smallest |g(mid)| / max(A + B, bound) over all decisions. A
+        # SIMD pow a few ulps off cannot flip a decision this far from 0.
+        from ghzbell.thresholds import BISECTION_LO, BISECTION_MAX_ITER, BISECTION_TOL
+
+        results = []
+        worst = math.inf
+        for n in self.ALL_N:
+            three_n, q_abs, bound = 3.0 ** n, abs(entry_sum_closed_form(n)), lhv_bound(n)
+            lo, hi = BISECTION_LO, 1.0
+            for _ in range(BISECTION_MAX_ITER):
+                mid = 0.5 * (lo + hi)
+                a, b = mid ** n * three_n / 2.0, q_abs * (1.0 - mid) ** n
+                g = a + b - bound
+                worst = min(worst, abs(g) / max(a + b, bound))
+                if g < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo < BISECTION_TOL:
+                    break
+            results.append(0.5 * (lo + hi))
+        assert worst >= 2.0 ** -46, math.log2(worst)
+        assert critical_efficiency(self.ALL_N).tolist() == results
+
+    def test_premise_failure_names_the_first_bad_n(self, monkeypatch):
+        import ghzbell.thresholds as thresholds
+
+        true_sum = thresholds.entry_sum_closed_form
+        monkeypatch.setattr(
+            thresholds,
+            "entry_sum_closed_form",
+            lambda n: 0.5 * lhv_bound(n) if n in (7, 9) else true_sum(n),
+        )
+        with pytest.raises(RuntimeError, match=r"^N=7: \|q_N\| / bound = 0\.5 is neither"):
+            critical_efficiency(range(2, 12))
+
+    def test_bad_bracket_names_the_first_bad_n(self, monkeypatch):
+        import ghzbell.thresholds as thresholds
+
+        # eta_cr is 0.870, 0.798 and 0.765 at N = 2, 3, 4: a bracket from
+        # 0.78 holds the first two roots and misses the third.
+        monkeypatch.setattr(thresholds, "BISECTION_LO", 0.78)
+        with pytest.raises(RuntimeError) as info:
+            critical_efficiency(range(2, 8))
+        message = str(info.value)
+        assert message.startswith("N=4: bisection bracket does not straddle the root: g(0.78)=")
+        g_lo, g_hi = (float(part.split("=")[-1]) for part in message.split(", "))
+        margin = thresholds._efficiency_margin(4)
+        assert g_lo == pytest.approx(float(margin(0.78)), rel=1e-12) and g_lo > 0.0
+        assert g_hi == pytest.approx(float(margin(1.0)), rel=1e-12)
+
+    def test_a_bad_n_in_a_sequence_raises_as_it_does_alone(self):
+        with pytest.raises(ValueError, match="need at least 2 parties, got 1"):
+            critical_efficiency([2, 1, 3])
+        with pytest.raises(OverflowError):
+            critical_efficiency(range(640, 648))
+
+    def test_table_solves_every_n_in_one_call(self, monkeypatch):
+        import ghzbell.thresholds as thresholds
+
+        calls = []
+        solve = thresholds.critical_efficiency
+        monkeypatch.setattr(
+            thresholds, "critical_efficiency", lambda ns: calls.append(list(ns)) or solve(ns)
+        )
+        rows = threshold_table(30)
+        assert calls == [list(range(2, 31))]
+        assert all(type(row.eta_cr) is float for row in rows)
