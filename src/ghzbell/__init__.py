@@ -15,13 +15,10 @@ from .experiment import (
     SETTING_POLICIES,
     SweepPoint,
     TrialBatch,
-    TrialRecord,
     UNIFORM_RANDOM,
     auxiliary_tensor,
-    build_q_cached,
     generate_trials,
     run_experiment,
-    sample_trial,
     summarize_batch,
     visibility_sweep,
 )
@@ -29,18 +26,13 @@ from .lhv import (
     DeterministicStrategy,
     PartyPhasor,
     SIGN_TRIPLES,
-    THREE_OUTCOME,
-    TWO_OUTCOME,
     bound_attaining_strategy,
     lhv_bound,
     max_score_brute,
     max_score_factorized,
     party_phasor,
-    random_strategy,
     strategy_score,
     strategy_score_factorized,
-    strategy_tensor,
-    to_two_outcome,
     violation_factor,
 )
 from .quantum import (
@@ -48,10 +40,7 @@ from .quantum import (
     SettingsGrid,
     build_settings,
     entry_sum_closed_form,
-    joint_probability,
-    quantum_correlation,
     quantum_tensor,
-    scalar_product,
     setting_phase_classes,
     tensor_entry_sum,
     tensor_norm_sq,
@@ -69,7 +58,7 @@ from .thresholds import (
     two_setting_visibility_threshold,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -85,45 +74,34 @@ __all__ = [
     "SIGN_TRIPLES",
     "SettingsGrid",
     "SweepPoint",
-    "THREE_OUTCOME",
-    "TWO_OUTCOME",
     "ThresholdResult",
     "ThresholdRow",
     "TrialBatch",
-    "TrialRecord",
     "UNIFORM_RANDOM",
     "auxiliary_tensor",
     "bound_attaining_strategy",
-    "build_q_cached",
     "build_settings",
     "critical_efficiency",
     "critical_visibility",
     "efficiency_closed_form",
     "entry_sum_closed_form",
     "generate_trials",
-    "joint_probability",
     "lhv_bound",
     "max_score_brute",
     "max_score_factorized",
     "party_phasor",
     "percent_string",
-    "quantum_correlation",
     "quantum_tensor",
-    "random_strategy",
     "render_table_csv",
     "run_checks",
     "run_experiment",
-    "sample_trial",
-    "scalar_product",
     "setting_phase_classes",
     "strategy_score",
     "strategy_score_factorized",
-    "strategy_tensor",
     "summarize_batch",
     "tensor_entry_sum",
     "tensor_norm_sq",
     "threshold_table",
-    "to_two_outcome",
     "two_setting_visibility_threshold",
     "violation_factor",
     "visibility_sweep",

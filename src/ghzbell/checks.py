@@ -220,15 +220,14 @@ def _check_efficiency_consistency(etas: dict) -> CheckResult:
     )
 
 
-def _folded_scores(q: CorrelationTensor | None = None) -> np.ndarray:
-    """Scores at N = 3 of all 27^3 three-outcome strategies, zeros folded to -1."""
+def _folded_scores(q: CorrelationTensor) -> np.ndarray:
+    """Scores against ``q`` (N = 3) of all 27^3 three-outcome strategies, zeros folded to -1."""
     folded = np.asarray(list(product((-1, 0, 1), repeat=3)), dtype=np.float64)
     folded[folded == 0] = -1.0
-    q = quantum_tensor(build_settings(3)) if q is None else q
     return np.einsum("ai,bj,ck,ijk->abc", folded, folded, folded, q.as_grid(), optimize=True)
 
 
-def _check_folded_strategies(q: CorrelationTensor | None = None) -> CheckResult:
+def _check_folded_strategies(q: CorrelationTensor) -> CheckResult:
     scores = _folded_scores(q)
     worst = float(scores.max())
     bound = lhv_bound(3)

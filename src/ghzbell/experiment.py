@@ -116,22 +116,6 @@ class ExperimentConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial: 1-based setting index and outcome per party (0 = no detection)."""
-
-    settings: tuple[int, ...]
-    outcomes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.settings) != len(self.outcomes):
-            raise ValueError("settings and outcomes must have one entry per party")
-        if any(s not in (1, 2, 3) for s in self.settings):
-            raise ValueError(f"setting indices must be in 1..3, got {self.settings}")
-        if any(m not in (-1, 0, 1) for m in self.outcomes):
-            raise ValueError(f"outcomes must be in {{-1, 0, +1}}, got {self.outcomes}")
-
-
 # Trials-file cells: "%d" of an int8 value and the separator after it, zero-
 # padded to 8 bytes as one uint64. Cell 256 * k + u holds the value whose uint8
 # view is u, followed by separator k: " ", " | " or "\n".
@@ -590,24 +574,6 @@ def auxiliary_tensor(batch: TrialBatch, config: ExperimentConfig) -> Correlation
     return CorrelationTensor(n_parties=config.n_parties, entries=est)
 
 
-def sample_trial(
-    config: ExperimentConfig, settings: tuple[int, ...], rng: np.random.Generator
-) -> TrialRecord:
-    """Draw a single trial at fixed 1-based settings from an external generator.
-
-    Draws through the batch sampler, in its order: detection uniforms, one
-    parity uniform, then fair-sign uniforms.
-    """
-    n = config.n_parties
-    settings = tuple(int(s) for s in settings)
-    if len(settings) != n:
-        raise ValueError(f"expected {n} setting indices, got {len(settings)}")
-    if any(s not in (1, 2, 3) for s in settings):
-        raise ValueError(f"setting indices must be in 1..3, got {settings}")
-    outcomes = _sample(config, _combo_index(np.asarray([settings])), rng)[0]
-    return TrialRecord(settings=settings, outcomes=tuple(int(m) for m in outcomes))
-
-
 def visibility_sweep(
     n_parties: int,
     eta: float,
@@ -620,14 +586,16 @@ def visibility_sweep(
     """Run one experiment per visibility value and collect the verdicts.
 
     Each point derives an independent child seed from (seed, point index), so
-    the whole sweep is reproducible from ``seed`` alone.
+    the whole sweep is reproducible from ``seed`` alone. Every grid value is
+    checked before the first experiment runs.
     """
     _check_seed(seed)
-    points = []
-    for i, v in enumerate(v_grid):
-        v = float(v)
+    grid = [float(v) for v in v_grid]
+    for v in grid:
         if not 0.0 <= v <= 1.0:
             raise _FieldError("visibility", f"visibility grid values must be in [0, 1], got {v}")
+    points = []
+    for i, v in enumerate(grid):
         child = int(np.random.SeedSequence(entropy=[int(seed), i]).generate_state(1, np.uint64)[0])
         config = ExperimentConfig(
             n_parties=n_parties,

@@ -3,8 +3,8 @@
 Contents:
     DeterministicStrategy -- per-party setting-to-sign assignments
     PartyPhasor           -- exact (magnitude, phase class) party response sum
-    strategy_tensor       -- rank-1 correlation tensor of a strategy
-    strategy_score        -- scalar product of the quantum tensor with it
+    strategy_score        -- scalar product of the quantum tensor with a
+                             strategy's rank-1 tensor of sign products
     party_phasor          -- exact phasor of one party's assignment
     strategy_score_factorized -- same score through the phasor product
     max_score_brute       -- exhaustive maximum over all 8^N strategies: scores
@@ -13,8 +13,6 @@ Contents:
     lhv_bound             -- the classical bound 2^(N-1) sqrt(3)
     bound_attaining_strategy -- explicit strategy reaching the bound
     violation_factor      -- quantum-to-classical ratio (3/2)^N / sqrt(3)
-    to_two_outcome        -- fold non-detection outcomes (0) into -1
-    random_strategy       -- uniform random strategy, for sampling tests
 
 Scores of deterministic strategies factorize into a product of per-party
 phasors, each a signed sum of three unit phasors whose phases sit two pi/6
@@ -47,14 +45,9 @@ from .quantum import (
     quantum_tensor,
 )
 
-TWO_OUTCOME = "two-outcome"
-THREE_OUTCOME = "three-outcome"
-
 # All sign triples in lexicographic order with -1 before +1; the brute-force
 # enumeration and its tie-break are defined against this ordering.
 SIGN_TRIPLES = tuple(product((-1, 1), repeat=3))
-
-_ALLOWED_VALUES = {TWO_OUTCOME: (-1, 1), THREE_OUTCOME: (-1, 0, 1)}
 
 # Phasor phase class relative to the party's first setting, by (v1 - v3, v2 + v3).
 _RELATIVE_CLASS = {
@@ -64,31 +57,24 @@ _RELATIVE_CLASS = {
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
-    """One local deterministic model: a value for every party and setting.
+    """One local deterministic model: a sign for every party and setting.
 
-    ``assignments[k][i]`` is party k's predetermined outcome at setting i.
-    Two-outcome strategies use {-1, +1}; three-outcome ones add 0 for a
-    non-detection.
+    ``assignments[k][i]`` is party k's predetermined outcome, -1 or +1, at
+    setting i.
     """
 
     assignments: tuple[tuple[int, int, int], ...]
-    alphabet: str = TWO_OUTCOME
 
     def __post_init__(self) -> None:
-        if self.alphabet not in _ALLOWED_VALUES:
-            raise ValueError(f"unknown alphabet {self.alphabet!r}")
         assignments = tuple(tuple(int(v) for v in t) for t in self.assignments)
         if len(assignments) < 2:
             raise ValueError("need at least 2 parties")
-        allowed = _ALLOWED_VALUES[self.alphabet]
         for k, triple in enumerate(assignments):
             if len(triple) != 3:
                 raise ValueError(f"party {k} needs exactly 3 assigned values")
             for v in triple:
-                if v not in allowed:
-                    raise ValueError(
-                        f"value {v} of party {k} not allowed for a {self.alphabet} strategy"
-                    )
+                if v not in (-1, 1):
+                    raise ValueError(f"value {v} of party {k} is not a sign (-1 or +1)")
         object.__setattr__(self, "assignments", assignments)
 
     @property
@@ -146,40 +132,22 @@ def party_phasor(
     return PartyPhasor(magnitude=2, phase_class=(base + relative) % 12)
 
 
-def _product_entries(strategy: DeterministicStrategy) -> np.ndarray:
-    """Flat rank-1 product tensor of per-party assigned values."""
-    arrays = [np.asarray(t, dtype=np.float64) for t in strategy.assignments]
-    return reduce(np.multiply.outer, arrays).ravel()
-
-
-def strategy_tensor(strategy: DeterministicStrategy, grid: SettingsGrid) -> CorrelationTensor:
-    """Correlation tensor of a deterministic strategy (entrywise sign products)."""
-    if strategy.n_parties != grid.n_parties:
-        raise ValueError(
-            f"strategy has {strategy.n_parties} parties but grid has {grid.n_parties}"
-        )
-    return CorrelationTensor(n_parties=strategy.n_parties, entries=_product_entries(strategy))
-
-
 def strategy_score(strategy: DeterministicStrategy, q: CorrelationTensor) -> float:
     """Scalar product of the quantum tensor with the strategy's tensor.
 
-    Defined for two-outcome strategies; score a three-outcome strategy by
-    first folding it through to_two_outcome.
+    The strategy's tensor is the flat rank-1 product of its per-party sign
+    triples, in the quantum tensor's row-major order.
     """
-    if strategy.alphabet != TWO_OUTCOME:
-        raise ValueError("scoring needs a two-outcome strategy; fold zeros first")
     if strategy.n_parties != q.n_parties:
         raise ValueError(
             f"strategy has {strategy.n_parties} parties but tensor has {q.n_parties}"
         )
-    return float(np.dot(q.entries, _product_entries(strategy)))
+    arrays = [np.asarray(t, dtype=np.float64) for t in strategy.assignments]
+    return float(np.dot(q.entries, reduce(np.multiply.outer, arrays).ravel()))
 
 
 def strategy_score_factorized(strategy: DeterministicStrategy, grid: SettingsGrid) -> float:
     """Same score as strategy_score, via the exact product of party phasors."""
-    if strategy.alphabet != TWO_OUTCOME:
-        raise ValueError("scoring needs a two-outcome strategy; fold zeros first")
     if strategy.n_parties != grid.n_parties:
         raise ValueError(
             f"strategy has {strategy.n_parties} parties but grid has {grid.n_parties}"
@@ -287,27 +255,3 @@ def violation_factor(n_parties: int) -> float:
     if n_parties < 2:
         raise ValueError(f"need at least 2 parties, got {n_parties}")
     return 1.5 ** n_parties / math.sqrt(3.0)
-
-
-def to_two_outcome(strategy: DeterministicStrategy) -> DeterministicStrategy:
-    """Fold a strategy's non-detection outcomes into -1 (signs pass through)."""
-    folded = tuple(
-        tuple(v if v != 0 else -1 for v in triple) for triple in strategy.assignments
-    )
-    return DeterministicStrategy(assignments=folded, alphabet=TWO_OUTCOME)
-
-
-def random_strategy(
-    n_parties: int, rng: np.random.Generator, alphabet: str = TWO_OUTCOME
-) -> DeterministicStrategy:
-    """Uniformly random strategy over the given outcome alphabet."""
-    if alphabet == TWO_OUTCOME:
-        values = 2 * rng.integers(0, 2, size=(n_parties, 3)) - 1
-    elif alphabet == THREE_OUTCOME:
-        values = rng.integers(-1, 2, size=(n_parties, 3))
-    else:
-        raise ValueError(f"unknown alphabet {alphabet!r}")
-    return DeterministicStrategy(
-        assignments=tuple(tuple(int(v) for v in row) for row in values),
-        alphabet=alphabet,
-    )

@@ -2,12 +2,11 @@
 
 Contents:
     SettingsGrid        -- the fixed per-party measurement phase triples
-    CorrelationTensor   -- flat 3^N full-correlation tensor with JSON I/O
+    CorrelationTensor   -- flat 3^N full-correlation tensor with JSON output
     build_settings      -- construct the grid for N parties
-    joint_probability   -- GHZ joint sign probability for one setting choice
-    quantum_correlation -- full correlation cos(sum of phases)
+    setting_phase_classes -- total phase class of every setting combination
     quantum_tensor      -- the 3^N tensor of quantum correlations
-    tensor_norm_sq, tensor_entry_sum, scalar_product -- inner-product helpers
+    tensor_norm_sq, tensor_entry_sum -- squared norm and plain entry sum
     entry_sum_closed_form -- closed form for the tensor entry sum
 
 Every phase in the grid is a multiple of pi/6 (stored as that integer
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -102,46 +100,8 @@ class CorrelationTensor:
         """View shaped (3,)*N, axis k = party k's setting index (0-based)."""
         return self.entries.reshape((3,) * self.n_parties)
 
-    def entry(self, indices: Sequence[int]) -> float:
-        """Entry at a 1-based multi-index (each index in {1,2,3})."""
-        if len(indices) != self.n_parties:
-            raise ValueError(f"expected {self.n_parties} indices, got {len(indices)}")
-        if any(i not in (1, 2, 3) for i in indices):
-            raise ValueError(f"setting indices must be in 1..3, got {tuple(indices)}")
-        return float(self.as_grid()[tuple(i - 1 for i in indices)])
-
     def to_dict(self) -> dict:
         return {"n_parties": self.n_parties, "entries": self.entries.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorrelationTensor":
-        return cls(n_parties=int(data["n_parties"]), entries=np.asarray(data["entries"]))
-
-
-def joint_probability(results: Sequence[int], angles: Sequence[float]) -> float:
-    """Probability of one joint sign outcome at the given phases.
-
-    ``results`` are the N station signs (+1 or -1), ``angles`` the N chosen
-    phases in radians. Returns 2^-N (1 + prod(results) cos(sum(angles))).
-    """
-    n = len(results)
-    if n < 1:
-        raise ValueError("need at least one party")
-    if len(angles) != n:
-        raise ValueError(f"got {n} results but {len(angles)} angles")
-    prod = 1
-    for r in results:
-        if r not in (-1, 1):
-            raise ValueError(f"results must be +1 or -1, got {r}")
-        prod *= r
-    return (1.0 + prod * math.cos(math.fsum(angles))) / 2.0 ** n
-
-
-def quantum_correlation(angles: Sequence[float]) -> float:
-    """Full correlation (expectation of the sign product): cos(sum(angles))."""
-    if len(angles) < 1:
-        raise ValueError("need at least one angle")
-    return math.cos(math.fsum(angles))
 
 
 def setting_phase_classes(grid: SettingsGrid) -> np.ndarray:
@@ -172,15 +132,6 @@ def tensor_norm_sq(tensor: CorrelationTensor) -> float:
 def tensor_entry_sum(tensor: CorrelationTensor) -> float:
     """Plain sum of all entries."""
     return float(np.sum(tensor.entries))
-
-
-def scalar_product(a: CorrelationTensor, b: CorrelationTensor) -> float:
-    """Entrywise product summed over all setting combinations."""
-    if a.n_parties != b.n_parties:
-        raise ValueError(
-            f"tensor party counts differ: {a.n_parties} vs {b.n_parties}"
-        )
-    return float(np.dot(a.entries, b.entries))
 
 
 def entry_sum_closed_form(n_parties: int) -> float:

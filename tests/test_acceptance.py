@@ -16,7 +16,6 @@ import numpy as np
 
 from ghzbell import (
     ExperimentConfig,
-    THREE_OUTCOME,
     auxiliary_tensor,
     build_settings,
     critical_efficiency,
@@ -29,16 +28,14 @@ from ghzbell import (
     max_score_factorized,
     percent_string,
     quantum_tensor,
-    random_strategy,
     run_experiment,
-    strategy_score,
     summarize_batch,
     tensor_entry_sum,
     tensor_norm_sq,
-    to_two_outcome,
     two_setting_visibility_threshold,
     violation_factor,
 )
+from ghzbell.checks import _folded_scores
 
 SQRT3 = math.sqrt(3.0)
 
@@ -160,23 +157,16 @@ def test_criterion_07_critical_efficiencies():
 
 
 def test_criterion_08_three_outcome_folding():
-    rng = np.random.default_rng(8)
-    q = quantum_tensor(build_settings(3))
+    scores = _folded_scores(quantum_tensor(build_settings(3)))
     bound = lhv_bound(3)
-    violations = 0
-    worst = -math.inf
-    for _ in range(10_000):
-        strategy = random_strategy(3, rng, alphabet=THREE_OUTCOME)
-        score = strategy_score(to_two_outcome(strategy), q)
-        worst = max(worst, score)
-        if score > bound + 1e-9:
-            violations += 1
+    worst = float(scores.max())
+    violations = int((scores > bound + 1e-9).sum())
     _criterion(
         8,
-        "10^4 folded three-outcome strategies stay below 4 sqrt(3)",
-        violations == 0,
-        f"max folded score = {worst:.12f} vs bound {bound:.12f}, "
-        f"violations = {violations}",
+        "all 27^3 folded three-outcome strategies stay below 4 sqrt(3)",
+        scores.size == 27 ** 3 and violations == 0,
+        f"max folded score = {worst:.12f} vs bound {bound:.12f} over "
+        f"{scores.size} strategies, violations = {violations}",
     )
 
 

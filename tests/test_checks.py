@@ -88,21 +88,23 @@ def test_brute_force_depth_follows_n_max(monkeypatch, n_max):
 
 
 def test_folded_check_is_exhaustive():
-    result = checks._check_folded_strategies()
+    q = quantum_tensor(build_settings(3))
+    result = checks._check_folded_strategies(q)
     assert result.name == "folded-strategy-bound"
     assert result.passed
     assert result.detail.endswith("over all 19683 strategies")
-    assert checks._folded_scores().size == 27 ** 3
+    assert checks._folded_scores(q).size == 27 ** 3
 
 
 def test_folded_maximum_equals_the_bound():
-    assert checks._folded_scores().max() == pytest.approx(lhv_bound(3), abs=1e-9)
+    scores = checks._folded_scores(quantum_tensor(build_settings(3)))
+    assert scores.max() == pytest.approx(lhv_bound(3), abs=1e-9)
 
 
 def test_folded_check_fails_against_a_lowered_bound(monkeypatch):
     real_bound = checks.lhv_bound
     monkeypatch.setattr(checks, "lhv_bound", lambda n: real_bound(n) - 1e-6)
-    assert not checks._check_folded_strategies().passed
+    assert not checks._check_folded_strategies(quantum_tensor(build_settings(3))).passed
 
 
 @pytest.mark.parametrize("n", [2, 3])

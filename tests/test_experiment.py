@@ -31,25 +31,24 @@ from ghzbell import (
     ExperimentConfig,
     ExperimentSummary,
     TrialBatch,
-    TrialRecord,
     auxiliary_tensor,
-    build_q_cached,
     build_settings,
     entry_sum_closed_form,
     generate_trials,
     lhv_bound,
     run_experiment,
-    sample_trial,
     setting_phase_classes,
     summarize_batch,
     visibility_sweep,
 )
+import ghzbell.experiment as experiment
 from ghzbell.experiment import (
     BLOCK_TRIALS,
     _combo_index,
     _stats,
     _summary_from_stats,
     _tally,
+    build_q_cached,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -132,19 +131,6 @@ class TestExperimentConfig:
 
     def test_zero_efficiency_allowed(self):
         ExperimentConfig(n_parties=2, visibility=1.0, efficiency=0.0, trials=9, seed=0)
-
-
-class TestTrialRecord:
-    def test_valid(self):
-        TrialRecord(settings=(1, 3), outcomes=(-1, 0))
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            TrialRecord(settings=(1, 4), outcomes=(1, 1))
-        with pytest.raises(ValueError):
-            TrialRecord(settings=(1, 2), outcomes=(1, 2))
-        with pytest.raises(ValueError):
-            TrialRecord(settings=(1, 2, 3), outcomes=(1, 1))
 
 
 class TestTrialBatch:
@@ -784,61 +770,6 @@ class TestSummarizeBatchValidation:
             summarize_batch(generate_trials(cfg2), cfg3)
 
 
-class TestSampleTrial:
-    def _config(self, v=1.0, eta=1.0):
-        return ExperimentConfig(
-            n_parties=2, visibility=v, efficiency=eta, trials=9, seed=0
-        )
-
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_trial(self._config(), (1,), rng)
-        with pytest.raises(ValueError):
-            sample_trial(self._config(), (0, 1), rng)
-
-    def test_perfect_efficiency_signs_only(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            rec = sample_trial(self._config(eta=1.0), (2, 3), rng)
-            assert rec.settings == (2, 3)
-            assert all(m in (-1, 1) for m in rec.outcomes)
-
-    def test_zero_efficiency_all_lost(self):
-        rng = np.random.default_rng(1)
-        rec = sample_trial(self._config(eta=0.0), (1, 1), rng)
-        assert rec.outcomes == (0, 0)
-
-    def test_reproducible_from_rng_state(self):
-        a = [
-            sample_trial(self._config(eta=0.7), (1, 2), np.random.default_rng(42))
-            for _ in range(1)
-        ]
-        b = [
-            sample_trial(self._config(eta=0.7), (1, 2), np.random.default_rng(42))
-            for _ in range(1)
-        ]
-        assert a == b
-
-    def test_matches_ideal_law(self):
-        # At settings (1, 1) the total phase is pi/6; the (+1, +1) outcome has
-        # probability (1 + cos(pi/6))/4 and the product averages cos(pi/6).
-        rng = np.random.default_rng(99)
-        draws = 10000
-        cfg = self._config()
-        hits = 0
-        prod_sum = 0
-        for _ in range(draws):
-            rec = sample_trial(cfg, (1, 1), rng)
-            hits += rec.outcomes == (1, 1)
-            prod_sum += rec.outcomes[0] * rec.outcomes[1]
-        p = (1 + math.cos(math.pi / 6)) / 4
-        assert abs(hits / draws - p) < 4 * math.sqrt(p * (1 - p) / draws)
-        mean = prod_sum / draws
-        target = math.cos(math.pi / 6)
-        assert abs(mean - target) < 4 * math.sqrt((1 - target ** 2) / draws)
-
-
 class TestVisibilitySweep:
     def test_brackets_the_threshold(self):
         points = visibility_sweep(
@@ -866,6 +797,17 @@ class TestVisibilitySweep:
             visibility_sweep(
                 n_parties=2, eta=1.0, v_grid=[0.5, 1.2], trials_per_point=9, seed=0
             )
+
+    def test_bad_grid_value_rejected_before_any_experiment(self, monkeypatch):
+        def run_experiment(*args, **kwargs):
+            raise AssertionError("an experiment ran before the whole grid was checked")
+
+        monkeypatch.setattr(experiment, "run_experiment", run_experiment)
+        with pytest.raises(ValueError, match=r"in \[0, 1\], got 1.5") as info:
+            visibility_sweep(
+                n_parties=3, eta=0.9, v_grid=[0.5, 0.6, 1.5], trials_per_point=27, seed=0
+            )
+        assert info.value.field == "visibility"
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_out_of_range(self, seed):

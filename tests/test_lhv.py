@@ -1,8 +1,8 @@
 """Tests for deterministic local strategies and their tensor scores.
 
 Core claims covered here:
-  * strategy tensors are rank-one sign products and score against the quantum
-    tensor via the plain scalar product,
+  * strategies hold sign triples only, and score against the quantum tensor
+    as its scalar product with their rank-one tensor of sign products,
   * per-party responses factorize into a phasor with magnitude in {0, 2} and
     one of twelve phases; the eight sign triples land onto seven phasors,
   * the exhaustive maximum equals 2^(N-1) sqrt(3) and the factorized search
@@ -22,8 +22,6 @@ import numpy as np
 import pytest
 
 from ghzbell import (
-    THREE_OUTCOME,
-    TWO_OUTCOME,
     DeterministicStrategy,
     bound_attaining_strategy,
     build_settings,
@@ -32,12 +30,8 @@ from ghzbell import (
     max_score_factorized,
     party_phasor,
     quantum_tensor,
-    random_strategy,
-    scalar_product,
     strategy_score,
     strategy_score_factorized,
-    strategy_tensor,
-    to_two_outcome,
     violation_factor,
 )
 from ghzbell.lhv import SIGN_TRIPLES
@@ -91,7 +85,6 @@ class TestDeterministicStrategy:
     def test_valid(self):
         s = DeterministicStrategy(assignments=((1, -1, 1), (1, 1, 1)))
         assert s.n_parties == 2
-        assert s.alphabet == TWO_OUTCOME
 
     def test_rejects_single_party(self):
         with pytest.raises(ValueError):
@@ -102,34 +95,16 @@ class TestDeterministicStrategy:
             DeterministicStrategy(assignments=((1, 1), (1, 1)))
 
     def test_rejects_value_outside_alphabet(self):
-        with pytest.raises(ValueError):
-            DeterministicStrategy(assignments=((1, 0, 1), (1, 1, 1)))
-        DeterministicStrategy(assignments=((1, 0, 1), (1, 1, 1)), alphabet=THREE_OUTCOME)
+        # The alphabet is the two signs; a non-detection 0 is folded by the
+        # caller before a strategy is built.
+        for bad in (0, 2, -2):
+            with pytest.raises(ValueError, match="not a sign"):
+                DeterministicStrategy(assignments=((1, bad, 1), (1, 1, 1)))
 
     def test_rejects_unknown_alphabet(self):
-        with pytest.raises(ValueError):
-            DeterministicStrategy(assignments=((1, 1, 1), (1, 1, 1)), alphabet="spin")
-
-
-class TestStrategyTensor:
-    def test_rank_one_products(self):
-        s = DeterministicStrategy(assignments=((1, -1, 1), (1, 1, -1)))
-        grid = strategy_tensor(s, build_settings(2)).as_grid()
-        for i, j in itertools.product(range(3), repeat=2):
-            assert grid[i, j] == s.assignments[0][i] * s.assignments[1][j]
-
-    def test_zero_propagates(self):
-        s = DeterministicStrategy(
-            assignments=((1, 0, 1), (1, 1, -1)), alphabet=THREE_OUTCOME
-        )
-        grid = strategy_tensor(s, build_settings(2)).as_grid()
-        assert np.array_equal(grid[1, :], np.zeros(3))
-        assert not np.any(grid[0, :] == 0)
-
-    def test_party_count_mismatch(self):
-        s = DeterministicStrategy(assignments=((1, 1, 1), (1, 1, 1)))
-        with pytest.raises(ValueError):
-            strategy_tensor(s, build_settings(3))
+        # 0.2.0 dropped the three-outcome alphabet and the field that chose it.
+        with pytest.raises(TypeError):
+            DeterministicStrategy(assignments=((1, 1, 1), (1, 1, 1)), alphabet="three-outcome")
 
 
 class TestStrategyScore:
@@ -145,28 +120,22 @@ class TestStrategyScore:
         q = quantum_tensor(build_settings(2))
         assert strategy_score(s, q) == pytest.approx(-2 * SQRT3, abs=1e-12)
 
-    def test_three_outcome_rejected(self):
-        s = DeterministicStrategy(
-            assignments=((1, 0, 1), (1, 1, 1)), alphabet=THREE_OUTCOME
-        )
-        q = quantum_tensor(build_settings(2))
-        with pytest.raises(ValueError):
-            strategy_score(s, q)
-
     def test_size_mismatch(self):
         s = DeterministicStrategy(assignments=((1, 1, 1), (1, 1, 1)))
         with pytest.raises(ValueError):
             strategy_score(s, quantum_tensor(build_settings(3)))
 
     def test_matches_scalar_product(self):
+        # Reference: Q dotted entry by entry with the rank-one sign products.
         rng = np.random.default_rng(5)
-        grid = build_settings(3)
-        q = quantum_tensor(grid)
+        q = quantum_tensor(build_settings(3))
         for _ in range(20):
-            s = random_strategy(3, rng)
-            assert strategy_score(s, q) == pytest.approx(
-                scalar_product(q, strategy_tensor(s, grid)), abs=1e-12
+            s = DeterministicStrategy(assignments=2 * rng.integers(0, 2, size=(3, 3)) - 1)
+            direct = math.fsum(
+                q.as_grid()[combo] * math.prod(s.assignments[k][c] for k, c in enumerate(combo))
+                for combo in itertools.product(range(3), repeat=3)
             )
+            assert strategy_score(s, q) == pytest.approx(direct, abs=1e-12)
 
 
 class TestPartyPhasor:
@@ -229,13 +198,6 @@ class TestFactorizedScore:
                 assert strategy_score_factorized(s, grid) == pytest.approx(
                     strategy_score(s, q), abs=1e-9
                 )
-
-    def test_three_outcome_rejected(self):
-        s = DeterministicStrategy(
-            assignments=((1, 0, 1), (1, 1, 1)), alphabet=THREE_OUTCOME
-        )
-        with pytest.raises(ValueError):
-            strategy_score_factorized(s, build_settings(2))
 
 
 class TestMaxScore:
@@ -321,14 +283,10 @@ class TestMaxScore:
     def test_convex_mixtures_stay_below_max(self):
         # Mixtures of strategy tensors never beat the best vertex.
         rng = np.random.default_rng(7)
-        grid = build_settings(2)
-        q = quantum_tensor(grid)
+        q = quantum_tensor(build_settings(2))
         best = lhv_bound(2)
         for _ in range(50):
-            parts = [
-                strategy_tensor(random_strategy(2, rng), grid).entries
-                for _ in range(6)
-            ]
+            parts = [np.outer(*(2 * rng.integers(0, 2, size=(2, 3)) - 1)).ravel() for _ in range(6)]
             weights = rng.dirichlet(np.ones(len(parts)))
             mix = sum(w * p for w, p in zip(weights, parts))
             assert float(q.entries @ mix) <= best + 1e-9
@@ -351,32 +309,14 @@ class TestBoundAndViolation:
 
 
 class TestThreeOutcomeFolding:
-    def test_fold_example(self):
-        s = DeterministicStrategy(
-            assignments=((1, 0, -1), (0, 0, 1)), alphabet=THREE_OUTCOME
-        )
-        folded = to_two_outcome(s)
-        assert folded.alphabet == TWO_OUTCOME
-        assert folded.assignments == ((1, -1, -1), (-1, -1, 1))
-
-    def test_fold_is_identity_on_two_outcome(self):
-        s = DeterministicStrategy(assignments=((1, 1, -1), (-1, 1, 1)))
-        assert to_two_outcome(s).assignments == s.assignments
-
     def test_folded_strategies_respect_bound(self):
+        # Three-outcome assignments with every 0 folded to -1 are sign
+        # strategies, so strategy_score keeps them under the bound.
         rng = np.random.default_rng(321)
         q = quantum_tensor(build_settings(3))
         bound = lhv_bound(3)
         for _ in range(2000):
-            s = random_strategy(3, rng, alphabet=THREE_OUTCOME)
-            folded_score = strategy_score(to_two_outcome(s), q)
+            values = rng.integers(-1, 2, size=(3, 3))
+            folded = np.where(values == 0, -1, values)
+            folded_score = strategy_score(DeterministicStrategy(assignments=folded.tolist()), q)
             assert folded_score <= bound + 1e-9
-
-    def test_random_strategy_alphabets(self):
-        rng = np.random.default_rng(1)
-        s2 = random_strategy(4, rng)
-        assert s2.alphabet == TWO_OUTCOME
-        assert all(v in (-1, 1) for row in s2.assignments for v in row)
-        s3 = random_strategy(4, rng, alphabet=THREE_OUTCOME)
-        assert s3.alphabet == THREE_OUTCOME
-        assert all(v in (-1, 0, 1) for row in s3.assignments for v in row)

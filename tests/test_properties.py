@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from ghzbell import (
     BLOCK_TRIALS,
     SETTING_POLICIES,
+    DeterministicStrategy,
     ExperimentConfig,
     TrialBatch,
     build_settings,
@@ -41,7 +42,6 @@ from ghzbell import (
     max_score_brute,
     max_score_factorized,
     quantum_tensor,
-    random_strategy,
     run_experiment,
     strategy_score,
     summarize_batch,
@@ -105,7 +105,8 @@ def test_factorized_maximum_bounds_sampled_and_equals_exhaustive(n, seed):
     factorized = max_score_factorized(n)
     q = quantum_tensor(build_settings(n))
     rng = np.random.default_rng(seed)
-    sampled = max(strategy_score(random_strategy(n, rng), q) for _ in range(50))
+    signs = (2 * rng.integers(0, 2, size=(n, 3)) - 1 for _ in range(50))
+    sampled = max(strategy_score(DeterministicStrategy(assignments=s), q) for s in signs)
     assert sampled <= factorized + 1e-9
     brute, _ = max_score_brute(n)
     assert round(brute, 9) == round(factorized, 9)

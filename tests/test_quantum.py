@@ -3,12 +3,11 @@
 Core claims covered here:
   * the settings grid is the fixed one (offset triple first, shared triple
     after) and rejects anything else,
-  * joint probabilities are normalized and their sign-weighted sum reproduces
-    the full correlation,
   * the correlation tensor carries exactly the seven values
-    {0, +-1/2, +-sqrt(3)/2, +-1}, has squared norm 3^N/2 and entry sum
-    -2^N sin((N-1) pi/3),
-  * scalar products behave bilinearly and validate shapes.
+    {0, +-1/2, +-sqrt(3)/2, +-1}, equals cos(sum of phases) entry by entry,
+    has squared norm 3^N/2 and entry sum -2^N sin((N-1) pi/3),
+  * tensors validate their shape, range and finiteness, and their JSON form
+    round-trips.
 """
 
 import itertools
@@ -24,10 +23,7 @@ from ghzbell import (
     SettingsGrid,
     build_settings,
     entry_sum_closed_form,
-    joint_probability,
-    quantum_correlation,
     quantum_tensor,
-    scalar_product,
     setting_phase_classes,
     tensor_entry_sum,
     tensor_norm_sq,
@@ -84,67 +80,13 @@ class TestSettingsGrid:
             SettingsGrid(n_parties=3, phases=(first, other))
 
 
-class TestJointProbability:
-    def test_known_value(self):
-        # Two parties at their first settings: 2^-2 (1 + cos(pi/6 + 0)).
-        p = joint_probability([1, 1], [math.pi / 6, 0.0])
-        assert p == pytest.approx(0.4665063509461097, abs=1e-15)
-
-    def test_invalid_result_value(self):
-        with pytest.raises(ValueError):
-            joint_probability([1, 0], [0.0, 0.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            joint_probability([1, 1], [0.0])
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            joint_probability([], [])
-
-    def test_normalization_random_angles(self):
-        rng = np.random.default_rng(11)
-        for n in (2, 3, 4):
-            angles = rng.uniform(0.0, 2 * math.pi, size=n)
-            total = sum(
-                joint_probability(r, angles)
-                for r in itertools.product((-1, 1), repeat=n)
-            )
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_sign_weighted_sum_matches_correlation(self):
-        # The product-weighted sum over all 2^N outcomes must reproduce the
-        # full correlation at every one of the 3^N setting combinations.
-        for n in (2, 3, 4):
-            radians = build_settings(n).radians()
-            for combo in itertools.product(range(3), repeat=n):
-                angles = [radians[k][combo[k]] for k in range(n)]
-                weighted = sum(
-                    math.prod(r) * joint_probability(r, angles)
-                    for r in itertools.product((-1, 1), repeat=n)
-                )
-                assert weighted == pytest.approx(
-                    quantum_correlation(angles), abs=1e-12
-                )
-
-
-class TestQuantumCorrelation:
-    def test_cosine_of_sum(self):
-        assert quantum_correlation([math.pi / 6, math.pi / 3]) == pytest.approx(0.0, abs=1e-15)
-        assert quantum_correlation([0.0]) == 1.0
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            quantum_correlation([])
-
-
 class TestQuantumTensor:
     def test_known_entries_two_parties(self):
-        q = quantum_tensor(build_settings(2))
-        assert q.entry((1, 1)) == pytest.approx(SQRT3 / 2, abs=1e-15)
+        q = quantum_tensor(build_settings(2)).as_grid()
+        assert q[0, 0] == pytest.approx(SQRT3 / 2, abs=1e-15)
         # pi/2 + 2pi/3 = 7pi/6.
-        assert q.entry((2, 3)) == pytest.approx(-SQRT3 / 2, abs=1e-15)
-        assert q.entry((2, 1)) == pytest.approx(0.0, abs=1e-15)
+        assert q[1, 2] == pytest.approx(-SQRT3 / 2, abs=1e-15)
+        assert q[1, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_entries_live_on_seven_values(self):
         for n in (2, 3, 5):
@@ -158,7 +100,7 @@ class TestQuantumTensor:
             radians = grid.radians()
             for combo in itertools.product(range(3), repeat=n):
                 angles = [radians[k][combo[k]] for k in range(n)]
-                assert q[combo] == pytest.approx(quantum_correlation(angles), abs=1e-12)
+                assert q[combo] == pytest.approx(math.cos(math.fsum(angles)), abs=1e-12)
 
     def test_norm_identity(self):
         for n in range(2, 11):
@@ -212,40 +154,11 @@ class TestCorrelationTensor:
         with pytest.raises(ValueError):
             q.entries[0] = 0.0
 
-    def test_entry_validates_indices(self):
-        q = quantum_tensor(build_settings(2))
-        with pytest.raises(ValueError):
-            q.entry((0, 1))
-        with pytest.raises(ValueError):
-            q.entry((1, 1, 1))
-
     def test_dict_roundtrip(self):
         q = quantum_tensor(build_settings(2))
         data = q.to_dict()
         assert data["n_parties"] == 2
         assert len(data["entries"]) == 9
-        again = CorrelationTensor.from_dict(json.loads(json.dumps(data)))
+        loaded = json.loads(json.dumps(data))
+        again = CorrelationTensor(n_parties=loaded["n_parties"], entries=loaded["entries"])
         assert np.array_equal(again.entries, q.entries)
-
-
-class TestScalarProduct:
-    def test_self_product_is_norm(self):
-        q = quantum_tensor(build_settings(3))
-        assert scalar_product(q, q) == pytest.approx(13.5, abs=1e-9)
-
-    def test_single_entry_flip(self):
-        # Flipping one entry of the partner tensor lowers the product by
-        # exactly twice the squared entry.
-        q = quantum_tensor(build_settings(3))
-        flipped = q.entries.copy()
-        flipped[0] = -flipped[0]
-        partner = CorrelationTensor(n_parties=3, entries=flipped)
-        expected = 13.5 - 2.0 * q.entries[0] ** 2
-        assert scalar_product(q, partner) == pytest.approx(expected, abs=1e-9)
-        assert expected == pytest.approx(12.0, abs=1e-9)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            scalar_product(
-                quantum_tensor(build_settings(2)), quantum_tensor(build_settings(3))
-            )
