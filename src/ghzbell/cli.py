@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -207,11 +208,15 @@ def _cmd_bound(args, parser) -> int:
     if args.method in ("brute", "both") and args.n > 8:
         parser.error(f"--method {args.method} needs --n <= 8 (exhaustive search), got {args.n}")
     try:
+        norm_sq = 3.0 ** args.n / 2.0
+    except OverflowError:
+        norm_sq = math.inf  # printed as null/inf, like simulate's standard error
+    try:
         data = {
             "n": args.n,
             "method": args.method,
             "bound": lhv_bound(args.n),
-            "norm_sq": 3.0 ** args.n / 2.0,
+            "norm_sq": norm_sq if math.isfinite(norm_sq) else None,
             "q_entry_sum": entry_sum_closed_form(args.n),
             "violation_factor": violation_factor(args.n),
         }
@@ -233,7 +238,7 @@ def _cmd_bound(args, parser) -> int:
             f"method            : {data['method']}",
             f"max S             : {data['max_s']!r}",
             f"bound 2^(N-1)sqrt3: {data['bound']!r}",
-            f"norm_sq (3^N/2)   : {data['norm_sq']!r}",
+            f"norm_sq (3^N/2)   : {norm_sq!r}",
             f"entry sum q_N     : {data['q_entry_sum']!r}",
             f"violation factor  : {data['violation_factor']!r}",
         ]

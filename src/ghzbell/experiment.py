@@ -44,7 +44,6 @@ trials generate_trials draws.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -360,7 +359,8 @@ def _draw(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generator
     detected = np.asfortranarray(rng.random((combos.size, n)) < config.efficiency)
     parity_u = rng.random(combos.size)
     all_det = detected.all(axis=1)
-    plus = parity_u < (1.0 + config.visibility * build_q_cached(n).entries[combos]) / 2.0
+    q = quantum_tensor(build_settings(n)).entries
+    plus = parity_u < (1.0 + config.visibility * q[combos]) / 2.0
     key = np.where(all_det, 2 * combos + plus, 2 * m)
     return detected, all_det, key
 
@@ -478,7 +478,7 @@ def _summary_from_stats(
     est[counts == 0] = 0.0
     se_sq[~enough] = 0.0
 
-    q = build_q_cached(n)
+    q = quantum_tensor(build_settings(n))
     lhs = abs(float(np.dot(q.entries, est)))
     # The standard error is infinite exactly when a weighted entry has no
     # variance; zero-weight entries contribute nothing either way.
@@ -498,12 +498,6 @@ def _summary_from_stats(
         violated=bool(lhs > rhs),
         standard_error_lhs=se_lhs,
     )
-
-
-@functools.cache
-def build_q_cached(n_parties: int) -> CorrelationTensor:
-    """Quantum tensor, cached per party count (it is immutable)."""
-    return quantum_tensor(build_settings(n_parties))
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSummary:

@@ -27,7 +27,6 @@ independent of each other.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
@@ -188,25 +187,21 @@ def max_score_brute(n_parties: int) -> tuple[float, DeterministicStrategy]:
     score. Every strategy's score is therefore +-s for the representative s
     whose triples all start with -1 (indices d < 4): + after an even number of
     flips, - after an odd one. The quantum tensor is contracted against those
-    4 triples per party (a distributive regrouping of the defining 3^N-term
-    sum), and the maximum over all 8^N scores is the largest |s| of the 4^N
-    representatives. Ties are broken toward the lexicographically smallest
-    strategy under party-major, setting-minor ordering with -1 before +1: for
-    s > 0 that is the representative itself, for s < 0 the representative with
-    only its last party flipped. Limited to N <= 8.
+    4 triples one party at a time (a distributive regrouping of the defining
+    3^N-term sum), and the maximum over all 8^N scores is the largest |s| of
+    the 4^N representatives. Ties are broken toward the lexicographically
+    smallest strategy under party-major, setting-minor ordering with -1
+    before +1: for s > 0 that is the representative itself, for s < 0 the
+    representative with only its last party flipped. Limited to N <= 8.
     """
     if not 2 <= n_parties <= 8:
         raise ValueError(f"exhaustive search supports 2..8 parties, got {n_parties}")
-    q_grid = quantum_tensor(build_settings(n_parties)).as_grid()
     triples = np.asarray(SIGN_TRIPLES[:4], dtype=np.float64)
-    letters = string.ascii_lowercase
-    tensor_axes = letters[:n_parties]
-    strategy_axes = letters[n_parties:2 * n_parties]
-    subscripts = (
-        ",".join(s + t for s, t in zip(strategy_axes, tensor_axes))
-        + f",{tensor_axes}->{strategy_axes}"
-    )
-    scores = np.einsum(subscripts, *([triples] * n_parties), q_grid, optimize=True).ravel()
+    scores = quantum_tensor(build_settings(n_parties)).as_grid()
+    # Each step sums out the next party's setting axis and appends its triple axis.
+    for _ in range(n_parties):
+        scores = np.tensordot(scores, triples, axes=([0], [1]))
+    scores = scores.ravel()
     magnitudes = np.abs(scores)
     best = float(magnitudes.max())
     # Mathematically distinct scores differ by at least 2^N (1 - sqrt(3)/2),

@@ -5,7 +5,7 @@ Contents:
     CorrelationTensor   -- flat 3^N full-correlation tensor with JSON output
     build_settings      -- construct the grid for N parties
     setting_phase_classes -- total phase class of every setting combination
-    quantum_tensor      -- the 3^N tensor of quantum correlations
+    quantum_tensor      -- the 3^N tensor of quantum correlations, cached per N
     tensor_norm_sq, tensor_entry_sum -- squared norm and plain entry sum
     entry_sum_closed_form -- closed form for the tensor entry sum
 
@@ -16,6 +16,7 @@ multiple, its phase class), so tensor entries are evaluated through an exact
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,8 +119,12 @@ def setting_phase_classes(grid: SettingsGrid) -> np.ndarray:
     return (total % 12).ravel()
 
 
+@functools.cache
 def quantum_tensor(grid: SettingsGrid) -> CorrelationTensor:
-    """Tensor of quantum correlations cos(sum of chosen phases) over the grid."""
+    """Tensor of quantum correlations cos(sum of chosen phases) over the grid.
+
+    Cached: every caller shares one tensor per N, and its entries are read-only.
+    """
     entries = _COS12_ARRAY[setting_phase_classes(grid)]
     return CorrelationTensor(n_parties=grid.n_parties, entries=entries)
 

@@ -1,8 +1,9 @@
 """End-to-end tests of the command line interface.
 
-Everything runs ``python -m ghzbell ...`` in a subprocess and checks exit
-codes, JSON/CSV payloads and byte-level reproducibility. Exit conventions:
-0 success, 1 failed verification, 2 usage error.
+Nearly everything runs ``python -m ghzbell ...`` in a subprocess and checks
+exit codes, JSON/CSV payloads and byte-level reproducibility; one test calls
+``main`` twice in this process, so the second call reads the cached tensors.
+Exit conventions: 0 success, 1 failed verification, 2 usage error.
 """
 
 import hashlib
@@ -15,10 +16,40 @@ import sys
 import numpy as np
 import pytest
 
-from ghzbell.cli import _to_json
+from ghzbell.cli import _to_json, main
 
 CMD = [sys.executable, "-m", "ghzbell"]
 SQRT3 = math.sqrt(3.0)
+
+
+# sha256 of the stdout printed before the exact side was reworked, by test id.
+EXACT_SIDE_DIGESTS = {
+    "thresholds-csv-646": (
+        "thresholds --n-max 646 --format csv",
+        "0af6590be0003e3a5c7fb80ef22672f5ba9658eb090dff96eaeb880d6092e085",
+    ),
+    "bound-n8-json": (
+        "bound --n 8",
+        "602c8cbf8d4765f1a44ae3aab2638c2407fa76aa3aba9899ea07ec7cad121cc0",
+    ),
+    "bound-n8-human": (
+        "bound --n 8 --format human",
+        "7b5e5cc780230a04df2ce1c542b0a4fac5e14af006c2fc0241b82d64ccc1dd5d",
+    ),
+    "verify-n8-json": (
+        "verify --n-max 8 --format json",
+        "95d9b2965d412476d0e6f02ca8747f76e736cebc0f986e8657e0b34c52b5e381",
+    ),
+    "verify-n8-human": (
+        "verify --n-max 8 --format human",
+        "852d8efb083c234551b38d37f7fe4c4e928c4f56d260c0e7ecf86061c8b9bf57",
+    ),
+    # The argmax's last party plays (+1, -1, -1): a flipped representative.
+    "bound-n4-json": (
+        "bound --n 4",
+        "12ef20f7474fe9b561633acb9ab22a0cd8b6881a488074681862803568676b3c",
+    ),
+}
 
 
 def _env(**extra):
@@ -96,6 +127,23 @@ class TestBound:
         assert run_cli("bound", "--n", "9").returncode == 2
         assert run_cli("bound", "--n", "9", "--method", "brute").returncode == 2
         assert run_cli("bound", "--n", "9", "--method", "factorized").returncode == 0
+
+    @pytest.mark.parametrize("n", [647, 1023])
+    def test_norm_sq_past_double_range_is_null(self, n):
+        # 3^N/2 overflows from N = 647; the bound itself stays finite to 1023.
+        res = run_cli("bound", "--n", str(n), "--method", "factorized")
+        assert res.returncode == 0
+        data = json.loads(res.stdout)
+        assert data["norm_sq"] is None
+        assert data["max_s"] == data["bound"] == math.ldexp(SQRT3 / 2, n)
+        human = run_cli("bound", "--n", str(n), "--method", "factorized", "--format", "human")
+        assert "norm_sq (3^N/2)   : inf" in human.stdout
+
+    def test_overflowing_bound_is_a_usage_error(self):
+        res = run_cli("bound", "--n", "1024", "--method", "factorized")
+        assert res.returncode == 2
+        assert "--n 1024 overflows double precision" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestThresholds:
@@ -441,44 +489,20 @@ class TestJsonRendering:
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "args, digest",
-        [
-            (
-                "thresholds --n-max 646 --format csv",
-                "0af6590be0003e3a5c7fb80ef22672f5ba9658eb090dff96eaeb880d6092e085",
-            ),
-            (
-                "bound --n 8",
-                "602c8cbf8d4765f1a44ae3aab2638c2407fa76aa3aba9899ea07ec7cad121cc0",
-            ),
-            (
-                "bound --n 8 --format human",
-                "7b5e5cc780230a04df2ce1c542b0a4fac5e14af006c2fc0241b82d64ccc1dd5d",
-            ),
-            (
-                "verify --n-max 8 --format json",
-                "95d9b2965d412476d0e6f02ca8747f76e736cebc0f986e8657e0b34c52b5e381",
-            ),
-            (
-                "verify --n-max 8 --format human",
-                "852d8efb083c234551b38d37f7fe4c4e928c4f56d260c0e7ecf86061c8b9bf57",
-            ),
-            (
-                # The argmax's last party plays (+1, -1, -1): a flipped representative.
-                "bound --n 4",
-                "12ef20f7474fe9b561633acb9ab22a0cd8b6881a488074681862803568676b3c",
-            ),
-        ],
-        ids=[
-            "thresholds-csv-646", "bound-n8-json", "bound-n8-human",
-            "verify-n8-json", "verify-n8-human", "bound-n4-json",
-        ],
+        "args, digest", list(EXACT_SIDE_DIGESTS.values()), ids=list(EXACT_SIDE_DIGESTS)
     )
     def test_exact_side_golden_digest(self, args, digest):
-        # sha256 of the stdout printed before the exact side was reworked.
         res = run_cli(*args.split())
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["verify-n8-json", "thresholds-csv-646", "bound-n8-json"])
+    def test_repeat_in_process_matches_golden_digest(self, name, capsys):
+        # The second call reads every tensor from the cache the first one filled.
+        args, digest = EXACT_SIDE_DIGESTS[name]
+        for _ in range(2):
+            assert main(args.split()) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "args, digest",

@@ -36,6 +36,7 @@ from ghzbell import (
     entry_sum_closed_form,
     generate_trials,
     lhv_bound,
+    quantum_tensor,
     run_experiment,
     setting_phase_classes,
     summarize_batch,
@@ -48,7 +49,6 @@ from ghzbell.experiment import (
     _stats,
     _summary_from_stats,
     _tally,
-    build_q_cached,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -460,7 +460,7 @@ def _masked_divide_summary(n, counts, sum_prod, nonzero):
     mean_sq = np.divide(sum_prod ** 2, counts, out=np.zeros(m), where=enough)
     var = np.divide(nonzero - mean_sq, counts - 1, out=np.zeros(m), where=enough)
     se_sq = np.divide(np.clip(var, 0.0, None), counts, out=np.zeros(m), where=enough)
-    q = build_q_cached(n)
+    q = quantum_tensor(build_settings(n))
     lhs = abs(float(np.dot(q.entries, est)))
     weights = q.entries ** 2
     if (weights[~enough] > 0.0).any():
@@ -475,7 +475,7 @@ class TestSummaryFromStats:
         m = 3 ** n
         rng = np.random.default_rng(seed)
         counts = rng.choice([0, 1, 2, 3, 40], size=m).astype(np.int64)
-        weighted = build_q_cached(n).entries != 0.0
+        weighted = quantum_tensor(build_settings(n)).entries != 0.0
         assert weighted.any() and not weighted.all()
         counts[weighted] = np.maximum(counts[weighted], 2)
         if weighted_low is not None:
@@ -582,7 +582,7 @@ class TestEstimatorConsistency:
         # and 0 otherwise, so Var = eta^N - (eta^N V Q_i)^2.
         n, v, eta = 3, 0.7, 0.85
         per_combo = 2000
-        q = build_q_cached(n).entries
+        q = quantum_tensor(build_settings(n)).entries
         target = eta ** n * v * q
         var = eta ** n - target ** 2
         sigma = np.sqrt(var / per_combo)
@@ -613,7 +613,7 @@ class TestEstimatorConsistency:
             n_parties=3, visibility=0.9, efficiency=0.8, trials=2700, seed=13
         )
         summary = run_experiment(cfg)
-        q = build_q_cached(3)
+        q = quantum_tensor(build_settings(3))
         assert summary.lhs == abs(float(np.dot(q.entries, summary.estimated_tensor.entries)))
         assert summary.rhs == lhv_bound(3) - summary.p_all_zero * abs(entry_sum_closed_form(3))
         assert summary.violated == (summary.lhs > summary.rhs)

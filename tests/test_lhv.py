@@ -37,6 +37,15 @@ from ghzbell import (
 from ghzbell.lhv import SIGN_TRIPLES
 
 SQRT3 = math.sqrt(3.0)
+BRUTE_MAXIMA_HEX = {
+    2: "0x1.bb67ae8584caap+1",
+    3: "0x1.bb67ae8584caap+2",
+    4: "0x1.bb67ae8584caap+3",
+    5: "0x1.bb67ae8584caap+4",
+    6: "0x1.bb67ae8584caap+5",
+    7: "0x1.bb67ae8584caap+6",
+    8: "0x1.bb67ae8584caap+7",
+}
 
 
 def _all_two_outcome(n):
@@ -221,6 +230,11 @@ class TestMaxScore:
         assert max_score_brute(2)[1].assignments == ((-1, -1, -1), (-1, 1, 1))
         assert max_score_brute(3)[1].assignments == ((-1, -1, -1),) * 3
         assert max_score_brute(4)[1].assignments == ((-1, -1, -1),) * 3 + ((1, -1, -1),)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_frozen_brute_maxima(self, n):
+        # Every N's maximum to the last bit, as the einsum contraction gave it.
+        assert max_score_brute(n)[0].hex() == BRUTE_MAXIMA_HEX[n]
 
     def test_argmax_attains_reported_score(self):
         for n in (2, 3, 4, 5):

@@ -7,7 +7,8 @@ Core claims covered here:
     {0, +-1/2, +-sqrt(3)/2, +-1}, equals cos(sum of phases) entry by entry,
     has squared norm 3^N/2 and entry sum -2^N sin((N-1) pi/3),
   * tensors validate their shape, range and finiteness, and their JSON form
-    round-trips.
+    round-trips,
+  * each N's quantum tensor is built once and shared, with read-only entries.
 """
 
 import itertools
@@ -123,6 +124,12 @@ class TestQuantumTensor:
             assert entry_sum_closed_form(n) == 0.0
             q = quantum_tensor(build_settings(n))
             assert abs(tensor_entry_sum(q)) < 1e-9
+
+    def test_cached_once_per_n_and_read_only(self):
+        for n in range(2, 6):
+            q = quantum_tensor(build_settings(n))
+            assert quantum_tensor(build_settings(n)) is q
+            assert not q.entries.flags.writeable
 
     def test_phase_classes_consistent_with_entries(self):
         grid = build_settings(3)
