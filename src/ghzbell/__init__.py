@@ -32,7 +32,6 @@ from .lhv import (
     max_score_factorized,
     party_phasor,
     strategy_score,
-    strategy_score_factorized,
     violation_factor,
 )
 from .quantum import (
@@ -58,7 +57,7 @@ from .thresholds import (
     two_setting_visibility_threshold,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -97,7 +96,6 @@ __all__ = [
     "run_experiment",
     "setting_phase_classes",
     "strategy_score",
-    "strategy_score_factorized",
     "summarize_batch",
     "tensor_entry_sum",
     "tensor_norm_sq",

@@ -3,10 +3,15 @@
 Each check recomputes one identity of the toolkit through two independent
 routes (direct evaluation vs closed form, exhaustive search vs dynamic
 program, every folded three-outcome strategy vs analytic bound) and reports
-pass/fail. The factorization identity scores every sign strategy at N = 2, 3
-twice: its row of sign products dotted with the quantum tensor, and the
-product of per-party phasors looked up in a table of ``party_phasor``
-values. Neither route reads the other's numbers.
+pass/fail. The tensor checks run on the integer table T (the quantum tensor
+over sqrt(3)/2), where every score, norm and sum is an integer held exactly in
+float64, so they are exact equalities: norm, entry sum, bound, factorization
+and folded bound. Tolerances remain only where a float closed form or the
+efficiency bisection is compared.
+The factorization identity scores every sign strategy at N = 2, 3 twice: its
+row of sign products dotted with T, and the product of per-party phasors
+looked up in a table of ``party_phasor`` values. Neither route reads the
+other's numbers.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ from .lhv import (
     violation_factor,
 )
 from .quantum import (
-    COS12,
+    HALF_SQRT3,
+    ODD_CLASS_COS,
     CorrelationTensor,
     build_settings,
     entry_sum_closed_form,
-    quantum_tensor,
+    integer_tensor,
     tensor_entry_sum,
     tensor_norm_sq,
 )
@@ -62,22 +68,23 @@ def _check_norm_identity(tensors: dict, inject_fault: bool) -> CheckResult:
     # A fault injection knob exercises the failure path of the harness itself.
     offset = 1e-3 if inject_fault else 0.0
     worst = 0.0
-    for n, q in tensors.items():
-        worst = max(worst, abs(tensor_norm_sq(q) - (3.0 ** n / 2.0 + offset)))
+    for n, t in tensors.items():
+        # (Q, Q) = (3/4) (T, T); (T, T) counts the nonzero entries, and 3/4 of it is exact.
+        worst = max(worst, abs(0.75 * tensor_norm_sq(t) - (3.0 ** n / 2.0 + offset)))
     return CheckResult(
         name="norm-identity",
-        passed=worst < IDENTITY_TOL,
+        passed=worst == 0.0,
         detail=f"max |norm_sq - 3^N/2| = {worst:.3e} over N=2..10",
     )
 
 
 def _check_entry_sum(tensors: dict) -> CheckResult:
     worst = 0.0
-    for n, q in tensors.items():
-        worst = max(worst, abs(tensor_entry_sum(q) - entry_sum_closed_form(n)))
+    for n, t in tensors.items():
+        worst = max(worst, abs(HALF_SQRT3 * tensor_entry_sum(t) - entry_sum_closed_form(n)))
     return CheckResult(
         name="entry-sum-identity",
-        passed=worst < IDENTITY_TOL,
+        passed=worst == 0.0,
         detail=f"max |sum - (-2^N sin((N-1)pi/3))| = {worst:.3e} over N=2..10",
     )
 
@@ -86,46 +93,43 @@ def _check_bound_brute(brute: dict, tensors: dict) -> CheckResult:
     worst = 0.0
     for n, (best, strategy) in brute.items():
         worst = max(worst, abs(best - lhv_bound(n)))
-        worst = max(worst, abs(strategy_score(strategy, tensors[n]) - best))
+        worst = max(worst, abs(HALF_SQRT3 * strategy_score(strategy, tensors[n]) - best))
     return CheckResult(
         name="bound-brute",
-        passed=worst < IDENTITY_TOL,
+        passed=worst == 0.0,
         detail=f"max |brute max - 2^(N-1) sqrt(3)| = {worst:.3e} over N=2..{max(brute)}",
     )
 
 
 def _check_oracle_equivalence(brute: dict) -> CheckResult:
-    top = max(brute)
-    ok = True
-    worst = 0.0
-    for n, (best, _) in brute.items():
-        dp = max_score_factorized(n)
-        ok = ok and round(best, 9) == round(dp, 9)
-        worst = max(worst, abs(best - dp))
+    pairs = [(best, max_score_factorized(n)) for n, (best, _) in brute.items()]
+    worst = max(abs(best - dp) for best, dp in pairs)
     return CheckResult(
         name="oracle-equivalence",
-        passed=ok,
-        detail=f"brute vs factorized max, rounded to 1e-9, N=2..{top}; max gap {worst:.3e}",
+        passed=all(best == dp for best, dp in pairs),
+        detail=f"brute vs factorized max, N=2..{max(brute)}; max gap {worst:.3e}",
     )
 
 
-def _factorization_scores(n: int, q: CorrelationTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of all 8^N sign strategies, in ``product(SIGN_TRIPLES, repeat=N)`` order.
+def _factorization_scores(n: int, t: CorrelationTensor) -> tuple[np.ndarray, np.ndarray]:
+    """T-scores of all 8^N sign strategies, in ``product(SIGN_TRIPLES, repeat=N)`` order.
 
-    ``direct`` dots each strategy's row of exact +-1 sign products with the
-    tensor, one ddot per row as in ``strategy_score``. ``phasor`` multiplies
-    the per-party phasors from a table of 8 ``party_phasor`` values per
-    party, as ``strategy_score_factorized`` does.
+    ``direct`` is the matrix of every strategy's row of +-1 sign products
+    times T. ``phasor`` is the real part of the product of the per-party
+    phasors, from a table of 8 ``party_phasor`` values per party, over
+    sqrt(3)/2: 2^N cos(c pi/6) / (sqrt(3)/2) for the product's class c, which
+    is odd (one odd first-party class, even ones after), so 2^N
+    ``ODD_CLASS_COS[c // 2]``. Both are integers, exact in any summation order.
     """
     signs = np.asarray(SIGN_TRIPLES, dtype=np.float64)
     rows = reduce(lambda a, b: np.einsum("ai,bj->abij", a, b).reshape(len(a) * 8, -1), [signs] * n)
-    direct = np.array([np.dot(q.entries, row) for row in rows])
     grid = build_settings(n)
-    table = [[party_phasor(t, k, grid) for t in SIGN_TRIPLES] for k in range(n)]
+    table = [[party_phasor(triple, k, grid) for triple in SIGN_TRIPLES] for k in range(n)]
     magnitude = reduce(np.multiply.outer, [[p.magnitude for p in ps] for ps in table])
     phase = reduce(np.add.outer, [[p.phase_class for p in ps] for ps in table]) % 12
-    phasor = np.where(magnitude > 0, np.ldexp(np.asarray(COS12)[phase], n), 0.0)
-    return direct, phasor.ravel()
+    cos = np.asarray(ODD_CLASS_COS, dtype=np.float64)[phase // 2]
+    phasor = np.where(magnitude > 0, np.ldexp(cos, n), 0.0)
+    return rows @ t.entries, phasor.ravel()
 
 
 def _check_factorization_identity(tensors: dict) -> CheckResult:
@@ -135,7 +139,7 @@ def _check_factorization_identity(tensors: dict) -> CheckResult:
         worst = max(worst, float(np.abs(direct - phasor).max()))
     return CheckResult(
         name="factorization-identity",
-        passed=worst < IDENTITY_TOL,
+        passed=worst == 0.0,
         detail=f"max |tensor score - phasor score| = {worst:.3e}, exhaustive N=2,3",
     )
 
@@ -227,13 +231,14 @@ def _folded_scores(q: CorrelationTensor) -> np.ndarray:
     return np.einsum("ai,bj,ck,ijk->abc", folded, folded, folded, q.as_grid(), optimize=True)
 
 
-def _check_folded_strategies(q: CorrelationTensor) -> CheckResult:
-    scores = _folded_scores(q)
-    worst = float(scores.max())
+def _check_folded_strategies(t: CorrelationTensor) -> CheckResult:
+    # The folds include every sign strategy, so the maximum is the bound itself.
+    scores = _folded_scores(t)
+    worst = HALF_SQRT3 * float(scores.max())
     bound = lhv_bound(3)
     return CheckResult(
         name="folded-strategy-bound",
-        passed=worst <= bound + IDENTITY_TOL,
+        passed=worst == bound,
         detail=(
             f"max folded score {worst:.9f} vs bound {bound:.9f} "
             f"over all {scores.size} strategies"
@@ -246,7 +251,7 @@ def run_checks(n_max: int = 6, inject_fault: bool = False) -> list[CheckResult]:
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     brute = {n: max_score_brute(n) for n in range(2, min(n_max, 8) + 1)}
-    tensors = {n: quantum_tensor(build_settings(n)) for n in range(2, 11)}
+    tensors = {n: integer_tensor(build_settings(n)) for n in range(2, 11)}
     etas = dict(zip(range(2, 13), critical_efficiency(range(2, 13)).tolist()))
     return [
         _check_norm_identity(tensors, inject_fault),

@@ -6,7 +6,6 @@ Contents:
     strategy_score        -- scalar product of the quantum tensor with a
                              strategy's rank-1 tensor of sign products
     party_phasor          -- exact phasor of one party's assignment
-    strategy_score_factorized -- same score through the phasor product
     max_score_brute       -- exhaustive maximum over all 8^N strategies: scores
                              4^N sign representatives and signs the rest
     max_score_factorized  -- dynamic program over the 12 phase classes
@@ -19,9 +18,9 @@ phasors, each a signed sum of three unit phasors whose phases sit two pi/6
 steps apart. Those sums always land on magnitude 0 or 2 with a phase that is
 again a multiple of pi/6, so the whole search lives on 12 exact phase classes.
 The exhaustive route below never touches that structure: it contracts the
-quantum tensor directly against sign assignments (half of each party's sign
-triples, the other half by a sign flip), which keeps the two maximizers
-independent of each other.
+integer tensor (the quantum tensor over sqrt(3)/2) directly against sign
+assignments (half of each party's sign triples, the other half by a sign
+flip), which keeps the two maximizers independent of each other.
 """
 
 from __future__ import annotations
@@ -37,11 +36,10 @@ import numpy as np
 from .quantum import (
     COS12,
     HALF_SQRT3,
-    SIN12,
     CorrelationTensor,
     SettingsGrid,
     build_settings,
-    quantum_tensor,
+    integer_tensor,
 )
 
 # All sign triples in lexicographic order with -1 before +1; the brute-force
@@ -86,8 +84,7 @@ class PartyPhasor:
     """Signed sum of one party's three unit phasors, held exactly.
 
     The sum always has magnitude 0 or 2 and a phase that is an integer
-    multiple of pi/6; ``phase_class`` stores that integer mod 12. Conversion
-    to a floating complex number happens only on demand.
+    multiple of pi/6; ``phase_class`` stores that integer mod 12.
     """
 
     magnitude: int
@@ -100,13 +97,6 @@ class PartyPhasor:
             raise ValueError(f"phase class must be in 0..11, got {self.phase_class}")
         if self.magnitude == 0 and self.phase_class != 0:
             raise ValueError("zero phasor must carry phase class 0")
-
-    @property
-    def value(self) -> complex:
-        return complex(
-            self.magnitude * COS12[self.phase_class],
-            self.magnitude * SIN12[self.phase_class],
-        )
 
 
 def party_phasor(
@@ -132,10 +122,11 @@ def party_phasor(
 
 
 def strategy_score(strategy: DeterministicStrategy, q: CorrelationTensor) -> float:
-    """Scalar product of the quantum tensor with the strategy's tensor.
+    """Scalar product of the tensor ``q`` with the strategy's tensor.
 
-    The strategy's tensor is the flat rank-1 product of its per-party sign
-    triples, in the quantum tensor's row-major order.
+    ``q`` is the quantum tensor or its integer table. The strategy's tensor is
+    the flat rank-1 product of its per-party sign triples, in ``q``'s
+    row-major order.
     """
     if strategy.n_parties != q.n_parties:
         raise ValueError(
@@ -143,21 +134,6 @@ def strategy_score(strategy: DeterministicStrategy, q: CorrelationTensor) -> flo
         )
     arrays = [np.asarray(t, dtype=np.float64) for t in strategy.assignments]
     return float(np.dot(q.entries, reduce(np.multiply.outer, arrays).ravel()))
-
-
-def strategy_score_factorized(strategy: DeterministicStrategy, grid: SettingsGrid) -> float:
-    """Same score as strategy_score, via the exact product of party phasors."""
-    if strategy.n_parties != grid.n_parties:
-        raise ValueError(
-            f"strategy has {strategy.n_parties} parties but grid has {grid.n_parties}"
-        )
-    total_class = 0
-    for k, triple in enumerate(strategy.assignments):
-        phasor = party_phasor(triple, k, grid)
-        if phasor.magnitude == 0:
-            return 0.0
-        total_class = (total_class + phasor.phase_class) % 12
-    return math.ldexp(COS12[total_class], strategy.n_parties)
 
 
 def lhv_bound(n_parties: int) -> float:
@@ -186,28 +162,27 @@ def max_score_brute(n_parties: int) -> tuple[float, DeterministicStrategy]:
     == -SIGN_TRIPLES[d], so flipping any one party's triple negates the
     score. Every strategy's score is therefore +-s for the representative s
     whose triples all start with -1 (indices d < 4): + after an even number of
-    flips, - after an odd one. The quantum tensor is contracted against those
+    flips, - after an odd one. The integer tensor is contracted against those
     4 triples one party at a time (a distributive regrouping of the defining
-    3^N-term sum), and the maximum over all 8^N scores is the largest |s| of
-    the 4^N representatives. Ties are broken toward the lexicographically
-    smallest strategy under party-major, setting-minor ordering with -1
-    before +1: for s > 0 that is the representative itself, for s < 0 the
-    representative with only its last party flipped. Limited to N <= 8.
+    3^N-term sum), and the maximum over all 8^N scores is sqrt(3)/2 times the
+    largest |s| of the 4^N representatives. Every s is an integer, exact in
+    float64, so ties are equal floats. They are broken toward the
+    lexicographically smallest strategy under party-major, setting-minor
+    ordering with -1 before +1: for s > 0 that is the representative itself,
+    for s < 0 the representative with only its last party flipped. Limited to
+    N <= 8.
     """
     if not 2 <= n_parties <= 8:
         raise ValueError(f"exhaustive search supports 2..8 parties, got {n_parties}")
     triples = np.asarray(SIGN_TRIPLES[:4], dtype=np.float64)
-    scores = quantum_tensor(build_settings(n_parties)).as_grid()
+    scores = integer_tensor(build_settings(n_parties)).as_grid()
     # Each step sums out the next party's setting axis and appends its triple axis.
     for _ in range(n_parties):
         scores = np.tensordot(scores, triples, axes=([0], [1]))
     scores = scores.ravel()
     magnitudes = np.abs(scores)
-    best = float(magnitudes.max())
-    # Mathematically distinct scores differ by at least 2^N (1 - sqrt(3)/2),
-    # so this tolerance only absorbs float summation noise within one value.
-    threshold = best - 1e-9 * max(1.0, abs(best))
-    hits = np.flatnonzero(magnitudes >= threshold)
+    best = magnitudes.max()
+    hits = np.flatnonzero(magnitudes == best)
     rep_digits = np.unravel_index(hits, (4,) * n_parties)
     candidates = np.ravel_multi_index(rep_digits, (8,) * n_parties)
     flipped = scores[hits] < 0
@@ -215,7 +190,7 @@ def max_score_brute(n_parties: int) -> tuple[float, DeterministicStrategy]:
     index = int(candidates.min())
     digits = [(index // 8 ** (n_parties - 1 - k)) % 8 for k in range(n_parties)]
     strategy = DeterministicStrategy(assignments=tuple(SIGN_TRIPLES[d] for d in digits))
-    return best, strategy
+    return HALF_SQRT3 * float(best), strategy
 
 
 def max_score_factorized(n_parties: int) -> float:

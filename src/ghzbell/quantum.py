@@ -5,13 +5,17 @@ Contents:
     CorrelationTensor   -- flat 3^N full-correlation tensor with JSON output
     build_settings      -- construct the grid for N parties
     setting_phase_classes -- total phase class of every setting combination
+    integer_tensor      -- the quantum tensor over sqrt(3)/2: entries exactly 0, +-1
     quantum_tensor      -- the 3^N tensor of quantum correlations, cached per N
     tensor_norm_sq, tensor_entry_sum -- squared norm and plain entry sum
     entry_sum_closed_form -- closed form for the tensor entry sum
 
 Every phase in the grid is a multiple of pi/6 (stored as that integer
-multiple, its phase class), so tensor entries are evaluated through an exact
-12-entry cosine table and land exactly in {0, +-1/2, +-sqrt(3)/2, +-1}.
+multiple, its phase class). The first party's classes are odd and every other
+party's even, so each setting combination's total class is odd and its
+correlation is sqrt(3)/2 times an integer in {0, +-1}. The exact side works on
+that integer table, where every score, norm and sum is an integer held exactly
+in float64; the quantum tensor is the table times sqrt(3)/2.
 """
 
 from __future__ import annotations
@@ -30,11 +34,8 @@ COS12 = (
     1.0, HALF_SQRT3, 0.5, 0.0, -0.5, -HALF_SQRT3,
     -1.0, -HALF_SQRT3, -0.5, 0.0, 0.5, HALF_SQRT3,
 )
-SIN12 = (
-    0.0, 0.5, HALF_SQRT3, 1.0, HALF_SQRT3, 0.5,
-    0.0, -0.5, -HALF_SQRT3, -1.0, -HALF_SQRT3, -0.5,
-)
-_COS12_ARRAY = np.asarray(COS12, dtype=np.float64)
+# cos(c * pi/6) / (sqrt(3)/2) at the odd classes c = 1, 3, ..., 11, indexed by c // 2.
+ODD_CLASS_COS = (1, 0, -1, -1, 0, 1)
 
 # Phase classes in units of pi/6: the first party measures at pi/6, pi/2 and
 # 5pi/6, every other party at 0, pi/3 and 2pi/3. Spacing within a party is
@@ -60,10 +61,6 @@ class SettingsGrid:
     def phase_classes(self) -> tuple[tuple[int, int, int], ...]:
         """Each phase as its integer multiple of pi/6, per party and setting."""
         return (FIRST_PARTY_CLASSES,) + (OTHER_PARTY_CLASSES,) * (self.n_parties - 1)
-
-    def radians(self) -> tuple[tuple[float, float, float], ...]:
-        """Phases as plain float radians."""
-        return tuple(tuple(c / 6 * math.pi for c in t) for t in self.phase_classes())
 
 
 def build_settings(n_parties: int) -> SettingsGrid:
@@ -119,13 +116,31 @@ def setting_phase_classes(grid: SettingsGrid) -> np.ndarray:
     return (total % 12).ravel()
 
 
+def _odd_class_table(grid: SettingsGrid) -> np.ndarray:
+    """Flat 3^N array of cos(total phase) / (sqrt(3)/2), looked up from the odd classes."""
+    # Class c reads entry c // 2 of ODD_CLASS_COS, with no halved copy of the classes.
+    return np.repeat(np.asarray(ODD_CLASS_COS, dtype=np.float64), 2)[setting_phase_classes(grid)]
+
+
+@functools.cache
+def integer_tensor(grid: SettingsGrid) -> CorrelationTensor:
+    """The quantum tensor divided by sqrt(3)/2: every entry exactly 0, +1 or -1.
+
+    Cached and read-only like quantum_tensor, and built apart from it, so the
+    engine's large-N runs do not hold both.
+    """
+    return CorrelationTensor(n_parties=grid.n_parties, entries=_odd_class_table(grid))
+
+
 @functools.cache
 def quantum_tensor(grid: SettingsGrid) -> CorrelationTensor:
     """Tensor of quantum correlations cos(sum of chosen phases) over the grid.
 
-    Cached: every caller shares one tensor per N, and its entries are read-only.
+    sqrt(3)/2 times the integer table. Cached: every caller shares one tensor
+    per N, and its entries are read-only.
     """
-    entries = _COS12_ARRAY[setting_phase_classes(grid)]
+    entries = _odd_class_table(grid)
+    entries *= HALF_SQRT3
     return CorrelationTensor(n_parties=grid.n_parties, entries=entries)
 
 

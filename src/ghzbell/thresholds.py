@@ -78,8 +78,11 @@ def critical_visibility(n_parties: int, eta: float = 1.0) -> ThresholdResult:
 
     v_cr = [2^(N-1) sqrt(3) - |q_N| (1-eta)^N] / [eta^N 3^N / 2]. Requires
     eta in (0, 1]; eta = 0 leaves no detected coincidences to violate with.
-    Where eta^N underflows to 0 the same value comes from its logarithm, and
-    math.inf stands for a value beyond float64.
+    |q_N| is 0 or the bound, so the numerator is the bound times the deficit
+    1 - c (1-eta)^N with c in {0, 1}, taken from expm1/log1p so that it keeps
+    its digits where (1-eta)^N is close to 1. Where eta^N is below the
+    smallest normal double the value comes from its logarithm, and math.inf
+    stands for a value beyond float64.
     """
     if n_parties < 2:
         raise ValueError(f"need at least 2 parties, got {n_parties}")
@@ -87,14 +90,12 @@ def critical_visibility(n_parties: int, eta: float = 1.0) -> ThresholdResult:
         raise ValueError(f"efficiency must be in (0, 1], got {eta}")
     bound = lhv_bound(n_parties)
     q_abs = abs(entry_sum_closed_form(n_parties))
-    numerator = bound - q_abs * (1.0 - eta) ** n_parties
-    denominator = eta ** n_parties * 3.0 ** n_parties / 2.0
-    if denominator > 0.0:
-        v_critical = numerator / denominator
+    deficit = -math.expm1(n_parties * math.log1p(-eta)) if q_abs and eta < 1.0 else 1.0
+    power = eta ** n_parties
+    if power >= sys.float_info.min:
+        v_critical = bound * deficit / (power * 3.0 ** n_parties / 2.0)
     else:
-        # eta^N underflowed: log v = log(2 bound (1 - c (1-eta)^N)) - N log(3 eta),
-        # where c = q_abs / bound is 0 or 1. Above float64 the value is inf.
-        deficit = -math.expm1(n_parties * math.log1p(-eta)) if q_abs else 1.0
+        # log v = log(2 bound deficit) - N log(3 eta); above float64 the value is inf.
         log_v = math.log(2.0 * bound * deficit) - n_parties * math.log(3.0 * eta)
         v_critical = math.exp(log_v) if log_v < LOG_FLOAT_MAX else math.inf
     return ThresholdResult(

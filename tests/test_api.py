@@ -1,7 +1,7 @@
 """The public API: exactly these names, each importable, at one version.
 
 Adding or removing a public name is a deliberate change that edits this list.
-README.md names what 0.2.0 removed and what to use instead.
+README.md names what 0.2.0 and 0.3.0 removed and what to use instead.
 """
 
 import re
@@ -46,7 +46,6 @@ PUBLIC_NAMES = [
     "run_experiment",
     "setting_phase_classes",
     "strategy_score",
-    "strategy_score_factorized",
     "summarize_batch",
     "tensor_entry_sum",
     "tensor_norm_sq",
@@ -58,7 +57,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 43
     assert sorted(ghzbell.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(ghzbell, name) is not None

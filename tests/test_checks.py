@@ -2,19 +2,23 @@
 
 Core claims covered here:
   * the brute-force maximum is computed once per N and shared by the two
-    checks that need it, each N's quantum tensor is built at most once per
+    checks that need it, each N's integer table is read at most once per
     run, every critical efficiency comes from one call for N = 2..12, and
     every check passes at N_max = 8,
   * the folded three-outcome check scores all 27^3 strategies at N = 3, its
     maximum is the bound, and it fails against a slightly lowered bound,
-  * the factorization check's two tables reproduce ``strategy_score`` and
-    ``strategy_score_factorized`` bit for bit for every sign strategy at
-    N = 2, 3, and the check fails on a rotated phasor or a perturbed tensor.
+  * the factorization check's two tables reproduce ``strategy_score`` on the
+    integer table and a complex-arithmetic phasor product for every sign
+    strategy at N = 2, 3, and the check fails on a rotated phasor or a
+    perturbed tensor,
+  * the five tensor checks are exact: each fails when one entry of the
+    integer table moves by 2^-40, far below the 1e-9 they once allowed.
 """
 
+import cmath
+import math
 from itertools import product
 
-import numpy as np
 import pytest
 
 import ghzbell.checks as checks
@@ -25,10 +29,14 @@ from ghzbell import (
     PartyPhasor,
     build_settings,
     lhv_bound,
+    max_score_brute,
+    party_phasor,
     quantum_tensor,
     strategy_score,
-    strategy_score_factorized,
 )
+from ghzbell.quantum import integer_tensor
+
+PERTURBATION = 2.0 ** -40
 
 
 def test_brute_force_search_runs_once_per_n(monkeypatch):
@@ -49,15 +57,15 @@ def test_brute_force_search_runs_once_per_n(monkeypatch):
     assert "N=2..8" in by_name["oracle-equivalence"].detail
 
 
-def test_quantum_tensor_built_once_per_n(monkeypatch):
+def test_integer_tensor_built_once_per_n(monkeypatch):
     calls = []
-    build = checks.quantum_tensor
+    build = checks.integer_tensor
 
     def counting(grid):
         calls.append(grid.n_parties)
         return build(grid)
 
-    monkeypatch.setattr(checks, "quantum_tensor", counting)
+    monkeypatch.setattr(checks, "integer_tensor", counting)
     results = checks.run_checks(8)
     assert sorted(calls) == list(range(2, 11))
     assert len(results) == 11
@@ -88,39 +96,51 @@ def test_brute_force_depth_follows_n_max(monkeypatch, n_max):
 
 
 def test_folded_check_is_exhaustive():
-    q = quantum_tensor(build_settings(3))
-    result = checks._check_folded_strategies(q)
+    t = integer_tensor(build_settings(3))
+    result = checks._check_folded_strategies(t)
     assert result.name == "folded-strategy-bound"
     assert result.passed
     assert result.detail.endswith("over all 19683 strategies")
-    assert checks._folded_scores(q).size == 27 ** 3
+    assert checks._folded_scores(t).size == 27 ** 3
 
 
 def test_folded_maximum_equals_the_bound():
     scores = checks._folded_scores(quantum_tensor(build_settings(3)))
     assert scores.max() == pytest.approx(lhv_bound(3), abs=1e-9)
+    assert checks._folded_scores(integer_tensor(build_settings(3))).max() == 2.0 ** 3
 
 
 def test_folded_check_fails_against_a_lowered_bound(monkeypatch):
     real_bound = checks.lhv_bound
     monkeypatch.setattr(checks, "lhv_bound", lambda n: real_bound(n) - 1e-6)
-    assert not checks._check_folded_strategies(quantum_tensor(build_settings(3))).passed
+    assert not checks._check_folded_strategies(integer_tensor(build_settings(3))).passed
+
+
+def _phasor_score(assignments, grid):
+    """Real part of the complex product of the party phasors over sqrt(3)/2, as an integer."""
+    total = 1
+    for k, triple in enumerate(assignments):
+        p = party_phasor(triple, k, grid)
+        total *= cmath.rect(p.magnitude, p.phase_class * math.pi / 6)
+    value = total.real / (math.sqrt(3.0) / 2)
+    assert abs(value - round(value)) < 1e-9
+    return round(value)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_factorization_tables_match_the_library_scores(n):
     grid = build_settings(n)
-    q = quantum_tensor(grid)
-    direct, phasor = checks._factorization_scores(n, q)
+    t = integer_tensor(grid)
+    direct, phasor = checks._factorization_scores(n, t)
     assert direct.shape == phasor.shape == (8 ** n,)
     for i, assignments in enumerate(product(SIGN_TRIPLES, repeat=n)):
         strategy = DeterministicStrategy(assignments=assignments)
-        assert float(direct[i]).hex() == strategy_score(strategy, q).hex()
-        assert float(phasor[i]).hex() == strategy_score_factorized(strategy, grid).hex()
+        assert direct[i] == strategy_score(strategy, t)
+        assert phasor[i] == _phasor_score(assignments, grid)
 
 
 def _tensors():
-    return {n: quantum_tensor(build_settings(n)) for n in (2, 3)}
+    return {n: integer_tensor(build_settings(n)) for n in (2, 3)}
 
 
 def test_factorization_check_fails_on_a_rotated_phasor(monkeypatch):
@@ -144,3 +164,33 @@ def test_factorization_check_fails_on_a_perturbed_tensor():
     result = checks._check_factorization_identity(tensors)
     assert not result.passed
     assert "1.000e-06" in result.detail
+
+
+def _tables(perturbed):
+    """Integer tables for N = 2..10; ``perturbed`` moves T[0] at N = 3 (a +1 entry) by 2^-40."""
+    tables = {n: integer_tensor(build_settings(n)) for n in range(2, 11)}
+    if perturbed:
+        entries = tables[3].entries.copy()
+        assert entries[0] == 1.0
+        entries[0] += PERTURBATION
+        tables[3] = CorrelationTensor(n_parties=3, entries=entries)
+    return tables
+
+
+EXACT_GATES = {
+    "norm-identity": lambda tables: checks._check_norm_identity(tables, False),
+    "entry-sum-identity": lambda tables: checks._check_entry_sum(tables),
+    "bound-brute": lambda tables: checks._check_bound_brute({3: max_score_brute(3)}, tables),
+    "factorization-identity": lambda tables: checks._check_factorization_identity(tables),
+    "folded-strategy-bound": lambda tables: checks._check_folded_strategies(tables[3]),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_GATES))
+def test_gate_fails_on_a_perturbation_below_the_old_tolerance(name):
+    assert PERTURBATION < checks.IDENTITY_TOL
+    exact = EXACT_GATES[name](_tables(perturbed=False))
+    perturbed = EXACT_GATES[name](_tables(perturbed=True))
+    assert exact.name == perturbed.name == name
+    assert exact.passed
+    assert not perturbed.passed

@@ -3,6 +3,7 @@
 Core claims covered here:
   * the critical visibility falls as the detection efficiency rises, and it
     is defined (finite or inf, never an error) for every efficiency in (0, 1],
+    where it matches a 40-digit mpmath value to 1e-12,
   * at the critical efficiency the critical visibility is exactly 1,
   * the critical efficiency falls with N and approaches 2/3 from above,
   * the phase-class dynamic program is never beaten by a sampled strategy
@@ -19,12 +20,12 @@ Examples are derandomized so that a run is reproducible.
 
 import hashlib
 import json
-import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzbell import (
@@ -34,8 +35,6 @@ from ghzbell import (
     ExperimentConfig,
     TrialBatch,
     build_settings,
-    entry_sum_closed_form,
-    lhv_bound,
     critical_efficiency,
     critical_visibility,
     generate_trials,
@@ -65,16 +64,14 @@ def test_critical_visibility_decreases_in_efficiency(n, a, b):
 
 @PROPERTY
 @given(n=TABLE_N, eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
-def test_critical_visibility_never_raises(n, eta):
+@example(n=2, eta=1e-20)
+@example(n=646, eta=0.316)
+def test_critical_visibility_never_raises(n, eta, mpmath_visibility):
+    # The two examples once gave 0.0 (a cancelled numerator) and a value
+    # 27 % high (a subnormal eta^N in the plain quotient).
     v = critical_visibility(n, eta).v_critical
     assert v >= 0.0
-    denominator = eta ** n * 3.0 ** n / 2.0
-    if denominator > 0.0:
-        # Where eta^N does not underflow, the value is the plain quotient.
-        numerator = lhv_bound(n) - abs(entry_sum_closed_form(n)) * (1.0 - eta) ** n
-        assert v == numerator / denominator
-    else:
-        assert v > 1.0 or math.isinf(v)
+    assert v == pytest.approx(float(mpmath_visibility(n, eta)), rel=1e-12, abs=0.0)
 
 
 @PROPERTY

@@ -8,7 +8,11 @@ Core claims covered here:
     has squared norm 3^N/2 and entry sum -2^N sin((N-1) pi/3),
   * tensors validate their shape, range and finiteness, and their JSON form
     round-trips,
-  * each N's quantum tensor is built once and shared, with read-only entries.
+  * the integer table T holds only 0 and +-1, 2 3^(N-1) of them nonzero, its
+    entry sum times sqrt(3)/2 is the closed form exactly, and the quantum
+    tensor is sqrt(3)/2 times T to the last bit,
+  * each N's quantum tensor and integer table are built once and shared,
+    with read-only entries.
 """
 
 import itertools
@@ -29,9 +33,15 @@ from ghzbell import (
     tensor_entry_sum,
     tensor_norm_sq,
 )
+from ghzbell.quantum import COS12, HALF_SQRT3, integer_tensor
 
 SQRT3 = math.sqrt(3.0)
 SEVEN_VALUES = {0.0, 0.5, -0.5, SQRT3 / 2, -SQRT3 / 2, 1.0, -1.0}
+
+
+def _radians(grid):
+    """The grid's phases as plain float radians, per party and setting."""
+    return tuple(tuple(c / 6 * math.pi for c in t) for t in grid.phase_classes())
 
 
 class TestSettingsGrid:
@@ -42,13 +52,13 @@ class TestSettingsGrid:
         # The same phases as exact fractions of pi, to the last bit.
         first = (Fraction(1, 6), Fraction(1, 2), Fraction(5, 6))
         other = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
-        assert grid.radians() == tuple(
+        assert _radians(grid) == tuple(
             tuple(float(p) * math.pi for p in triple) for triple in (first, other, other)
         )
 
     def test_radians(self):
         grid = build_settings(2)
-        first, second = grid.radians()
+        first, second = _radians(grid)
         assert first == pytest.approx((math.pi / 6, math.pi / 2, 5 * math.pi / 6))
         assert second == pytest.approx((0.0, math.pi / 3, 2 * math.pi / 3))
 
@@ -59,7 +69,7 @@ class TestSettingsGrid:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_phase_classes_follow_the_stored_phases(self, n):
         grid = build_settings(n)
-        classes, radians = grid.phase_classes(), grid.radians()
+        classes, radians = grid.phase_classes(), _radians(grid)
         assert len(classes) == len(radians) == n
         for k in range(n):
             for i in range(3):
@@ -98,7 +108,7 @@ class TestQuantumTensor:
         for n in (2, 3, 4):
             grid = build_settings(n)
             q = quantum_tensor(grid).as_grid()
-            radians = grid.radians()
+            radians = _radians(grid)
             for combo in itertools.product(range(3), repeat=n):
                 angles = [radians[k][combo[k]] for k in range(n)]
                 assert q[combo] == pytest.approx(math.cos(math.fsum(angles)), abs=1e-12)
@@ -169,3 +179,29 @@ class TestCorrelationTensor:
         loaded = json.loads(json.dumps(data))
         again = CorrelationTensor(n_parties=loaded["n_parties"], entries=loaded["entries"])
         assert np.array_equal(again.entries, q.entries)
+
+
+class TestIntegerTensor:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_integer_facts(self, n):
+        t = integer_tensor(build_settings(n))
+        assert set(np.unique(t.entries)) <= {0.0, 1.0, -1.0}
+        assert np.count_nonzero(t.entries) == 2 * 3 ** (n - 1)
+        assert tensor_norm_sq(t) == 2 * 3 ** (n - 1)
+        assert HALF_SQRT3 * tensor_entry_sum(t) == entry_sum_closed_form(n)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_quantum_tensor_is_half_sqrt3_times_the_table(self, n):
+        grid = build_settings(n)
+        q, t = quantum_tensor(grid), integer_tensor(grid)
+        assert (HALF_SQRT3 * t.entries).tobytes() == q.entries.tobytes()
+        # The same bits as looking each entry up in the 12-class cosine table.
+        table = np.asarray(COS12)[setting_phase_classes(grid)]
+        assert table.tobytes() == q.entries.tobytes()
+
+    def test_cached_once_per_n_and_read_only(self):
+        for n in range(2, 6):
+            t = integer_tensor(build_settings(n))
+            assert isinstance(t, CorrelationTensor)
+            assert integer_tensor(build_settings(n)) is t
+            assert not t.entries.flags.writeable

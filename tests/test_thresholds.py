@@ -92,16 +92,7 @@ class TestCriticalVisibility:
 
 
 class TestUnderflowedEfficiencyPower:
-    """critical_visibility where eta^N underflows to 0 in float64."""
-
-    @staticmethod
-    def _reference(n, eta):
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            eta = mp.mpf(eta)
-            deficit = 1 if entry_sum_closed_form(n) == 0 else -mp.expm1(n * mp.log1p(-eta))
-            bound = mp.mpf(2) ** (n - 1) * mp.sqrt(3)
-            return bound * deficit / (eta ** n * mp.mpf(3) ** n / 2)
+    """critical_visibility where eta^N underflows in float64."""
 
     @pytest.mark.parametrize(
         "n, eta",
@@ -116,18 +107,18 @@ class TestUnderflowedEfficiencyPower:
             (2, 1e-300),
         ],
     )
-    def test_matches_mpmath(self, n, eta):
+    def test_matches_mpmath(self, n, eta, mpmath_visibility):
         assert eta ** n == 0.0
         got = critical_visibility(n, eta).v_critical
-        assert got == pytest.approx(float(self._reference(n, eta)), rel=1e-12, abs=0.0)
+        assert got == pytest.approx(float(mpmath_visibility(n, eta)), rel=1e-12, abs=0.0)
 
     def test_frozen_value(self):
         got = critical_visibility(600, 0.25).v_critical
         assert got == pytest.approx(6.6039e255, rel=1e-4)
 
     @pytest.mark.parametrize("n, eta", [(300, 0.05), (4, 1e-90), (646, 0.01), (2, 5e-324)])
-    def test_beyond_float64_is_inf(self, n, eta):
-        assert self._reference(n, eta) > 1.7976931348623157e308
+    def test_beyond_float64_is_inf(self, n, eta, mpmath_visibility):
+        assert mpmath_visibility(n, eta) > 1.7976931348623157e308
         res = critical_visibility(n, eta)
         assert res.v_critical == math.inf
         assert not res.attainable
