@@ -32,14 +32,13 @@ Determinism. Trials are split into fixed blocks of 65536. Block b draws all
 its randomness from child b of the experiment seed's SeedSequence and reduces
 to integer-valued sufficient statistics, so results are bit-identical for any
 worker count and any grouping of blocks; worker threads only pick up blocks.
-Each trial reduces to one signed key: 2 combo + 1 for outcome product +1,
-2 combo for -1 and 2 * 3^N for 0, so a tally is two unweighted bincounts,
-of the combos and of the keys. run_experiment tallies blocks together once
-they hold 3^N trials, so its dense per-combination passes number
-O(trials / 3^N + 1). The fair signs are a block's last draw and the
-statistics do not depend on them, so run_experiment takes the keys straight
-from the detection and parity draws and still matches summarize_batch on the
-trials generate_trials draws.
+Each trial reduces to one key, 3 combo + 1 + its outcome product, so one
+array of 3 * 3^N counts holds every combination's -1, 0 and +1 counts.
+run_experiment adds each block's keys into that array as the block arrives,
+in block order, and frees the block; no block is held for another. The fair
+signs are a block's last draw and the statistics do not depend on them, so
+run_experiment takes the keys straight from the detection and parity draws
+and still matches summarize_batch on the trials generate_trials draws.
 """
 
 from __future__ import annotations
@@ -324,10 +323,6 @@ class SweepPoint:
         return asdict(self)
 
 
-def _n_blocks(trials: int) -> int:
-    return (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-
-
 def _place_values(n_parties: int) -> np.ndarray:
     """Base-3 weight of each party's setting in a combo index, party 0 slowest."""
     return 3 ** (n_parties - 1 - np.arange(n_parties, dtype=np.int64))
@@ -347,21 +342,26 @@ def _draw(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generator
     """Detection and outcome-product draws of one trial per entry of ``combos``.
 
     Draws detection uniforms, then one parity uniform per trial. Returns the
-    (trials, N) detection mask, the all-detected mask and each trial's signed
-    key. In an all-detected trial the key is 2 combo + 1 for target parity +1,
-    drawn with probability (1 + V q)/2 for q the quantum tensor entry, and
-    2 combo for parity -1; the outcome product is that parity. Every other
-    trial has product 0 and the key 2 * 3^N.
+    (trials, N) detection mask, the all-detected mask and each trial's key,
+    3 combo + 1 + product. In an all-detected trial the product is the parity,
+    +1 with probability (1 + V q)/2 for q the quantum tensor entry and -1
+    otherwise; in every other trial it is 0.
     """
-    n, m = config.n_parties, config.n_combos
+    n = config.n_parties
     # Column-major, so the reductions over the N stations run along contiguous
     # columns instead of over short rows.
     detected = np.asfortranarray(rng.random((combos.size, n)) < config.efficiency)
     parity_u = rng.random(combos.size)
     all_det = detected.all(axis=1)
     q = quantum_tensor(build_settings(n)).entries
-    plus = parity_u < (1.0 + config.visibility * q[combos]) / 2.0
-    key = np.where(all_det, 2 * combos + plus, 2 * m)
+    threshold = q[combos]  # (1 + V q) / 2, in place: one trial-sized float temporary
+    threshold *= config.visibility
+    threshold += 1.0
+    threshold /= 2.0
+    plus = parity_u < threshold
+    key = 3 * combos
+    # 1 + product in int8: 2 or 0 for parity +1 or -1 when all detect, else 1.
+    key += np.int8(2) * (plus & all_det) + ~all_det
     return detected, all_det, key
 
 
@@ -370,14 +370,14 @@ def _sample(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generat
 
     After the draws of ``_draw`` come one fair-sign uniform per station, last.
     Every registered station takes a fair sign. In an all-detected trial the
-    last sign is then flipped when the product misses the target parity, the
-    low bit of the key. The product is all the law depends on, so this gives
+    last sign is then flipped when the product misses the target parity,
+    ``key % 3 - 1``. The product is all the law depends on, so this gives
     exactly P(r) = 2^-N (1 + V prod(r) q).
     """
     detected, all_det, key = _draw(config, combos, rng)
     outcomes = np.where(rng.random(detected.shape) < 0.5, -1, 1).astype(np.int8)
     signs = np.asfortranarray(outcomes[all_det]).prod(axis=1)
-    outcomes[all_det, -1] *= (2 * (key[all_det] & 1) - 1) * signs
+    outcomes[all_det, -1] *= (key[all_det] % 3 - 1) * signs
     outcomes *= detected
     return outcomes
 
@@ -409,7 +409,7 @@ def _map_blocks(config: ExperimentConfig, func, workers: int):
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    blocks = _n_blocks(config.trials)
+    blocks = -(-config.trials // BLOCK_TRIALS)
     children = np.random.SeedSequence(config.seed).spawn(blocks)
     if workers == 1 or blocks == 1:
         yield from map(func, range(blocks), children)
@@ -433,25 +433,24 @@ def generate_trials(config: ExperimentConfig, workers: int = 1) -> TrialBatch:
     return TrialBatch(settings=settings, outcomes=outcomes)
 
 
-def _tally(combos: np.ndarray, key: np.ndarray, n_combos: int):
+def _key_stats(key_counts: np.ndarray, n_combos: int):
     """Per-combination trial counts, product sums and nonzero-product counts.
 
-    ``key`` is each trial's signed key (see ``_draw``): 2 combo + 1 for
-    product +1, 2 combo for -1, and 2 * ``n_combos`` for product 0. Two
-    unweighted bincounts give every statistic; the sums are exact in float64.
+    ``key_counts`` counts each key 3 combo + 1 + product (see ``_draw``), so
+    its row c holds combination c's -1, 0 and +1 counts. The product sums are
+    +1 counts minus -1 counts, exact in float64.
     """
-    counts = np.bincount(combos, minlength=n_combos)
-    signs = np.bincount(key, minlength=2 * n_combos + 1)[:-1].reshape(n_combos, 2)
-    minus, plus = signs[:, 0], signs[:, 1]
-    return counts, (plus - minus).astype(np.float64), plus + minus
+    minus, zero, plus = key_counts.reshape(n_combos, 3).T
+    nonzero = plus + minus
+    return nonzero + zero, np.subtract(plus, minus, dtype=np.float64), nonzero
 
 
 def _stats(combos: np.ndarray, outcomes: np.ndarray, n_combos: int):
     """Integer sufficient statistics of a set of explicit trials, all-zero count last."""
     cols = np.asfortranarray(outcomes)
-    prods = cols.prod(axis=1, dtype=np.int64)
-    key = np.where(prods != 0, 2 * combos + (prods > 0), 2 * n_combos)
-    return (*_tally(combos, key, n_combos), int((~cols.any(axis=1)).sum()))
+    key = 3 * combos + 1 + cols.prod(axis=1, dtype=np.int64)
+    key_counts = np.bincount(key, minlength=3 * n_combos)
+    return (*_key_stats(key_counts, n_combos), int((~cols.any(axis=1)).sum()))
 
 
 def _summary_from_stats(
@@ -491,7 +490,7 @@ def _summary_from_stats(
     p_all_zero = all_zero / config.trials
     rhs = lhv_bound(n) - p_all_zero * abs(entry_sum_closed_form(n))
     return ExperimentSummary(
-        estimated_tensor=CorrelationTensor(n_parties=n, entries=est),
+        estimated_tensor=CorrelationTensor(n, est, _take=True),
         p_all_zero=p_all_zero,
         lhs=lhs,
         rhs=rhs,
@@ -504,37 +503,27 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSumm
     """Simulate the whole experiment and reduce it to an ExperimentSummary.
 
     Statistics are merged from fixed per-seed trial blocks, so the summary is
-    bit-identical for any ``workers`` value. A block keeps only its combos,
-    the signed keys of ``_draw`` and its none-detected count. Finished blocks
-    are held until they hold 3^N trials, then tallied in one ``_tally`` pass;
-    the rest at the end. Up to N = 10 a full block holds at least 3^N trials
-    and is tallied alone; beyond, this saves a dense 3^N pass per block.
+    bit-identical for any ``workers`` value. A block keeps only the keys of
+    ``_draw`` and its none-detected count. Each block's keys are added into
+    one array of 3 * 3^N key counts as the block arrives, in block order, by
+    ``np.add.at``, whose unbuffered scatter is fast from numpy 1.25 on, and
+    the block is freed before the next one draws.
     """
-    m = config.n_combos
 
     def work(block, seq):
         combos, rng = _block_combos(config, block, seq)
         detected, _, key = _draw(config, combos, rng)
-        return combos, key, combos.size - int(detected.any(axis=1).sum())
+        return key, combos.size - int(detected.any(axis=1).sum())
 
-    counts = np.zeros(m, dtype=np.int64)
-    sum_prod = np.zeros(m, dtype=np.float64)
-    nonzero = np.zeros(m, dtype=np.int64)
+    key_counts = np.zeros(3 * config.n_combos, dtype=np.int64)
     all_zero = 0
-    held, blocks_left = [], _n_blocks(config.trials)
-    for *arrays, none_count in _map_blocks(config, work, workers):
-        held.append(arrays)
+    for key, none_count in _map_blocks(config, work, workers):
+        np.add.at(key_counts, key, 1)
         all_zero += none_count
-        blocks_left -= 1
-        del arrays  # so a tallied block is freed before the next block draws
-        if sum(part[0].size for part in held) < m and blocks_left:
-            continue
-        arrays = held[0] if len(held) == 1 else [np.concatenate(col) for col in zip(*held)]
-        held = []
-        for total, part in zip((counts, sum_prod, nonzero), _tally(*arrays, m)):
-            total += part
-        del arrays, part
-    return _summary_from_stats(config, counts, sum_prod, nonzero, all_zero)
+        del key  # so a tallied block is freed before the next block draws
+    stats = _key_stats(key_counts, config.n_combos)
+    del key_counts  # so the summary's 3^N temporaries do not stack on it
+    return _summary_from_stats(config, *stats, all_zero)
 
 
 def summarize_batch(batch: TrialBatch, config: ExperimentConfig) -> ExperimentSummary:
@@ -565,7 +554,7 @@ def auxiliary_tensor(batch: TrialBatch, config: ExperimentConfig) -> Correlation
     m = config.n_combos
     counts, sums, _, _ = _stats(_combo_index(batch.settings), folded, m)
     est = np.divide(sums, counts, out=np.zeros(m), where=counts > 0)
-    return CorrelationTensor(n_parties=config.n_parties, entries=est)
+    return CorrelationTensor(config.n_parties, est, _take=True)
 
 
 def visibility_sweep(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -78,11 +78,14 @@ class CorrelationTensor:
 
     n_parties: int
     entries: np.ndarray
+    # True when entries is a fresh flat float64 array that no caller keeps: it
+    # is checked and made read-only in place, not copied.
+    _take: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _take: bool) -> None:
         if self.n_parties < 2:
             raise ValueError(f"need at least 2 parties, got {self.n_parties}")
-        arr = np.array(self.entries, dtype=np.float64).ravel()
+        arr = self.entries if _take else np.array(self.entries, dtype=np.float64).ravel()
         if arr.size != 3 ** self.n_parties:
             raise ValueError(
                 f"expected {3 ** self.n_parties} entries for {self.n_parties} parties, got {arr.size}"
@@ -129,7 +132,7 @@ def integer_tensor(grid: SettingsGrid) -> CorrelationTensor:
     Cached and read-only like quantum_tensor, and built apart from it, so the
     engine's large-N runs do not hold both.
     """
-    return CorrelationTensor(n_parties=grid.n_parties, entries=_odd_class_table(grid))
+    return CorrelationTensor(grid.n_parties, _odd_class_table(grid), _take=True)
 
 
 @functools.cache
@@ -141,7 +144,7 @@ def quantum_tensor(grid: SettingsGrid) -> CorrelationTensor:
     """
     entries = _odd_class_table(grid)
     entries *= HALF_SQRT3
-    return CorrelationTensor(n_parties=grid.n_parties, entries=entries)
+    return CorrelationTensor(grid.n_parties, entries, _take=True)
 
 
 def tensor_norm_sq(tensor: CorrelationTensor) -> float:

@@ -73,6 +73,11 @@ class ThresholdResult:
         return {**asdict(self), "attainable": self.attainable}
 
 
+def _over_quantum_value(numerator: float, n_parties: int, power: float = 1.0) -> float:
+    """``numerator`` over the V = 1 quantum value ``power`` 3^N / 2 (``power`` = eta^N), in Python floats."""
+    return numerator / (power * 3.0 ** n_parties / 2.0)
+
+
 def critical_visibility(n_parties: int, eta: float = 1.0) -> ThresholdResult:
     """Visibility at which the quantum value meets the detection-adjusted bound.
 
@@ -93,7 +98,7 @@ def critical_visibility(n_parties: int, eta: float = 1.0) -> ThresholdResult:
     deficit = -math.expm1(n_parties * math.log1p(-eta)) if q_abs and eta < 1.0 else 1.0
     power = eta ** n_parties
     if power >= sys.float_info.min:
-        v_critical = bound * deficit / (power * 3.0 ** n_parties / 2.0)
+        v_critical = _over_quantum_value(bound * deficit, n_parties, power)
     else:
         # log v = log(2 bound deficit) - N log(3 eta); above float64 the value is inf.
         log_v = math.log(2.0 * bound * deficit) - n_parties * math.log(3.0 * eta)
@@ -210,7 +215,7 @@ def threshold_table(n_max: int) -> list[ThresholdRow]:
     return [
         ThresholdRow(
             n=n,
-            v_cr_new=critical_visibility(n, 1.0).v_critical,
+            v_cr_new=_over_quantum_value(lhv_bound(n), n),
             v_cr_old=two_setting_visibility_threshold(n),
             eta_cr=eta,
         )

@@ -484,9 +484,9 @@ class TestJsonRendering:
         ids=["simulate-n11-uniform-random", "simulate-n12-round-robin"],
     )
     def test_multi_block_simulate_golden_digest(self, args, digest):
-        # 3^N exceeds one 65536-trial block here, so several blocks are held
-        # and tallied together. sha256 of the stdout printed when every block
-        # was tallied on its own.
+        # 3^N exceeds one 65536-trial block here, so no block holds every
+        # combination. sha256 of the stdout printed when every block was
+        # tallied on its own.
         res = run_cli(*args.split())
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest

@@ -4,7 +4,8 @@ Core claims covered here:
   * configs validate their ranges, including the round-robin divisibility rule,
   * trial generation is bit-reproducible from the seed and independent of the
     worker count, and the streaming summary equals the batch summary exactly,
-  * the signed-key tally equals a per-combination loop over explicit trials,
+  * the key-count tally equals a per-combination loop over explicit trials, and
+    each sampled trial's outcome product is the one its key encodes,
   * the column-wise combo index equals the place-value sum for N = 2..12,
   * the summary's estimate, lhs and standard error equal the masked-divide
     formulas bit for bit, the infinite standard error included,
@@ -46,9 +47,11 @@ import ghzbell.experiment as experiment
 from ghzbell.experiment import (
     BLOCK_TRIALS,
     _combo_index,
+    _draw,
+    _key_stats,
+    _sample,
     _stats,
     _summary_from_stats,
-    _tally,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -289,8 +292,8 @@ class TestDeterminism:
         assert _summaries_equal(run_experiment(cfg, workers=1), run_experiment(cfg, workers=4))
 
     def test_workers_do_not_change_multi_block_tally(self):
-        # 2 * 3^11 trials span six blocks, held and tallied together twice:
-        # after the third block (196608 >= 3^11 trials) and at the end.
+        # 2 * 3^11 trials span six blocks, each added into one array of key
+        # counts as it arrives.
         cfg = ExperimentConfig(
             n_parties=11, visibility=0.7, efficiency=0.9, trials=2 * 3 ** 11, seed=3
         )
@@ -345,7 +348,7 @@ class TestDeterminism:
                 dict(n_parties=6, visibility=0.6, efficiency=0.9, trials=729 * 20, seed=4),
                 id="n6",
             ),
-            # 3^11 > 65536: blocks 0-2 are tallied together, block 3 on its own.
+            # 3^11 > 65536: four blocks, none of which holds every combination.
             pytest.param(
                 dict(
                     n_parties=11, visibility=0.7, efficiency=0.9, trials=200000, seed=6,
@@ -442,14 +445,34 @@ class TestTally:
         assert np.array_equal(got, want)
         assert got[0] == 0 and got[1] == 3 ** n - 1
 
-    def test_signed_keys_tally_to_counts_sums_and_nonzero(self):
-        m = 3
-        combos = np.array([0, 0, 0, 1, 1, 2, 2])
-        key = np.array([1, 1, 0, 2 * m, 3, 2 * m, 2 * m])
-        counts, sum_prod, nonzero = _tally(combos, key, m)
+    def test_key_counts_split_into_counts_sums_and_nonzero(self):
+        # Key 3 combo + 1 + product: combination c's -1, 0, +1 counts are
+        # key counts 3c, 3c + 1 and 3c + 2.
+        counts, sum_prod, nonzero = _key_stats(np.arange(9, dtype=np.int64), 3)
+        assert counts.tolist() == [3, 12, 21]
+        assert sum_prod.tolist() == [2.0, 2.0, 2.0]
+        assert nonzero.tolist() == [2, 8, 14]
+        # Combination 0: +1, +1, -1; combination 1: 0, +1; combination 2: 0, 0.
+        key = np.array([2, 2, 0, 4, 5, 7, 7])
+        counts, sum_prod, nonzero = _key_stats(np.bincount(key, minlength=9), 3)
         assert counts.tolist() == [3, 2, 2]
         assert sum_prod.tolist() == [1.0, 1.0, 0.0]
         assert nonzero.tolist() == [3, 1, 0]
+        assert sum_prod.dtype == np.float64 and nonzero.dtype == np.int64
+
+    @pytest.mark.parametrize("n, eta", [(2, 0.7), (3, 1.0), (5, 0.9)])
+    def test_sampled_products_are_the_keys_products(self, n, eta):
+        config = ExperimentConfig(
+            n_parties=n, visibility=0.8, efficiency=eta, trials=3 ** n * 40, seed=11
+        )
+        combos = np.arange(config.trials, dtype=np.int64) % config.n_combos
+        _, all_det, key = _draw(config, combos, np.random.default_rng(5))
+        outcomes = _sample(config, combos, np.random.default_rng(5))
+        products = outcomes.astype(np.int64).prod(axis=1)
+        assert all_det.any() and np.array_equal(np.unique(products[all_det]), [-1, 1])
+        assert np.array_equal(products[all_det], key[all_det] % 3 - 1)
+        assert np.array_equal(products, key % 3 - 1)
+        assert np.array_equal(key // 3, combos)
 
 
 def _masked_divide_summary(n, counts, sum_prod, nonzero):

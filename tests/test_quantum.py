@@ -7,7 +7,9 @@ Core claims covered here:
     {0, +-1/2, +-sqrt(3)/2, +-1}, equals cos(sum of phases) entry by entry,
     has squared norm 3^N/2 and entry sum -2^N sin((N-1) pi/3),
   * tensors validate their shape, range and finiteness, and their JSON form
-    round-trips,
+    round-trips; a caller's array is copied and stays writable, while a fresh
+    array the package builds is taken over without a copy, under the same
+    checks,
   * the integer table T holds only 0 and +-1, 2 3^(N-1) of them nonzero, its
     entry sum times sqrt(3)/2 is the closed form exactly, and the quantum
     tensor is sqrt(3)/2 times T to the last bit,
@@ -170,6 +172,26 @@ class TestCorrelationTensor:
         q = quantum_tensor(build_settings(2))
         with pytest.raises(ValueError):
             q.entries[0] = 0.0
+
+    def test_callers_array_is_copied_and_stays_writable(self):
+        mine = np.zeros(9)
+        t = CorrelationTensor(n_parties=2, entries=mine)
+        assert t.entries is not mine and not t.entries.flags.writeable
+        mine[0] = 0.5
+        assert mine.flags.writeable and t.entries[0] == 0.0
+
+    def test_fresh_array_is_taken_over_with_the_same_checks(self):
+        fresh = np.full(9, 0.25)
+        t = CorrelationTensor(2, fresh, _take=True)
+        assert t.entries is fresh and not fresh.flags.writeable
+        assert t.n_parties == 2
+        for value in (np.nan, np.inf, 1.5):
+            bad = np.zeros(9)
+            bad[4] = value
+            with pytest.raises(ValueError):
+                CorrelationTensor(2, bad, _take=True)
+        with pytest.raises(ValueError, match="expected 9 entries"):
+            CorrelationTensor(2, np.zeros(8), _take=True)
 
     def test_dict_roundtrip(self):
         q = quantum_tensor(build_settings(2))

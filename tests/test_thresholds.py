@@ -230,6 +230,13 @@ class TestThresholdTable:
             assert row.v_cr_old == two_setting_visibility_threshold(n)
             assert row.eta_cr == critical_efficiency(n)
 
+    def test_perfect_detection_column_matches_critical_visibility_to_the_bit(self):
+        # The column is computed without a critical_visibility call per row.
+        rows = threshold_table(646)
+        assert [r.n for r in rows] == list(range(2, 647))
+        for row in rows:
+            assert row.v_cr_new.hex() == critical_visibility(row.n, 1.0).v_critical.hex()
+
     def test_invalid_n_max(self):
         with pytest.raises(ValueError):
             threshold_table(1)
