@@ -65,10 +65,7 @@ def _json_pieces(value, indent: str = "\n"):
     its ``tolist()`` would, without that list of floats: json renders each
     distinct bit pattern (which keeps -0.0 and 0.0 apart) once, and the
     entries are read back from that table by index and joined as one piece,
-    never copied. With ``indent`` set, json encodes every element in Python,
-    so any other list goes to json's C encoder in one call, with the newline
-    and indent as its item separator. A nested list or dict would show a
-    bracket in that text; only then is the list rendered element by element.
+    never copied. Any other list is rendered item by item.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
@@ -83,20 +80,12 @@ def _json_pieces(value, indent: str = "\n"):
         yield ("," + inner).join(np.array(reprs, dtype=object)[index].tolist())
         yield indent + "]"
     elif isinstance(value, (list, tuple)) and value:
-        body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
-        if "[" in body or "{" in body:
-            for i, item in enumerate(value):
-                yield ("," if i else "[") + inner
-                yield from _json_pieces(item, inner)
-        else:
-            yield f"[{inner}{body}"
+        for i, item in enumerate(value):
+            yield ("," if i else "[") + inner
+            yield from _json_pieces(item, inner)
         yield indent + "]"
     else:
         yield "[]" if isinstance(value, np.ndarray) else json.dumps(value)
-
-
-def _to_json(value) -> str:
-    return "".join(_json_pieces(value))
 
 
 def _emit_json(data) -> None:

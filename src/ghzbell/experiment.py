@@ -33,12 +33,14 @@ its randomness from child b of the experiment seed's SeedSequence and reduces
 to integer-valued sufficient statistics, so results are bit-identical for any
 worker count and any grouping of blocks; worker threads only pick up blocks.
 Each trial reduces to one key, 3 combo + 1 + its outcome product, so one
-array of 3 * 3^N counts holds every combination's -1, 0 and +1 counts.
-run_experiment adds each block's keys into that array as the block arrives,
-in block order, and frees the block; no block is held for another. The fair
-signs are a block's last draw and the statistics do not depend on them, so
-run_experiment takes the keys straight from the detection and parity draws
-and still matches summarize_batch on the trials generate_trials draws.
+array of 3 * 3^N counts holds every combination's -1, 0 and +1 counts. One
+tally, _summarize, adds each block's keys into that array as the block
+arrives, in block order, and frees the block; no block is held for another.
+run_experiment passes it its stream of blocks; summarize_batch and
+auxiliary_tensor pass explicit trials as one block. The fair signs are a
+block's last draw and the statistics do not depend on them, so run_experiment
+takes the keys straight from the detection and parity draws and still matches
+summarize_batch on the trials generate_trials draws.
 """
 
 from __future__ import annotations
@@ -167,14 +169,15 @@ class TrialBatch:
 
     @classmethod
     def load(cls, path) -> "TrialBatch":
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+            text = fh.read()
         try:
-            with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-                values = _parse_records(fh.read())
+            values = _parse_records(text)
             if not len(values):
                 raise ValueError(f"{path}: no trial records")
             return cls(*map(np.ascontiguousarray, np.split(values, 2, axis=1)))
         except ValueError:
-            _raise_first_bad_record(path)
+            _raise_first_bad_record(path, text)
             raise
 
 
@@ -241,38 +244,38 @@ def _parse_records(text: str) -> np.ndarray:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _raise_first_bad_record(path) -> None:
+def _raise_first_bad_record(path, text: str) -> None:
     """Raise a ValueError naming the first malformed record of a trials file.
 
     Called only after a load has failed, so ``TrialBatch.load`` can check the
-    whole file at once and leave line numbers to this scan. It accepts what
+    whole file at once and leave line numbers to this scan of the ``text`` it
+    read from ``path`` (which may be a pipe, read once). It accepts what
     ``_parse_records`` accepts, reading tokens through the same ``_saturated``,
     and returns if every record is well formed.
     """
     width = None
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            left, sep, right = line.partition("|")
-            if not sep:
-                raise ValueError(f"{where}: missing '|' separator") from None
-            s_row, m_row = left.split(), right.split()
-            if not all(_INTEGER.fullmatch(tok) for tok in s_row + m_row):
-                raise ValueError(f"{where}: non-integer token in {line.strip()!r}") from None
-            s_row, m_row = ([_saturated(tok.encode()) for tok in row] for row in (s_row, m_row))
-            if width is None:
-                width = len(s_row)
-            if len(s_row) != width or len(m_row) != width:
-                raise ValueError(
-                    f"{where}: expected {width} settings and {width} outcomes, "
-                    f"got {len(s_row)} and {len(m_row)}"
-                ) from None
-            if any(s not in (1, 2, 3) for s in s_row) or any(m not in (-1, 0, 1) for m in m_row):
-                raise ValueError(
-                    f"{where}: settings must be in 1..3 and outcomes in {{-1, 0, +1}}"
-                ) from None
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        left, sep, right = line.partition("|")
+        if not sep:
+            raise ValueError(f"{where}: missing '|' separator") from None
+        s_row, m_row = left.split(), right.split()
+        if not all(_INTEGER.fullmatch(tok) for tok in s_row + m_row):
+            raise ValueError(f"{where}: non-integer token in {line.strip()!r}") from None
+        s_row, m_row = ([_saturated(tok.encode()) for tok in row] for row in (s_row, m_row))
+        if width is None:
+            width = len(s_row)
+        if len(s_row) != width or len(m_row) != width:
+            raise ValueError(
+                f"{where}: expected {width} settings and {width} outcomes, "
+                f"got {len(s_row)} and {len(m_row)}"
+            ) from None
+        if any(s not in (1, 2, 3) for s in s_row) or any(m not in (-1, 0, 1) for m in m_row):
+            raise ValueError(
+                f"{where}: settings must be in 1..3 and outcomes in {{-1, 0, +1}}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -433,26 +436,6 @@ def generate_trials(config: ExperimentConfig, workers: int = 1) -> TrialBatch:
     return TrialBatch(settings=settings, outcomes=outcomes)
 
 
-def _key_stats(key_counts: np.ndarray, n_combos: int):
-    """Per-combination trial counts, product sums and nonzero-product counts.
-
-    ``key_counts`` counts each key 3 combo + 1 + product (see ``_draw``), so
-    its row c holds combination c's -1, 0 and +1 counts. The product sums are
-    +1 counts minus -1 counts, exact in float64.
-    """
-    minus, zero, plus = key_counts.reshape(n_combos, 3).T
-    nonzero = plus + minus
-    return nonzero + zero, np.subtract(plus, minus, dtype=np.float64), nonzero
-
-
-def _stats(combos: np.ndarray, outcomes: np.ndarray, n_combos: int):
-    """Integer sufficient statistics of a set of explicit trials, all-zero count last."""
-    cols = np.asfortranarray(outcomes)
-    key = 3 * combos + 1 + cols.prod(axis=1, dtype=np.int64)
-    key_counts = np.bincount(key, minlength=3 * n_combos)
-    return (*_key_stats(key_counts, n_combos), int((~cols.any(axis=1)).sum()))
-
-
 def _summary_from_stats(
     config: ExperimentConfig,
     counts: np.ndarray,
@@ -499,15 +482,32 @@ def _summary_from_stats(
     )
 
 
+def _summarize(config: ExperimentConfig, blocks) -> ExperimentSummary:
+    """Summary of ``blocks``, an iterable of (keys, none-detected count); see ``_draw``.
+
+    Each block's keys are added, in block order, into 3 * 3^N key counts by
+    ``np.add.at`` (fast from numpy 1.25 on). Row c holds combination c's -1, 0
+    and +1 counts; the product sums are +1 minus -1 counts, exact in float64.
+    """
+    key_counts = np.zeros(3 * config.n_combos, dtype=np.int64)
+    all_zero = 0
+    for key, none_count in blocks:
+        np.add.at(key_counts, key, 1)
+        all_zero += none_count
+        del key  # so a tallied block is freed before the next block draws
+    minus, zero, plus = key_counts.reshape(config.n_combos, 3).T
+    nonzero = plus + minus
+    counts, sum_prod = nonzero + zero, np.subtract(plus, minus, dtype=np.float64)
+    del key_counts, minus, zero, plus  # so the summary's 3^N temporaries do not stack on them
+    return _summary_from_stats(config, counts, sum_prod, nonzero, all_zero)
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSummary:
     """Simulate the whole experiment and reduce it to an ExperimentSummary.
 
     Statistics are merged from fixed per-seed trial blocks, so the summary is
     bit-identical for any ``workers`` value. A block keeps only the keys of
-    ``_draw`` and its none-detected count. Each block's keys are added into
-    one array of 3 * 3^N key counts as the block arrives, in block order, by
-    ``np.add.at``, whose unbuffered scatter is fast from numpy 1.25 on, and
-    the block is freed before the next one draws.
+    ``_draw`` and its none-detected count, which ``_summarize`` tallies.
     """
 
     def work(block, seq):
@@ -515,29 +515,26 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSumm
         detected, _, key = _draw(config, combos, rng)
         return key, combos.size - int(detected.any(axis=1).sum())
 
-    key_counts = np.zeros(3 * config.n_combos, dtype=np.int64)
-    all_zero = 0
-    for key, none_count in _map_blocks(config, work, workers):
-        np.add.at(key_counts, key, 1)
-        all_zero += none_count
-        del key  # so a tallied block is freed before the next block draws
-    stats = _key_stats(key_counts, config.n_combos)
-    del key_counts  # so the summary's 3^N temporaries do not stack on it
-    return _summary_from_stats(config, *stats, all_zero)
+    return _summarize(config, _map_blocks(config, work, workers))
 
 
-def summarize_batch(batch: TrialBatch, config: ExperimentConfig) -> ExperimentSummary:
-    """Summary of an explicit trial batch (e.g. one loaded from disk)."""
+def _batch_block(batch: TrialBatch, config: ExperimentConfig, outcomes: np.ndarray):
+    """The (keys, none-detected count) block of ``batch``'s settings with ``outcomes``."""
     if batch.n_parties != config.n_parties:
         raise ValueError(
             f"batch has {batch.n_parties} parties but config has {config.n_parties}"
         )
+    cols = np.asfortranarray(outcomes)
+    key = 3 * _combo_index(batch.settings) + 1 + cols.prod(axis=1, dtype=np.int64)
+    return key, int((~cols.any(axis=1)).sum())
+
+
+def summarize_batch(batch: TrialBatch, config: ExperimentConfig) -> ExperimentSummary:
+    """Summary of an explicit trial batch (e.g. one loaded from disk)."""
+    block = _batch_block(batch, config, batch.outcomes)
     if len(batch) != config.trials:
         raise ValueError(f"batch has {len(batch)} trials but config says {config.trials}")
-    counts, sum_prod, nonzero, all_zero = _stats(
-        _combo_index(batch.settings), batch.outcomes, config.n_combos
-    )
-    return _summary_from_stats(config, counts, sum_prod, nonzero, all_zero)
+    return _summarize(config, [block])
 
 
 def auxiliary_tensor(batch: TrialBatch, config: ExperimentConfig) -> CorrelationTensor:
@@ -546,15 +543,8 @@ def auxiliary_tensor(batch: TrialBatch, config: ExperimentConfig) -> Correlation
     Entrywise, its expectation exceeds the plain estimator's by
     (-1)^N (1-eta)^N.
     """
-    if batch.n_parties != config.n_parties:
-        raise ValueError(
-            f"batch has {batch.n_parties} parties but config has {config.n_parties}"
-        )
     folded = np.where(batch.outcomes == 0, -1, batch.outcomes)
-    m = config.n_combos
-    counts, sums, _, _ = _stats(_combo_index(batch.settings), folded, m)
-    est = np.divide(sums, counts, out=np.zeros(m), where=counts > 0)
-    return CorrelationTensor(config.n_parties, est, _take=True)
+    return _summarize(config, [_batch_block(batch, config, folded)]).estimated_tensor
 
 
 def visibility_sweep(

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from ghzbell.cli import _to_json, main
+from ghzbell.cli import _json_pieces, main
 
 CMD = [sys.executable, "-m", "ghzbell"]
 SQRT3 = math.sqrt(3.0)
@@ -557,7 +557,7 @@ class TestJsonRendering:
         ],
     )
     def test_renderer_matches_json_dumps(self, value):
-        assert _to_json(value) == json.dumps(value, indent=2)
+        assert "".join(_json_pieces(value)) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize(
         "entries",
@@ -575,5 +575,5 @@ class TestJsonRendering:
         array = np.array(entries, dtype=np.float64)
         value = {"n": 2, "tensor": {"n_parties": 2, "entries": array}, "after": [1.5]}
         expected = {"n": 2, "tensor": {"n_parties": 2, "entries": entries}, "after": [1.5]}
-        assert _to_json(value) == json.dumps(expected, indent=2)
-        assert _to_json(array) == json.dumps(entries, indent=2)
+        assert "".join(_json_pieces(value)) == json.dumps(expected, indent=2)
+        assert "".join(_json_pieces(array)) == json.dumps(entries, indent=2)

@@ -4,8 +4,11 @@ Core claims covered here:
   * configs validate their ranges, including the round-robin divisibility rule,
   * trial generation is bit-reproducible from the seed and independent of the
     worker count, and the streaming summary equals the batch summary exactly,
-  * the key-count tally equals a per-combination loop over explicit trials, and
-    each sampled trial's outcome product is the one its key encodes,
+  * the key-count tally equals a per-combination loop over explicit trials, in
+    one block or several, and each sampled trial's outcome product is the one
+    its key encodes,
+  * the auxiliary estimator's entries equal a masked divide of the folded
+    per-combination sums bit for bit,
   * the column-wise combo index equals the place-value sum for N = 2..12,
   * the summary's estimate, lhs and standard error equal the masked-divide
     formulas bit for bit, the infinite standard error included,
@@ -22,6 +25,8 @@ deterministic once recorded.
 import hashlib
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -48,9 +53,8 @@ from ghzbell.experiment import (
     BLOCK_TRIALS,
     _combo_index,
     _draw,
-    _key_stats,
     _sample,
-    _stats,
+    _summarize,
     _summary_from_stats,
 )
 
@@ -268,6 +272,28 @@ class TestTrialBatch:
         TrialBatch(settings=np.empty((0, 4)), outcomes=np.empty((0, 4))).save(path)
         assert path.read_text() == ""
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="opens a pipe as /dev/fd/N")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2 | 1 1\n1 4 | 1 1\n", ":2: settings must be in 1..3"),
+            ("1 2 | 1 1\n1 x | 1 1\n", ":2: non-integer token in '1 x | 1 1'"),
+        ],
+        ids=["out-of-range", "bad-token"],
+    )
+    def test_load_error_names_the_line_of_a_pipe(self, text, message):
+        # A pipe can be read only once, so the line scan must reuse the text.
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w") as fh:
+            fh.write(text)
+        path = f"/dev/fd/{read_end}"
+        try:
+            with pytest.raises(ValueError) as err:
+                TrialBatch.load(path)
+        finally:
+            os.close(read_end)
+        assert str(err.value).startswith(path + message)
+
     def test_load_names_the_line_of_a_non_ascii_byte(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_bytes("1 2 | 1 1\n1 2 | 1 \u00e9\n".encode("utf-8"))
@@ -406,10 +432,15 @@ class TestDeterminism:
             run_experiment(cfg, workers=0)
 
 
+def _capture_stats(monkeypatch):
+    """Make the summary functions return the statistics ``_summarize`` derives."""
+    monkeypatch.setattr(experiment, "_summary_from_stats", lambda config, *stats: stats)
+
+
 class TestTally:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
-    def test_stats_match_a_per_combination_loop(self, n, eta):
+    def test_stats_match_a_per_combination_loop(self, n, eta, monkeypatch):
         m = 3 ** n
         rng = np.random.default_rng(100 * n + int(10 * eta))
         trials = 4 * m
@@ -418,7 +449,10 @@ class TestTally:
         outcomes = (signs * (rng.random((trials, n)) < eta)).astype(np.int8)
         outcomes[:3] = 0  # all-zero rows
         outcomes[3:6, 0] = 0  # zero-product rows with registered stations
-        counts, sum_prod, nonzero, all_zero = _stats(combos, outcomes, m)
+        place = 3 ** (n - 1 - np.arange(n))
+        batch = TrialBatch(settings=combos[:, None] // place % 3 + 1, outcomes=outcomes)
+        config = ExperimentConfig(n, 0.8, eta, trials, seed=1, setting_policy=UNIFORM_RANDOM)
+        _capture_stats(monkeypatch)
 
         want_counts, want_sums, want_nonzero = [0] * m, [0] * m, [0] * m
         for c, row in zip(combos.tolist(), outcomes.tolist()):
@@ -426,11 +460,21 @@ class TestTally:
             want_counts[c] += 1
             want_sums[c] += product
             want_nonzero[c] += product != 0
-        assert counts.tolist() == want_counts
-        assert sum_prod.tolist() == [float(x) for x in want_sums]
-        assert nonzero.tolist() == want_nonzero
-        assert all_zero == sum(not any(row) for row in outcomes.tolist())
-        assert sum_prod.dtype == np.float64 and nonzero.dtype == np.int64
+        want_all_zero = sum(not any(row) for row in outcomes.tolist())
+        # The same trials as one block, and as three blocks tallied in turn.
+        key = 3 * combos + 1 + outcomes.astype(np.int64).prod(axis=1)
+        cuts = [0, 5, trials // 2, trials]
+        blocks = [
+            (key[a:b], int((~outcomes[a:b].any(axis=1)).sum())) for a, b in zip(cuts, cuts[1:])
+        ]
+        for counts, sum_prod, nonzero, all_zero in (
+            summarize_batch(batch, config), _summarize(config, blocks)
+        ):
+            assert counts.tolist() == want_counts
+            assert sum_prod.tolist() == [float(x) for x in want_sums]
+            assert nonzero.tolist() == want_nonzero
+            assert all_zero == want_all_zero
+            assert sum_prod.dtype == np.float64 and nonzero.dtype == np.int64
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_combo_index_matches_place_values(self, n):
@@ -445,19 +489,25 @@ class TestTally:
         assert np.array_equal(got, want)
         assert got[0] == 0 and got[1] == 3 ** n - 1
 
-    def test_key_counts_split_into_counts_sums_and_nonzero(self):
+    def test_key_counts_split_into_counts_sums_and_nonzero(self, monkeypatch):
         # Key 3 combo + 1 + product: combination c's -1, 0, +1 counts are
         # key counts 3c, 3c + 1 and 3c + 2.
-        counts, sum_prod, nonzero = _key_stats(np.arange(9, dtype=np.int64), 3)
-        assert counts.tolist() == [3, 12, 21]
-        assert sum_prod.tolist() == [2.0, 2.0, 2.0]
-        assert nonzero.tolist() == [2, 8, 14]
-        # Combination 0: +1, +1, -1; combination 1: 0, +1; combination 2: 0, 0.
-        key = np.array([2, 2, 0, 4, 5, 7, 7])
-        counts, sum_prod, nonzero = _key_stats(np.bincount(key, minlength=9), 3)
-        assert counts.tolist() == [3, 2, 2]
-        assert sum_prod.tolist() == [1.0, 1.0, 0.0]
-        assert nonzero.tolist() == [3, 1, 0]
+        config = ExperimentConfig(2, 0.8, 0.9, 9, seed=1)
+        _capture_stats(monkeypatch)
+        key = np.repeat(np.arange(27), np.arange(27))  # key k occurs k times
+        counts, sum_prod, nonzero, all_zero = _summarize(config, [(key, 5)])
+        assert counts.tolist() == [9 * c + 3 for c in range(9)]
+        assert sum_prod.tolist() == [2.0] * 9
+        assert nonzero.tolist() == [6 * c + 2 for c in range(9)]
+        assert all_zero == 5
+        # Combination 0: +1, +1, -1; combination 1: 0, +1; combination 2: 0, 0;
+        # in two blocks.
+        blocks = [(np.array([2, 2, 0]), 0), (np.array([4, 5, 7, 7]), 2)]
+        counts, sum_prod, nonzero, all_zero = _summarize(config, blocks)
+        assert counts.tolist() == [3, 2, 2] + [0] * 6
+        assert sum_prod.tolist() == [1.0, 1.0, 0.0] + [0.0] * 6
+        assert nonzero.tolist() == [3, 1, 0] + [0] * 6
+        assert all_zero == 2
         assert sum_prod.dtype == np.float64 and nonzero.dtype == np.int64
 
     @pytest.mark.parametrize("n, eta", [(2, 0.7), (3, 1.0), (5, 0.9)])
@@ -539,12 +589,17 @@ class TestSummaryFromStats:
     def test_matches_masked_divides_on_simulated_trials(self, eta):
         config = ExperimentConfig(3, 0.6, eta, 27 * 5, seed=4, setting_policy=UNIFORM_RANDOM)
         batch = generate_trials(config)
-        stats = _stats(_combo_indices(batch), batch.outcomes, config.n_combos)
-        got = _summary_from_stats(config, *stats)
-        est, lhs, se = _masked_divide_summary(3, *stats[:3])
+        combos = _combo_indices(batch)
+        products = batch.outcomes.astype(np.int64).prod(axis=1)
+        counts = np.bincount(combos, minlength=27)
+        sum_prod = np.bincount(combos, weights=products, minlength=27)
+        nonzero = np.bincount(combos, weights=np.abs(products), minlength=27).astype(np.int64)
+        got = summarize_batch(batch, config)
+        est, lhs, se = _masked_divide_summary(3, counts, sum_prod, nonzero)
         assert np.array_equal(got.estimated_tensor.entries.view(np.int64), est.view(np.int64))
         assert got.lhs.hex() == lhs.hex()
         assert got.standard_error_lhs.hex() == se.hex()
+        assert got.p_all_zero == (~batch.outcomes.any(axis=1)).sum() / config.trials
 
 
 class TestSettingPolicies:
@@ -756,6 +811,22 @@ class TestAuxiliaryTensor:
             assert diff == pytest.approx(sel.mean(), abs=1e-12)
             se = sel.std(ddof=1) / math.sqrt(sel.size)
             assert abs(diff - expected) < 4.5 * se + 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("eta", [0.5, 0.9])
+    def test_entries_are_the_masked_divide_of_folded_sums_bit_for_bit(self, n, eta):
+        m = 3 ** n
+        cfg = ExperimentConfig(n, 0.8, eta, 2 * m, seed=7 * n, setting_policy=UNIFORM_RANDOM)
+        batch = generate_trials(cfg)
+        assert (batch.outcomes == 0).any()
+        folded = np.where(batch.outcomes == 0, -1, batch.outcomes).astype(np.int64).prod(axis=1)
+        combos = _combo_indices(batch)
+        counts = np.bincount(combos, minlength=m)
+        assert (counts == 0).any()  # so the masked entries are checked too
+        sums = np.bincount(combos, weights=folded, minlength=m)
+        want = np.divide(sums, counts, out=np.zeros(m), where=counts > 0)
+        got = auxiliary_tensor(batch, cfg).entries
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_party_count_mismatch(self):
         cfg2 = ExperimentConfig(

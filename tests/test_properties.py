@@ -45,7 +45,7 @@ from ghzbell import (
     strategy_score,
     summarize_batch,
 )
-from ghzbell.cli import _to_json
+from ghzbell.cli import _json_pieces
 from ghzbell.experiment import _raise_first_bad_record
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -121,17 +121,17 @@ JSON_VALUE = st.recursive(
 @PROPERTY
 @given(value=JSON_VALUE)
 def test_renderer_matches_json_dumps(value):
-    assert _to_json(value) == json.dumps(value, indent=2)
+    assert "".join(_json_pieces(value)) == json.dumps(value, indent=2)
 
 
 @PROPERTY
 @given(value=st.lists(FLOAT, max_size=12))
 def test_renderer_prints_a_float_array_as_its_list(value):
     array = np.array(value, dtype=np.float64)
-    assert _to_json(array) == json.dumps(value, indent=2)
+    assert "".join(_json_pieces(array)) == json.dumps(value, indent=2)
     wrapped = {"entries": array, "inner": {"entries": array, "n": len(value)}}
     as_lists = {"entries": value, "inner": {"entries": value, "n": len(value)}}
-    assert _to_json(wrapped) == json.dumps(as_lists, indent=2)
+    assert "".join(_json_pieces(wrapped)) == json.dumps(as_lists, indent=2)
 
 
 # Extreme values at and near the two ends of [0, 1], or anything between.
@@ -200,8 +200,10 @@ def _load(path: Path):
 
 
 def _load_line_by_line(path: Path):
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
     try:
-        _raise_first_bad_record(path)
+        _raise_first_bad_record(path, text)
     except ValueError as err:
         return str(err)
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
