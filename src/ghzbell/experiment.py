@@ -64,7 +64,7 @@ MAX_SEED = 2 ** 64 - 1
 
 
 class _FieldError(ValueError):
-    """A rejected per-run ExperimentConfig value; ``field`` names its field."""
+    """A rejected per-run input; ``field`` names its ExperimentConfig field or argument."""
 
     def __init__(self, field: str, message: str) -> None:
         super().__init__(message)
@@ -385,17 +385,17 @@ def _sample(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generat
     return outcomes
 
 
-def _block_combos(
-    config: ExperimentConfig, block: int, seed_seq: np.random.SeedSequence
-) -> tuple[np.ndarray, np.random.Generator]:
+def _block_combos(config: ExperimentConfig, block: int) -> tuple[np.ndarray, np.random.Generator]:
     """Combo index of each trial of one block, and the block's generator.
 
-    The setting combos are drawn first (uniform-random policy only); the
-    trial draws follow from the returned generator.
+    The generator is seeded by child ``block`` of ``SeedSequence(config.seed)``,
+    made on demand: the same child ``spawn`` returns. The setting combos are
+    drawn first (uniform-random policy only); the trial draws follow from the
+    returned generator.
     """
     start = block * BLOCK_TRIALS
     size = min(BLOCK_TRIALS, config.trials - start)
-    rng = np.random.default_rng(seed_seq)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(block,)))
     if config.setting_policy == UNIFORM_RANDOM:
         combos = rng.integers(0, config.n_combos, size=size, dtype=np.int64)
     else:
@@ -404,28 +404,27 @@ def _block_combos(
 
 
 def _map_blocks(config: ExperimentConfig, func, workers: int):
-    """Iterator over ``func(block, seed_seq)`` for every block, in block order.
+    """Iterator over ``func(block)`` for every block, in block order.
 
     Results arrive one at a time, so a caller that folds them in keeps only
     a few blocks' results alive at once. ``workers`` is checked when
     iteration starts.
     """
     if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+        raise _FieldError("workers", f"workers must be positive, got {workers}")
     blocks = -(-config.trials // BLOCK_TRIALS)
-    children = np.random.SeedSequence(config.seed).spawn(blocks)
     if workers == 1 or blocks == 1:
-        yield from map(func, range(blocks), children)
+        yield from map(func, range(blocks))
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(func, range(blocks), children)
+        yield from pool.map(func, range(blocks))
 
 
 def generate_trials(config: ExperimentConfig, workers: int = 1) -> TrialBatch:
     """Sample every trial of the experiment as an explicit batch."""
 
-    def work(block, seq):
-        combos, rng = _block_combos(config, block, seq)
+    def work(block):
+        combos, rng = _block_combos(config, block)
         return combos, _sample(config, combos, rng)
 
     parts = list(_map_blocks(config, work, workers))
@@ -488,14 +487,24 @@ def _summarize(config: ExperimentConfig, blocks) -> ExperimentSummary:
     Each block's keys are added, in block order, into 3 * 3^N key counts by
     ``np.add.at`` (fast from numpy 1.25 on). Row c holds combination c's -1, 0
     and +1 counts; the product sums are +1 minus -1 counts, exact in float64.
+    Where numpy cannot size these counts (from N = 37 on), ``n_parties`` is
+    rejected here: the trial engine's one hard limit on N.
     """
-    key_counts = np.zeros(3 * config.n_combos, dtype=np.int64)
+    n, combos = config.n_parties, config.n_combos
+    try:
+        key_counts = np.zeros(3 * combos, dtype=np.int64)
+    except ValueError:
+        raise _FieldError(
+            "n_parties",
+            f"{n} parties need 3^{n} = {combos} setting combinations; their key counts "
+            f"take {24 * combos} bytes, more than numpy can size an array for",
+        ) from None
     all_zero = 0
     for key, none_count in blocks:
         np.add.at(key_counts, key, 1)
         all_zero += none_count
         del key  # so a tallied block is freed before the next block draws
-    minus, zero, plus = key_counts.reshape(config.n_combos, 3).T
+    minus, zero, plus = key_counts.reshape(combos, 3).T
     nonzero = plus + minus
     counts, sum_prod = nonzero + zero, np.subtract(plus, minus, dtype=np.float64)
     del key_counts, minus, zero, plus  # so the summary's 3^N temporaries do not stack on them
@@ -510,8 +519,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSumm
     ``_draw`` and its none-detected count, which ``_summarize`` tallies.
     """
 
-    def work(block, seq):
-        combos, rng = _block_combos(config, block, seq)
+    def work(block):
+        combos, rng = _block_combos(config, block)
         detected, _, key = _draw(config, combos, rng)
         return key, combos.size - int(detected.any(axis=1).sum())
 
@@ -541,7 +550,10 @@ def auxiliary_tensor(batch: TrialBatch, config: ExperimentConfig) -> Correlation
     """Estimator with non-detections folded to -1 before taking products.
 
     Entrywise, its expectation exceeds the plain estimator's by
-    (-1)^N (1-eta)^N.
+    (-1)^N (1-eta)^N, so (Q, E_aux) moves by (-1)^N p q_N, with p = (1-eta)^N
+    the all-zero probability. That is -p|q_N| only for N = 2, 5 (mod 6); it
+    is +p|q_N| for N = 0, 3 (mod 6), and no shift for N = 1 (mod 3), where
+    q_N = 0.
     """
     folded = np.where(batch.outcomes == 0, -1, batch.outcomes)
     return _summarize(config, [_batch_block(batch, config, folded)]).estimated_tensor
@@ -559,27 +571,23 @@ def visibility_sweep(
     """Run one experiment per visibility value and collect the verdicts.
 
     Each point derives an independent child seed from (seed, point index), so
-    the whole sweep is reproducible from ``seed`` alone. Every grid value is
-    checked before the first experiment runs.
+    the whole sweep is reproducible from ``seed`` alone. Every point's config
+    is built, and so checked, before the first experiment runs.
     """
     _check_seed(seed)
-    grid = [float(v) for v in v_grid]
-    for v in grid:
-        if not 0.0 <= v <= 1.0:
-            raise _FieldError("visibility", f"visibility grid values must be in [0, 1], got {v}")
-    points = []
-    for i, v in enumerate(grid):
-        child = int(np.random.SeedSequence(entropy=[int(seed), i]).generate_state(1, np.uint64)[0])
-        config = ExperimentConfig(
+    configs = [
+        ExperimentConfig(
             n_parties=n_parties,
-            visibility=v,
+            visibility=float(v),
             efficiency=eta,
             trials=trials_per_point,
-            seed=child,
+            seed=int(np.random.SeedSequence([int(seed), i]).generate_state(1, np.uint64)[0]),
             setting_policy=setting_policy,
         )
+        for i, v in enumerate(v_grid)
+    ]
+    points = []
+    for config in configs:
         summary = run_experiment(config, workers=workers)
-        points.append(
-            SweepPoint(visibility=v, lhs=summary.lhs, rhs=summary.rhs, violated=summary.violated)
-        )
+        points.append(SweepPoint(config.visibility, summary.lhs, summary.rhs, summary.violated))
     return points

@@ -201,8 +201,6 @@ def max_score_factorized(n_parties: int) -> float:
     alternative. Runs in O(N * 12 * 7) and agrees with max_score_brute. The
     final value 2^(N-1) sqrt(3) overflows float64 for N > 1023 (OverflowError).
     """
-    if n_parties < 2:
-        raise ValueError(f"need at least 2 parties, got {n_parties}")
     grid = build_settings(n_parties)
     first = sorted(
         {p.phase_class for t in SIGN_TRIPLES if (p := party_phasor(t, 0, grid)).magnitude}

@@ -89,8 +89,6 @@ def critical_visibility(n_parties: int, eta: float = 1.0) -> ThresholdResult:
     smallest normal double the value comes from its logarithm, and math.inf
     stands for a value beyond float64.
     """
-    if n_parties < 2:
-        raise ValueError(f"need at least 2 parties, got {n_parties}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"efficiency must be in (0, 1], got {eta}")
     bound = lhv_bound(n_parties)

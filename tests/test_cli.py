@@ -287,14 +287,14 @@ class TestSimulate:
         )
 
     def test_n_beyond_numpy_size_limit_names_the_flag(self):
-        # 8 * 3^45 bytes is past what numpy can even size an array for.
+        # The 24 * 3^45 bytes of key counts are past what numpy can even size an array for.
         res = run_cli(
             "simulate", "--n", "45", "--v", "0.5", "--eta", "0.5", "--trials", "10",
             "--policy", "uniform-random",
         )
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
-        assert "--n 45 needs 3^45" in res.stderr
+        assert "--n: 45 parties need 3^45 = 2954312706550833698643" in res.stderr
 
 
 class TestSweep:
@@ -353,7 +353,7 @@ class TestSweep:
         )
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
-        assert "--n 45 needs 3^45" in res.stderr
+        assert "--n: 45 parties need 3^45 = 2954312706550833698643" in res.stderr
 
     def test_negative_seed_names_the_flag(self):
         res = run_cli(
@@ -390,10 +390,32 @@ class TestConfigErrorsNameTheFlag:
             ),
             (
                 "sweep --n 2 --eta 1.0 --v-grid 0.5,1.2 --trials-per-point 9",
-                "--v-grid: visibility grid values must be in [0, 1], got 1.2",
+                "--v-grid: visibility must be in [0, 1], got 1.2",
+            ),
+            # 24 * 3^37 bytes of key counts pass sys.maxsize; 8 * 3^37 do not.
+            (
+                "simulate --n 37 --v 0.5 --eta 0.5 --trials 10 --policy uniform-random",
+                "--n: 37 parties need 3^37 = 450283905890997363 setting combinations; "
+                "their key counts take 10806813741383936712 bytes",
+            ),
+            (
+                "sweep --n 37 --eta 0.5 --v-grid 0.5 --trials-per-point 10 "
+                "--policy uniform-random",
+                "--n: 37 parties need 3^37 = 450283905890997363 setting combinations",
+            ),
+            (
+                "simulate --n 2 --v 1.0 --eta 1.0 --trials 9 --workers 0",
+                "--workers: workers must be positive, got 0",
+            ),
+            (
+                "sweep --n 2 --eta 1.0 --v-grid 0.5 --trials-per-point 9 --workers 0",
+                "--workers: workers must be positive, got 0",
             ),
         ],
-        ids=["n", "v", "eta", "trials", "trials-per-point", "v-grid"],
+        ids=[
+            "n", "v", "eta", "trials", "trials-per-point", "v-grid",
+            "simulate-n37", "sweep-n37", "simulate-workers", "sweep-workers",
+        ],
     )
     def test_message_leads_with_the_flag(self, args, message):
         res = run_cli(*args.split())

@@ -428,8 +428,9 @@ class TestDeterminism:
         cfg = ExperimentConfig(
             n_parties=2, visibility=1.0, efficiency=1.0, trials=9, seed=0
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="workers must be positive, got 0") as info:
             run_experiment(cfg, workers=0)
+        assert info.value.field == "workers"
 
 
 def _capture_stats(monkeypatch):
