@@ -36,6 +36,7 @@ from .quantum import (
     HALF_SQRT3,
     ODD_CLASS_COS,
     CorrelationTensor,
+    _FieldError,
     build_settings,
     entry_sum_closed_form,
     integer_tensor,
@@ -247,10 +248,13 @@ def _check_folded_strategies(t: CorrelationTensor) -> CheckResult:
 
 
 def run_checks(n_max: int = 6, inject_fault: bool = False) -> list[CheckResult]:
-    """Run every check; ``n_max`` caps the exhaustive-search depth (<= 8)."""
+    """Run every check; the exhaustive search covers N = 2..``n_max``, not clamped.
+
+    Largest N first, so an N ``max_score_brute`` cannot search fails before any search runs.
+    """
     if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
-    brute = {n: max_score_brute(n) for n in range(2, min(n_max, 8) + 1)}
+        raise _FieldError("n_max", f"n_max must be at least 2, got {n_max}")
+    brute = {n: max_score_brute(n) for n in range(n_max, 1, -1)}
     tensors = {n: integer_tensor(build_settings(n)) for n in range(2, 11)}
     etas = dict(zip(range(2, 13), critical_efficiency(range(2, 13)).tolist()))
     return [

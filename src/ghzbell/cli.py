@@ -9,8 +9,9 @@ Subcommands:
 
 JSON is the default format; the human format is rendered from the same data
 structure, never computed separately. Exit codes: 0 success, 1 failed check,
-2 usage error. The environment variable GHZBELL_SEED overrides the default
-seed (0) when --seed is not given.
+2 usage error. A value the library rejects raises _FieldError, which main
+reports as a usage error led by the flag that set it. The environment variable
+GHZBELL_SEED overrides the default seed (0) when --seed is not given.
 """
 
 from __future__ import annotations
@@ -39,20 +40,10 @@ from .lhv import (
     max_score_factorized,
     violation_factor,
 )
-from .quantum import entry_sum_closed_form
+from .quantum import _FieldError, entry_sum_closed_form
 from .thresholds import percent_string, render_table_csv, threshold_table
 
 SEED_ENV_VAR = "GHZBELL_SEED"
-
-# The flag that sets each ExperimentConfig field or engine argument, named by usage errors.
-SIMULATE_FLAGS = {
-    "n_parties": "--n",
-    "visibility": "--v",
-    "efficiency": "--eta",
-    "trials": "--trials",
-    "workers": "--workers",
-}
-SWEEP_FLAGS = {**SIMULATE_FLAGS, "visibility": "--v-grid", "trials": "--trials-per-point"}
 
 
 def _emit(text: str) -> None:
@@ -109,21 +100,6 @@ def _seed(args, parser: argparse.ArgumentParser) -> int:
     if not 0 <= seed <= MAX_SEED:
         parser.error(f"{source} must be in 0..2^64-1, got {seed}")
     return seed
-
-
-def _config_error(exc: ValueError, flags: dict, parser: argparse.ArgumentParser) -> None:
-    """Usage error for a rejected config value, led by the flag that set it."""
-    flag = flags.get(getattr(exc, "field", None))
-    parser.error(f"{flag}: {exc}" if flag else str(exc))
-
-
-def _too_large(n: int, parser: argparse.ArgumentParser) -> None:
-    entries = 3 ** n
-    parser.error(
-        f"--n {n} needs 3^{n} = {entries} setting combinations; each "
-        f"per-combination array takes {8 * entries} bytes ({8 * entries / 2 ** 30:.1f} GiB), "
-        "more than this process can allocate"
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,10 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bound(args, parser) -> int:
-    if args.n < 2:
-        parser.error(f"--n must be at least 2, got {args.n}")
-    if args.method in ("brute", "both") and args.n > 8:
-        parser.error(f"--method {args.method} needs --n <= 8 (exhaustive search), got {args.n}")
     try:
         norm_sq = 3.0 ** args.n / 2.0
     except OverflowError:
@@ -239,8 +211,6 @@ def _cmd_bound(args, parser) -> int:
 
 
 def _cmd_thresholds(args, parser) -> int:
-    if args.n_max < 2:
-        parser.error(f"--n-max must be at least 2, got {args.n_max}")
     try:
         rows = threshold_table(args.n_max)
     except OverflowError:
@@ -264,21 +234,15 @@ def _cmd_thresholds(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
-    seed = _seed(args, parser)
-    try:
-        config = ExperimentConfig(
-            n_parties=args.n,
-            visibility=args.v,
-            efficiency=args.eta,
-            trials=args.trials,
-            seed=seed,
-            setting_policy=args.policy,
-        )
-        summary = run_experiment(config, workers=args.workers)
-    except ValueError as exc:
-        _config_error(exc, SIMULATE_FLAGS, parser)
-    except MemoryError:
-        _too_large(args.n, parser)
+    config = ExperimentConfig(
+        n_parties=args.n,
+        visibility=args.v,
+        efficiency=args.eta,
+        trials=args.trials,
+        seed=_seed(args, parser),
+        setting_policy=args.policy,
+    )
+    summary = run_experiment(config, workers=args.workers)
     data = {"config": config.to_dict(), **summary._json_fields()}
     if args.format == "human":
         cfg = data["config"]
@@ -312,20 +276,15 @@ def _cmd_sweep(args, parser) -> int:
         parser.error(f"--v-grid must be comma-separated numbers, got {args.v_grid!r}")
     if not grid:
         parser.error("--v-grid must contain at least one visibility")
-    try:
-        points = visibility_sweep(
-            n_parties=args.n,
-            eta=args.eta,
-            v_grid=grid,
-            trials_per_point=args.trials_per_point,
-            seed=seed,
-            setting_policy=args.policy,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        _config_error(exc, SWEEP_FLAGS, parser)
-    except MemoryError:
-        _too_large(args.n, parser)
+    points = visibility_sweep(
+        n_parties=args.n,
+        eta=args.eta,
+        v_grid=grid,
+        trials_per_point=args.trials_per_point,
+        seed=seed,
+        setting_policy=args.policy,
+        workers=args.workers,
+    )
     data = {
         "n_parties": args.n,
         "efficiency": args.eta,
@@ -355,8 +314,6 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    if not 2 <= args.n_max <= 8:
-        parser.error(f"--n-max must be in 2..8, got {args.n_max}")
     results = run_checks(n_max=args.n_max, inject_fault=args.inject_fault)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
@@ -374,17 +331,32 @@ def _cmd_verify(args, parser) -> int:
     return 1 if failed else 0
 
 
+_ENGINE_FLAGS = {
+    "n_parties": "--n",
+    "visibility": "--v",
+    "efficiency": "--eta",
+    "trials": "--trials",
+    "workers": "--workers",
+}
+# Each subcommand's handler, and the flag that sets each field its library
+# calls check: a _FieldError naming that field is a usage error led by the flag.
+COMMANDS = {
+    "bound": (_cmd_bound, {"n_parties": "--n"}),
+    "thresholds": (_cmd_thresholds, {"n_max": "--n-max"}),
+    "simulate": (_cmd_simulate, _ENGINE_FLAGS),
+    "sweep": (_cmd_sweep, {**_ENGINE_FLAGS, "visibility": "--v-grid", "trials": "--trials-per-point"}),
+    "verify": (_cmd_verify, {"n_max": "--n-max", "n_parties": "--n-max"}),
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "bound": _cmd_bound,
-        "thresholds": _cmd_thresholds,
-        "simulate": _cmd_simulate,
-        "sweep": _cmd_sweep,
-        "verify": _cmd_verify,
-    }
-    return handlers[args.command](args, parser)
+    handler, flags = COMMANDS[args.command]
+    try:
+        return handler(args, parser)
+    except _FieldError as exc:
+        parser.error(f"{flags[exc.field]}: {exc}")
 
 
 if __name__ == "__main__":

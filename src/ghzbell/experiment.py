@@ -46,6 +46,7 @@ summarize_batch on the trials generate_trials draws.
 from __future__ import annotations
 
 import math
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -53,7 +54,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .lhv import lhv_bound
-from .quantum import CorrelationTensor, build_settings, entry_sum_closed_form, quantum_tensor
+from .quantum import (
+    CorrelationTensor,
+    _FieldError,
+    build_settings,
+    entry_sum_closed_form,
+    quantum_tensor,
+)
 
 ROUND_ROBIN = "round-robin"
 UNIFORM_RANDOM = "uniform-random"
@@ -61,14 +68,6 @@ SETTING_POLICIES = (ROUND_ROBIN, UNIFORM_RANDOM)
 
 BLOCK_TRIALS = 65536
 MAX_SEED = 2 ** 64 - 1
-
-
-class _FieldError(ValueError):
-    """A rejected per-run input; ``field`` names its ExperimentConfig field or argument."""
-
-    def __init__(self, field: str, message: str) -> None:
-        super().__init__(message)
-        self.field = field
 
 
 def _check_seed(seed: int) -> None:
@@ -408,11 +407,12 @@ def _map_blocks(config: ExperimentConfig, func, workers: int):
 
     Results arrive one at a time, so a caller that folds them in keeps only
     a few blocks' results alive at once. ``workers`` is checked when
-    iteration starts.
+    iteration starts, and the pool gets no more threads than there are CPUs.
     """
     if workers < 1:
         raise _FieldError("workers", f"workers must be positive, got {workers}")
     blocks = -(-config.trials // BLOCK_TRIALS)
+    workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or blocks == 1:
         yield from map(func, range(blocks))
         return
@@ -487,28 +487,33 @@ def _summarize(config: ExperimentConfig, blocks) -> ExperimentSummary:
     Each block's keys are added, in block order, into 3 * 3^N key counts by
     ``np.add.at`` (fast from numpy 1.25 on). Row c holds combination c's -1, 0
     and +1 counts; the product sums are +1 minus -1 counts, exact in float64.
-    Where numpy cannot size these counts (from N = 37 on), ``n_parties`` is
-    rejected here: the trial engine's one hard limit on N.
+    Where the run does not fit in memory, ``n_parties`` is rejected here with
+    the size of those counts: numpy cannot size them from N = 37 on, and any
+    MemoryError on the way (the blocks, the first block's quantum tensor, the
+    count split or the summary) is reported the same way.
     """
     n, combos = config.n_parties, config.n_combos
     try:
-        key_counts = np.zeros(3 * combos, dtype=np.int64)
-    except ValueError:
+        try:
+            key_counts = np.zeros(3 * combos, dtype=np.int64)
+        except ValueError:  # past what numpy can size: out of memory all the same
+            raise MemoryError from None
+        all_zero = 0
+        for key, none_count in blocks:
+            np.add.at(key_counts, key, 1)
+            all_zero += none_count
+            del key  # so a tallied block is freed before the next block draws
+        minus, zero, plus = key_counts.reshape(combos, 3).T
+        nonzero = plus + minus
+        counts, sum_prod = nonzero + zero, np.subtract(plus, minus, dtype=np.float64)
+        del key_counts, minus, zero, plus  # so the summary's 3^N temporaries do not stack on them
+        return _summary_from_stats(config, counts, sum_prod, nonzero, all_zero)
+    except MemoryError:
         raise _FieldError(
             "n_parties",
             f"{n} parties need 3^{n} = {combos} setting combinations; their key counts "
-            f"take {24 * combos} bytes, more than numpy can size an array for",
+            f"take {24 * combos} bytes, and the run does not fit in this process's memory",
         ) from None
-    all_zero = 0
-    for key, none_count in blocks:
-        np.add.at(key_counts, key, 1)
-        all_zero += none_count
-        del key  # so a tallied block is freed before the next block draws
-    minus, zero, plus = key_counts.reshape(combos, 3).T
-    nonzero = plus + minus
-    counts, sum_prod = nonzero + zero, np.subtract(plus, minus, dtype=np.float64)
-    del key_counts, minus, zero, plus  # so the summary's 3^N temporaries do not stack on them
-    return _summary_from_stats(config, counts, sum_prod, nonzero, all_zero)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSummary:

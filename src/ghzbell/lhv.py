@@ -38,6 +38,7 @@ from .quantum import (
     HALF_SQRT3,
     CorrelationTensor,
     SettingsGrid,
+    _FieldError,
     build_settings,
     integer_tensor,
 )
@@ -139,7 +140,7 @@ def strategy_score(strategy: DeterministicStrategy, q: CorrelationTensor) -> flo
 def lhv_bound(n_parties: int) -> float:
     """The deterministic maximum 2^(N-1) sqrt(3)."""
     if n_parties < 2:
-        raise ValueError(f"need at least 2 parties, got {n_parties}")
+        raise _FieldError("n_parties", f"need at least 2 parties, got {n_parties}")
     return math.ldexp(HALF_SQRT3, n_parties)
 
 
@@ -173,7 +174,7 @@ def max_score_brute(n_parties: int) -> tuple[float, DeterministicStrategy]:
     N <= 8.
     """
     if not 2 <= n_parties <= 8:
-        raise ValueError(f"exhaustive search supports 2..8 parties, got {n_parties}")
+        raise _FieldError("n_parties", f"exhaustive search supports 2..8 parties, got {n_parties}")
     triples = np.asarray(SIGN_TRIPLES[:4], dtype=np.float64)
     scores = integer_tensor(build_settings(n_parties)).as_grid()
     # Each step sums out the next party's setting axis and appends its triple axis.

@@ -44,6 +44,14 @@ FIRST_PARTY_CLASSES = (1, 3, 5)
 OTHER_PARTY_CLASSES = (0, 2, 4)
 
 
+class _FieldError(ValueError):
+    """A rejected input; ``field`` names the argument or config field the CLI maps to a flag."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class SettingsGrid:
     """The paper's fixed measurement phases for N parties, three settings each.

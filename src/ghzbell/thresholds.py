@@ -38,7 +38,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .lhv import lhv_bound
-from .quantum import entry_sum_closed_form
+from .quantum import _FieldError, entry_sum_closed_form
 
 BISECTION_LO = 1e-6
 BISECTION_TOL = 1e-12
@@ -208,7 +208,7 @@ class ThresholdRow:
 def threshold_table(n_max: int) -> list[ThresholdRow]:
     """Rows for N = 2..n_max: three-setting and two-setting visibility, eta_cr."""
     if n_max < 2:
-        raise ValueError(f"table needs n_max >= 2, got {n_max}")
+        raise _FieldError("n_max", f"n_max must be at least 2, got {n_max}")
     ns = range(2, n_max + 1)
     return [
         ThresholdRow(

@@ -95,6 +95,24 @@ def test_brute_force_depth_follows_n_max(monkeypatch, n_max):
     assert sorted(calls) == list(range(2, n_max + 1))
 
 
+def test_n_max_past_the_search_limit_fails_before_any_search(monkeypatch):
+    # run_checks does not clamp n_max: max_score_brute rejects 9 itself, and
+    # the largest N is searched first, so no smaller search runs before it.
+    calls = []
+    search = checks.max_score_brute
+    monkeypatch.setattr(checks, "max_score_brute", lambda n: calls.append(n) or search(n))
+    with pytest.raises(ValueError, match="exhaustive search supports 2..8 parties, got 9") as info:
+        checks.run_checks(9)
+    assert info.value.field == "n_parties"
+    assert calls == [9]
+
+
+def test_n_max_below_two_names_its_field():
+    with pytest.raises(ValueError, match="n_max must be at least 2, got 1") as info:
+        checks.run_checks(1)
+    assert info.value.field == "n_max"
+
+
 def test_folded_check_is_exhaustive():
     t = integer_tensor(build_settings(3))
     result = checks._check_folded_strategies(t)

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+import ghzbell.cli as cli
 from ghzbell.cli import _json_pieces, main
 
 CMD = [sys.executable, "-m", "ghzbell"]
@@ -93,7 +94,7 @@ def _assert_reports_size(*args):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert "3^20 = 3486784401" in res.stderr
-    assert "27894275208 bytes" in res.stderr
+    assert "83682825624 bytes" in res.stderr  # the 24 * 3^20 bytes of key counts
 
 
 class TestBound:
@@ -286,6 +287,33 @@ class TestSimulate:
             "--policy", "uniform-random",
         )
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
+    def test_memory_past_the_key_counts_names_the_flag(self):
+        # The child caps its address space just above its own size plus the
+        # 24 * 3^16 bytes of key counts: they fit, and the first block's
+        # quantum tensor does not. Nothing is touched, so nothing is resident.
+        code = (
+            "import os, resource, sys\n"
+            "from ghzbell.cli import main\n"
+            "with open('/proc/self/statm') as fh:\n"
+            "    size = int(fh.read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "limit = size + 24 * 3 ** 16 + 64 * 2 ** 20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "sys.exit(main(['simulate', '--n', '16', '--v', '0.9', '--eta', '0.9',\n"
+            "               '--trials', '10', '--policy', 'uniform-random']))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1"),
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert "error: --n: 16 parties need 3^16 = 43046721 setting combinations" in res.stderr
+        assert "1033121304 bytes" in res.stderr
+
     def test_n_beyond_numpy_size_limit_names_the_flag(self):
         # The 24 * 3^45 bytes of key counts are past what numpy can even size an array for.
         res = run_cli(
@@ -411,10 +439,19 @@ class TestConfigErrorsNameTheFlag:
                 "sweep --n 2 --eta 1.0 --v-grid 0.5 --trials-per-point 9 --workers 0",
                 "--workers: workers must be positive, got 0",
             ),
+            # The exact side's own checks, through the same table of flags.
+            ("bound --n 1", "--n: need at least 2 parties, got 1"),
+            ("bound --n 9", "--n: exhaustive search supports 2..8 parties, got 9"),
+            ("bound --n 9 --method brute", "--n: exhaustive search supports 2..8 parties, got 9"),
+            ("thresholds --n-max 1", "--n-max: n_max must be at least 2, got 1"),
+            ("verify --n-max 1", "--n-max: n_max must be at least 2, got 1"),
+            ("verify --n-max 9", "--n-max: exhaustive search supports 2..8 parties, got 9"),
         ],
         ids=[
             "n", "v", "eta", "trials", "trials-per-point", "v-grid",
             "simulate-n37", "sweep-n37", "simulate-workers", "sweep-workers",
+            "bound-n1", "bound-n9", "bound-n9-brute",
+            "thresholds-n-max1", "verify-n-max1", "verify-n-max9",
         ],
     )
     def test_message_leads_with_the_flag(self, args, message):
@@ -459,6 +496,16 @@ class TestTopLevel:
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
+
+    def test_a_plain_value_error_is_not_a_usage_error(self, monkeypatch):
+        # main turns only a _FieldError into exit 2; any other ValueError is a
+        # bug and keeps its traceback.
+        def broken(**kwargs):
+            raise ValueError("not an input check")
+
+        monkeypatch.setattr(cli, "run_checks", broken)
+        with pytest.raises(ValueError, match="not an input check"):
+            main(["verify"])
 
 
 class TestJsonRendering:

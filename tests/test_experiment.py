@@ -432,6 +432,32 @@ class TestDeterminism:
             run_experiment(cfg, workers=0)
         assert info.value.field == "workers"
 
+    @pytest.mark.parametrize(
+        "workers, cpus, pool_sizes",
+        [(3, 4, [3]), (100000, 4, [4]), (5, None, [])],
+        ids=["below-cpus", "above-cpus", "cpu-count-unknown"],
+    )
+    def test_pool_gets_at_most_one_thread_per_cpu(self, monkeypatch, workers, cpus, pool_sizes):
+        # The recorder starts at most 2 threads whatever it is asked for, so a
+        # broken cap cannot start one thread per block.
+        sizes = []
+        pool = experiment.ThreadPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(experiment, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+        cfg = ExperimentConfig(
+            n_parties=2, visibility=0.9, efficiency=0.8, trials=2 * experiment.BLOCK_TRIALS,
+            seed=5, setting_policy=UNIFORM_RANDOM,
+        )
+        summary = run_experiment(cfg, workers=workers)
+        assert sizes == pool_sizes
+        monkeypatch.undo()
+        assert _summaries_equal(summary, run_experiment(cfg))
+
 
 def _capture_stats(monkeypatch):
     """Make the summary functions return the statistics ``_summarize`` derives."""

@@ -286,8 +286,9 @@ class TestMaxScore:
     def test_brute_size_limits(self):
         with pytest.raises(ValueError):
             max_score_brute(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             max_score_brute(9)
+        assert info.value.field == "n_parties"
 
     def test_factorized_agrees_with_brute(self):
         for n in range(2, 7):

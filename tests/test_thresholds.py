@@ -238,8 +238,9 @@ class TestThresholdTable:
             assert row.v_cr_new.hex() == critical_visibility(row.n, 1.0).v_critical.hex()
 
     def test_invalid_n_max(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_max must be at least 2, got 1") as info:
             threshold_table(1)
+        assert info.value.field == "n_max"
 
     def test_csv_header_and_shape(self):
         text = render_table_csv(threshold_table(4))
