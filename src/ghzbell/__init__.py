@@ -46,7 +46,6 @@ from .quantum import (
 )
 from .thresholds import (
     CSV_HEADER,
-    ThresholdResult,
     ThresholdRow,
     critical_efficiency,
     critical_visibility,
@@ -57,7 +56,7 @@ from .thresholds import (
     two_setting_visibility_threshold,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -73,7 +72,6 @@ __all__ = [
     "SIGN_TRIPLES",
     "SettingsGrid",
     "SweepPoint",
-    "ThresholdResult",
     "ThresholdRow",
     "TrialBatch",
     "UNIFORM_RANDOM",

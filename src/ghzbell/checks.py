@@ -176,7 +176,7 @@ def _check_violation_factor() -> CheckResult:
 def _check_visibility_closed_form() -> CheckResult:
     worst = 0.0
     for n in range(2, 21):
-        v = critical_visibility(n, 1.0).v_critical
+        v = critical_visibility(n, 1.0)
         worst = max(worst, abs(v - math.sqrt(3.0) * (2.0 / 3.0) ** n))
     return CheckResult(
         name="visibility-closed-form",
@@ -187,11 +187,11 @@ def _check_visibility_closed_form() -> CheckResult:
 
 def _check_threshold_percents(etas: dict) -> CheckResult:
     expectations = [
-        (percent_string(critical_visibility(2, 1.0).v_critical), "77.0"),
-        (percent_string(critical_visibility(3, 1.0).v_critical), "51.3"),
-        (percent_string(critical_visibility(4, 1.0).v_critical), "34.2"),
-        (percent_string(critical_visibility(5, 1.0).v_critical), "22.8"),
-        (percent_string(critical_visibility(10, 1.0).v_critical), "3.0"),
+        (percent_string(critical_visibility(2, 1.0)), "77.0"),
+        (percent_string(critical_visibility(3, 1.0)), "51.3"),
+        (percent_string(critical_visibility(4, 1.0)), "34.2"),
+        (percent_string(critical_visibility(5, 1.0)), "22.8"),
+        (percent_string(critical_visibility(10, 1.0)), "3.0"),
         (percent_string(two_setting_visibility_threshold(2)), "70.7"),
         (percent_string(two_setting_visibility_threshold(3)), "50.0"),
         (percent_string(two_setting_visibility_threshold(4)), "35.4"),
@@ -213,7 +213,7 @@ def _check_threshold_percents(etas: dict) -> CheckResult:
 def _check_efficiency_consistency(etas: dict) -> CheckResult:
     worst = 0.0
     for n, eta in etas.items():
-        worst = max(worst, abs(critical_visibility(n, eta).v_critical - 1.0))
+        worst = max(worst, abs(critical_visibility(n, eta) - 1.0))
     worst_closed = abs(etas[4] - efficiency_closed_form(4))
     return CheckResult(
         name="efficiency-consistency",

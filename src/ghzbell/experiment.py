@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -405,9 +406,11 @@ def _block_combos(config: ExperimentConfig, block: int) -> tuple[np.ndarray, np.
 def _map_blocks(config: ExperimentConfig, func, workers: int):
     """Iterator over ``func(block)`` for every block, in block order.
 
-    Results arrive one at a time, so a caller that folds them in keeps only
-    a few blocks' results alive at once. ``workers`` is checked when
+    Results arrive one at a time, and a pool submits a block only when fewer
+    than 2·workers are pending, so a caller that folds them in keeps at most
+    that many blocks' results alive at once. ``workers`` is checked when
     iteration starts, and the pool gets no more threads than there are CPUs.
+    Closing the iterator early cancels the blocks not yet started.
     """
     if workers < 1:
         raise _FieldError("workers", f"workers must be positive, got {workers}")
@@ -417,7 +420,17 @@ def _map_blocks(config: ExperimentConfig, func, workers: int):
         yield from map(func, range(blocks))
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(func, range(blocks))
+        pending = deque()
+        try:
+            for block in range(blocks):
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(func, block))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def generate_trials(config: ExperimentConfig, workers: int = 1) -> TrialBatch:

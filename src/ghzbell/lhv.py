@@ -64,7 +64,7 @@ class DeterministicStrategy:
     assignments: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        assignments = tuple(tuple(int(v) for v in t) for t in self.assignments)
+        assignments = tuple(tuple(t) for t in self.assignments)
         if len(assignments) < 2:
             raise ValueError("need at least 2 parties")
         for k, triple in enumerate(assignments):
@@ -73,7 +73,7 @@ class DeterministicStrategy:
             for v in triple:
                 if v not in (-1, 1):
                     raise ValueError(f"value {v} of party {k} is not a sign (-1 or +1)")
-        object.__setattr__(self, "assignments", assignments)
+        object.__setattr__(self, "assignments", tuple(tuple(map(int, t)) for t in assignments))
 
     @property
     def n_parties(self) -> int:
@@ -112,9 +112,10 @@ def party_phasor(
     """
     if not 0 <= party < grid.n_parties:
         raise ValueError(f"party index {party} out of range for {grid.n_parties} parties")
-    v = tuple(int(x) for x in party_assignment)
+    v = tuple(party_assignment)
     if len(v) != 3 or any(x not in (-1, 1) for x in v):
         raise ValueError(f"party assignment must be three signs, got {party_assignment!r}")
+    v = tuple(int(x) for x in v)
     base = grid.phase_classes()[party][0]
     relative = _RELATIVE_CLASS[(v[0] - v[2], v[1] + v[2])]
     if relative is None:

@@ -1,7 +1,6 @@
 """Critical visibility and detection efficiency for the N-party test.
 
 Contents:
-    ThresholdResult     -- critical visibility at a given efficiency
     critical_visibility -- smallest visibility violating the bound at fixed eta
     critical_efficiency -- smallest efficiency admitting violation at V = 1,
                            for one N or, in one bisection, for many
@@ -46,39 +45,12 @@ BISECTION_MAX_ITER = 200
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    """Critical visibility at one (N, eta) point.
-
-    ``v_critical`` above 1 means no physical visibility violates the bound at
-    this efficiency; math.inf marks a value beyond float64.
-    """
-
-    n_parties: int
-    eta: float
-    v_critical: float
-    bound_lhs: float
-    q_n_abs: float
-
-    def __post_init__(self) -> None:
-        if self.v_critical < 0:
-            raise ValueError("critical visibility cannot be negative")
-
-    @property
-    def attainable(self) -> bool:
-        """Whether some physical visibility V <= 1 violates the bound."""
-        return self.v_critical <= 1.0
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "attainable": self.attainable}
-
-
 def _over_quantum_value(numerator: float, n_parties: int, power: float = 1.0) -> float:
     """``numerator`` over the V = 1 quantum value ``power`` 3^N / 2 (``power`` = eta^N), in Python floats."""
     return numerator / (power * 3.0 ** n_parties / 2.0)
 
 
-def critical_visibility(n_parties: int, eta: float = 1.0) -> ThresholdResult:
+def critical_visibility(n_parties: int, eta: float = 1.0) -> float:
     """Visibility at which the quantum value meets the detection-adjusted bound.
 
     v_cr = [2^(N-1) sqrt(3) - |q_N| (1-eta)^N] / [eta^N 3^N / 2]. Requires
@@ -87,7 +59,8 @@ def critical_visibility(n_parties: int, eta: float = 1.0) -> ThresholdResult:
     1 - c (1-eta)^N with c in {0, 1}, taken from expm1/log1p so that it keeps
     its digits where (1-eta)^N is close to 1. Where eta^N is below the
     smallest normal double the value comes from its logarithm, and math.inf
-    stands for a value beyond float64.
+    stands for a value beyond float64. A value above 1 means no physical
+    visibility violates the bound at this efficiency.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"efficiency must be in (0, 1], got {eta}")
@@ -96,18 +69,10 @@ def critical_visibility(n_parties: int, eta: float = 1.0) -> ThresholdResult:
     deficit = -math.expm1(n_parties * math.log1p(-eta)) if q_abs and eta < 1.0 else 1.0
     power = eta ** n_parties
     if power >= sys.float_info.min:
-        v_critical = _over_quantum_value(bound * deficit, n_parties, power)
-    else:
-        # log v = log(2 bound deficit) - N log(3 eta); above float64 the value is inf.
-        log_v = math.log(2.0 * bound * deficit) - n_parties * math.log(3.0 * eta)
-        v_critical = math.exp(log_v) if log_v < LOG_FLOAT_MAX else math.inf
-    return ThresholdResult(
-        n_parties=n_parties,
-        eta=eta,
-        v_critical=v_critical,
-        bound_lhs=bound,
-        q_n_abs=q_abs,
-    )
+        return _over_quantum_value(bound * deficit, n_parties, power)
+    # log v = log(2 bound deficit) - N log(3 eta); above float64 the value is inf.
+    log_v = math.log(2.0 * bound * deficit) - n_parties * math.log(3.0 * eta)
+    return math.exp(log_v) if log_v < LOG_FLOAT_MAX else math.inf
 
 
 def _efficiency_margin(n_parties):

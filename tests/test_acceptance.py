@@ -127,11 +127,11 @@ def test_criterion_05_violation_factor():
 def test_criterion_06_visibility_threshold_table():
     new_expected = {3: "51.3", 4: "34.2", 5: "22.8", 10: "3.0"}
     old_expected = {2: "70.7", 3: "50.0", 4: "35.4", 5: "25.0", 10: "4.4"}
-    new_got = {n: percent_string(critical_visibility(n).v_critical) for n in new_expected}
+    new_got = {n: percent_string(critical_visibility(n)) for n in new_expected}
     old_got = {n: percent_string(two_setting_visibility_threshold(n)) for n in old_expected}
     # The N = 2 value from the formula sqrt(3) (2/3)^N is 77.0%, not the
     # sometimes-quoted 77.8%; acceptance pins the formula value.
-    n2 = percent_string(critical_visibility(2).v_critical)
+    n2 = percent_string(critical_visibility(2))
     ok = new_got == new_expected and old_got == old_expected and n2 == "77.0"
     _criterion(
         6,

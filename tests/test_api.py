@@ -1,13 +1,16 @@
 """The public API: exactly these names, each importable, at one version.
 
 Adding or removing a public name is a deliberate change that edits this list.
-README.md names what 0.2.0 and 0.3.0 removed and what to use instead.
+README.md names what 0.2.0, 0.3.0 and 0.4.0 removed and what to use instead,
+and its Library example runs here as written.
 """
 
 import re
 from pathlib import Path
 
 import ghzbell
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_NAMES = [
     "BLOCK_TRIALS",
@@ -23,7 +26,6 @@ PUBLIC_NAMES = [
     "SIGN_TRIPLES",
     "SettingsGrid",
     "SweepPoint",
-    "ThresholdResult",
     "ThresholdRow",
     "TrialBatch",
     "UNIFORM_RANDOM",
@@ -57,13 +59,21 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 42
     assert sorted(ghzbell.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(ghzbell, name) is not None
 
 
 def test_version_matches_the_project_metadata():
-    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    pyproject = (ROOT / "pyproject.toml").read_text()
     (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, flags=re.M)
-    assert ghzbell.__version__ == version
+    assert ghzbell.__version__ == version == "0.4.0"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    (code,) = re.findall(r"^```python\n(.*?)^```$", section.split("\n## ", 1)[0], flags=re.M | re.S)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("0.5132")

@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -457,6 +458,23 @@ class TestDeterminism:
         assert sizes == pool_sizes
         monkeypatch.undo()
         assert _summaries_equal(summary, run_experiment(cfg))
+
+    def test_pool_keeps_at_most_two_blocks_per_worker_in_flight(self, monkeypatch):
+        # A consumer that pauses after its first result must not find every
+        # block already run: the pool submits a block only when fewer than
+        # 2·workers are pending.
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+        cfg = ExperimentConfig(
+            n_parties=2, visibility=1.0, efficiency=1.0,
+            trials=200 * experiment.BLOCK_TRIALS, seed=0, setting_policy=UNIFORM_RANDOM,
+        )
+        started = []
+        results = experiment._map_blocks(cfg, started.append, workers=2)
+        next(results)
+        time.sleep(0.2)
+        assert len(started) <= 2 * 2 + 1
+        results.close()
+        assert len(started) <= 2 * 2 + 1
 
 
 def _capture_stats(monkeypatch):

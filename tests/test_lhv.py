@@ -127,8 +127,9 @@ class TestDeterministicStrategy:
     def test_rejects_value_outside_alphabet(self):
         # The alphabet is the two signs; a non-detection 0 is folded by the
         # caller before a strategy is built.
-        for bad in (0, 2, -2):
-            with pytest.raises(ValueError, match="not a sign"):
+        # A float is named as given, not truncated to a sign or to 0 first.
+        for bad in (0, 2, -2, 1.5, -1.9, 0.9999):
+            with pytest.raises(ValueError, match=rf"^value {bad} of party 0 is not a sign"):
                 DeterministicStrategy(assignments=((1, bad, 1), (1, 1, 1)))
 
     def test_rejects_unknown_alphabet(self):
@@ -215,6 +216,8 @@ class TestPartyPhasor:
             party_phasor((1, 1), 0, grid)
         with pytest.raises(ValueError):
             party_phasor((1, 1, 0), 0, grid)
+        with pytest.raises(ValueError, match=r"got \(1\.7, 1, -1\)"):
+            party_phasor((1.7, 1, -1), 0, grid)
         with pytest.raises(ValueError):
             party_phasor((1, 1, 1), 2, grid)
 

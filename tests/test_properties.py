@@ -57,8 +57,8 @@ EFFICIENCY = st.floats(min_value=0.05, max_value=1.0)
 @given(n=st.integers(min_value=2, max_value=40), a=EFFICIENCY, b=EFFICIENCY)
 def test_critical_visibility_decreases_in_efficiency(n, a, b):
     lo, hi = min(a, b), max(a, b)
-    v_lo = critical_visibility(n, lo).v_critical
-    v_hi = critical_visibility(n, hi).v_critical
+    v_lo = critical_visibility(n, lo)
+    v_hi = critical_visibility(n, hi)
     assert v_lo >= v_hi * (1.0 - 1e-12)
 
 
@@ -69,7 +69,7 @@ def test_critical_visibility_decreases_in_efficiency(n, a, b):
 def test_critical_visibility_never_raises(n, eta, mpmath_visibility):
     # The two examples once gave 0.0 (a cancelled numerator) and a value
     # 27 % high (a subnormal eta^N in the plain quotient).
-    v = critical_visibility(n, eta).v_critical
+    v = critical_visibility(n, eta)
     assert v >= 0.0
     assert v == pytest.approx(float(mpmath_visibility(n, eta)), rel=1e-12, abs=0.0)
 
@@ -78,7 +78,7 @@ def test_critical_visibility_never_raises(n, eta, mpmath_visibility):
 @given(n=TABLE_N)
 def test_unit_visibility_at_critical_efficiency(n):
     eta = critical_efficiency(n)
-    assert abs(critical_visibility(n, eta).v_critical - 1.0) < 1e-9
+    assert abs(critical_visibility(n, eta) - 1.0) < 1e-9
 
 
 @PROPERTY

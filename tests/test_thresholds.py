@@ -22,7 +22,6 @@ import pytest
 
 from ghzbell import (
     CSV_HEADER,
-    ThresholdResult,
     critical_efficiency,
     critical_visibility,
     efficiency_closed_form,
@@ -40,47 +39,33 @@ SQRT3 = math.sqrt(3.0)
 class TestCriticalVisibility:
     def test_closed_form_at_perfect_detection(self):
         for n in range(2, 21):
-            got = critical_visibility(n).v_critical
+            got = critical_visibility(n)
             assert abs(got - SQRT3 * (2.0 / 3.0) ** n) < 1e-12
 
     def test_frozen_values(self):
-        assert critical_visibility(2).v_critical == pytest.approx(
+        assert critical_visibility(2) == pytest.approx(
             0.7698003589195009, abs=1e-12
         )
-        assert critical_visibility(3).v_critical == pytest.approx(
+        assert critical_visibility(3) == pytest.approx(
             0.5132002392796672, abs=1e-12
         )
-        assert critical_visibility(10).v_critical == pytest.approx(
+        assert critical_visibility(10) == pytest.approx(
             0.030036410895197707, abs=1e-12
         )
 
     def test_frozen_value_with_losses(self):
-        got = critical_visibility(2, eta=0.9).v_critical
+        got = critical_visibility(2, eta=0.9)
         assert got == pytest.approx(0.9408671053460566, abs=1e-12)
 
     def test_losses_raise_the_threshold(self):
         for n in (2, 3, 5):
-            perfect = critical_visibility(n).v_critical
-            lossy = critical_visibility(n, eta=0.9).v_critical
+            perfect = critical_visibility(n)
+            lossy = critical_visibility(n, eta=0.9)
             assert lossy > perfect
 
-    def test_result_fields(self):
-        res = critical_visibility(3, eta=0.8)
-        assert res.n_parties == 3
-        assert res.eta == 0.8
-        assert res.bound_lhs == lhv_bound(3)
-        assert res.q_n_abs == abs(entry_sum_closed_form(3))
-        assert res.v_critical > 0
-
     def test_attainable_flag(self):
-        assert critical_visibility(2).attainable
-        assert not critical_visibility(2, eta=0.75).attainable
-
-    def test_to_dict(self):
-        data = critical_visibility(2).to_dict()
-        assert data["n_parties"] == 2
-        assert data["v_critical"] == pytest.approx(0.7698003589195009, abs=1e-12)
-        assert data["attainable"] is True
+        assert critical_visibility(2) <= 1.0
+        assert critical_visibility(2, eta=0.75) > 1.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -109,19 +94,17 @@ class TestUnderflowedEfficiencyPower:
     )
     def test_matches_mpmath(self, n, eta, mpmath_visibility):
         assert eta ** n == 0.0
-        got = critical_visibility(n, eta).v_critical
+        got = critical_visibility(n, eta)
         assert got == pytest.approx(float(mpmath_visibility(n, eta)), rel=1e-12, abs=0.0)
 
     def test_frozen_value(self):
-        got = critical_visibility(600, 0.25).v_critical
+        got = critical_visibility(600, 0.25)
         assert got == pytest.approx(6.6039e255, rel=1e-4)
 
     @pytest.mark.parametrize("n, eta", [(300, 0.05), (4, 1e-90), (646, 0.01), (2, 5e-324)])
     def test_beyond_float64_is_inf(self, n, eta, mpmath_visibility):
         assert mpmath_visibility(n, eta) > 1.7976931348623157e308
-        res = critical_visibility(n, eta)
-        assert res.v_critical == math.inf
-        assert not res.attainable
+        assert critical_visibility(n, eta) == math.inf
 
 
 class TestCriticalEfficiency:
@@ -139,7 +122,7 @@ class TestCriticalEfficiency:
     def test_solves_unit_visibility(self):
         for n in range(2, 13):
             eta = critical_efficiency(n)
-            assert critical_visibility(n, eta=eta).v_critical == pytest.approx(
+            assert critical_visibility(n, eta=eta) == pytest.approx(
                 1.0, abs=1e-9
             )
 
@@ -196,9 +179,9 @@ class TestTwoSettingThreshold:
     def test_crossover_at_four_parties(self):
         # The three-setting threshold only wins from four parties on.
         for n in (2, 3):
-            assert critical_visibility(n).v_critical > two_setting_visibility_threshold(n)
+            assert critical_visibility(n) > two_setting_visibility_threshold(n)
         for n in range(4, 13):
-            assert critical_visibility(n).v_critical < two_setting_visibility_threshold(n)
+            assert critical_visibility(n) < two_setting_visibility_threshold(n)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
@@ -214,7 +197,7 @@ class TestPercentString:
 
     def test_new_threshold_two_parties_renders_77_0(self):
         # sqrt(3) * 4/9 = 0.7698..., which rounds to 77.0 (not 77.8).
-        assert percent_string(critical_visibility(2).v_critical) == "77.0"
+        assert percent_string(critical_visibility(2)) == "77.0"
 
     def test_negative_rounds_away_from_zero(self):
         assert percent_string(-0.2225) == "-22.3"
@@ -226,7 +209,7 @@ class TestThresholdTable:
         assert [r.n for r in rows] == [2, 3, 4, 5]
         for row in rows:
             n = row.n
-            assert row.v_cr_new == critical_visibility(n).v_critical
+            assert row.v_cr_new == critical_visibility(n)
             assert row.v_cr_old == two_setting_visibility_threshold(n)
             assert row.eta_cr == critical_efficiency(n)
 
@@ -235,7 +218,7 @@ class TestThresholdTable:
         rows = threshold_table(646)
         assert [r.n for r in rows] == list(range(2, 647))
         for row in rows:
-            assert row.v_cr_new.hex() == critical_visibility(row.n, 1.0).v_critical.hex()
+            assert row.v_cr_new.hex() == critical_visibility(row.n, 1.0).hex()
 
     def test_invalid_n_max(self):
         with pytest.raises(ValueError, match="n_max must be at least 2, got 1") as info:
@@ -253,7 +236,7 @@ class TestThresholdTable:
         lines = render_table_csv(threshold_table(3)).splitlines()
         fields = lines[1].split(",")
         assert fields[0] == "2"
-        assert float(fields[1]) == critical_visibility(2).v_critical
+        assert float(fields[1]) == critical_visibility(2)
         assert float(fields[2]) == two_setting_visibility_threshold(2)
         assert float(fields[3]) == critical_efficiency(2)
 
@@ -262,14 +245,6 @@ class TestThresholdTable:
         data = row.to_dict()
         assert set(data) == {"n", "v_cr_new", "v_cr_old", "eta_cr"}
         assert data["n"] == 2
-
-
-class TestThresholdResultValidation:
-    def test_negative_visibility_rejected(self):
-        with pytest.raises(ValueError):
-            ThresholdResult(
-                n_parties=2, eta=1.0, v_critical=-0.1, bound_lhs=1.0, q_n_abs=0.0
-            )
 
 
 class TestEfficiencyRootUniqueness:
