@@ -44,6 +44,7 @@ from .quantum import _FieldError, entry_sum_closed_form
 from .thresholds import percent_string, render_table_csv, threshold_table
 
 SEED_ENV_VAR = "GHZBELL_SEED"
+_ARRAY_PIECE = 65536  # float64 array entries rendered per JSON piece
 
 
 def _emit(text: str) -> None:
@@ -54,10 +55,12 @@ def _json_pieces(value, indent: str = "\n"):
     """The text of ``json.dumps(value, indent=2)`` in pieces (string keys only).
 
     A 1-D float64 ndarray, such as the 3^N estimated tensor entries, prints as
-    its ``tolist()`` would, without that list of floats: json renders each
-    distinct bit pattern (which keeps -0.0 and 0.0 apart) once, and the
-    entries are read back from that table by index and joined as one piece,
-    never copied. Any other list is rendered item by item.
+    its ``tolist()`` would, without that list of floats, ``_ARRAY_PIECE``
+    entries at a time: json renders each distinct bit pattern of a piece
+    (which keeps -0.0 and 0.0 apart) once, and the piece's entries are read
+    back from that table by index and joined as one piece. No table outlives
+    its piece, so memory does not grow with the array, however many distinct
+    values it holds. Any other list is rendered item by item.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
@@ -66,10 +69,14 @@ def _json_pieces(value, indent: str = "\n"):
             yield from _json_pieces(item, inner)
         yield indent + "}"
     elif isinstance(value, np.ndarray) and value.size:
-        bits, index = np.unique(value.view(np.int64), return_inverse=True)
-        reprs = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-        yield "[" + inner
-        yield ("," + inner).join(np.array(reprs, dtype=object)[index].tolist())
+        sep = "," + inner
+        for start in range(0, value.size, _ARRAY_PIECE):
+            bits, index = np.unique(
+                value[start:start + _ARRAY_PIECE].view(np.int64), return_inverse=True
+            )
+            reprs = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+            yield sep if start else "[" + inner
+            yield sep.join(np.array(reprs, dtype=object)[index].tolist())
         yield indent + "]"
     elif isinstance(value, (list, tuple)) and value:
         for i, item in enumerate(value):

@@ -455,17 +455,23 @@ def _summary_from_stats(
     nonzero: np.ndarray,
     all_zero: int,
 ) -> ExperimentSummary:
+    """Summary of per-combination statistics; consumes its arguments.
+
+    ``sum_prod`` becomes the estimated tensor's entries and ``nonzero``'s
+    buffer takes ``counts - 1``, so the only new float arrays are the
+    variances and their weights.
+    """
     n = config.n_parties
     # Sample variance (ddof=1) of the product per combination; (prod)^2 is the
     # nonzero indicator, so sum of squares == nonzero count. Entries with no
     # trials have no estimate and those with fewer than 2 no variance; they
     # are set to 0 after the divides.
     with np.errstate(divide="ignore", invalid="ignore"):
-        est = sum_prod / counts
         se_sq = sum_prod ** 2
+        est = np.divide(sum_prod, counts, out=sum_prod)
         se_sq /= counts
         np.subtract(nonzero, se_sq, out=se_sq)
-        se_sq /= counts - 1
+        se_sq /= np.subtract(counts, 1, out=nonzero)
         np.clip(se_sq, 0.0, None, out=se_sq)
         se_sq /= counts
     enough = counts >= 2
@@ -476,11 +482,11 @@ def _summary_from_stats(
     lhs = abs(float(np.dot(q.entries, est)))
     # The standard error is infinite exactly when a weighted entry has no
     # variance; zero-weight entries contribute nothing either way.
-    weights = q.entries ** 2
-    if (weights[~enough] > 0.0).any():
+    if (q.entries[~enough] != 0.0).any():
         se_lhs = math.inf
     else:
-        se_lhs = float(np.sqrt(np.sum(weights * se_sq)))
+        se_sq *= q.entries ** 2
+        se_lhs = float(np.sqrt(np.sum(se_sq)))
 
     p_all_zero = all_zero / config.trials
     rhs = lhv_bound(n) - p_all_zero * abs(entry_sum_closed_form(n))
@@ -500,20 +506,25 @@ def _summarize(config: ExperimentConfig, blocks) -> ExperimentSummary:
     Each block's keys are added, in block order, into 3 * 3^N key counts by
     ``np.add.at`` (fast from numpy 1.25 on). Row c holds combination c's -1, 0
     and +1 counts; the product sums are +1 minus -1 counts, exact in float64.
-    Where the run does not fit in memory, ``n_parties`` is rejected here with
-    the size of those counts: numpy cannot size them from N = 37 on, and any
-    MemoryError on the way (the blocks, the first block's quantum tensor, the
-    count split or the summary) is reported the same way.
+    No count exceeds ``config.trials``, so the counts are int32 (4 bytes)
+    below 2^31 trials and int64 (8 bytes) from there on; they are freed once
+    split, before the summary. Where the run does not fit in memory,
+    ``n_parties`` is rejected here with the size of those counts, 12 * 3^N or
+    24 * 3^N bytes: numpy cannot size them from N = 38 on, and any
+    MemoryError on the way (the counts themselves, the blocks, the first
+    block's quantum tensor, the count split or the summary) is reported the
+    same way.
     """
     n, combos = config.n_parties, config.n_combos
+    dtype = np.dtype(np.int32 if config.trials < 2 ** 31 else np.int64)
     try:
         try:
-            key_counts = np.zeros(3 * combos, dtype=np.int64)
+            key_counts = np.zeros(3 * combos, dtype=dtype)
         except ValueError:  # past what numpy can size: out of memory all the same
             raise MemoryError from None
-        all_zero = 0
+        one, all_zero = dtype.type(1), 0  # a plain 1 takes np.add.at off its fast path
         for key, none_count in blocks:
-            np.add.at(key_counts, key, 1)
+            np.add.at(key_counts, key, one)
             all_zero += none_count
             del key  # so a tallied block is freed before the next block draws
         minus, zero, plus = key_counts.reshape(combos, 3).T
@@ -525,7 +536,8 @@ def _summarize(config: ExperimentConfig, blocks) -> ExperimentSummary:
         raise _FieldError(
             "n_parties",
             f"{n} parties need 3^{n} = {combos} setting combinations; their key counts "
-            f"take {24 * combos} bytes, and the run does not fit in this process's memory",
+            f"take {3 * combos * dtype.itemsize} bytes, and the run does not fit in this "
+            "process's memory",
         ) from None
 
 

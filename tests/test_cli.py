@@ -6,12 +6,14 @@ exit codes, JSON/CSV payloads and byte-level reproducibility; one test calls
 Exit conventions: 0 success, 1 failed verification, 2 usage error.
 """
 
+import collections
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,8 +74,11 @@ def run_cli(*args, env=None):
     )
 
 
-def _assert_reports_size(*args):
-    """Run the CLI at N = 20 and expect a usage error that states the size.
+def _assert_reports_size(*args, size=41841412812):
+    """Run the CLI at N = 20 and expect a usage error that states ``size``.
+
+    That is the 12 * 3^20 bytes of int32 key counts, or 24 * 3^20 for int64
+    from 2^31 trials on.
 
     The child caps its own address space, so the 3^20-entry arrays fail to
     allocate at once instead of being reserved for real.
@@ -94,7 +99,7 @@ def _assert_reports_size(*args):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert "3^20 = 3486784401" in res.stderr
-    assert "83682825624 bytes" in res.stderr  # the 24 * 3^20 bytes of key counts
+    assert f"their key counts take {size} bytes" in res.stderr
 
 
 class TestBound:
@@ -287,17 +292,24 @@ class TestSimulate:
             "--policy", "uniform-random",
         )
 
+    def test_oversized_n_reports_int64_size_from_2_to_the_31_trials(self):
+        # The counts are allocated before any block draws, so no trial runs.
+        _assert_reports_size(
+            "simulate", "--n", "20", "--v", "0.9", "--eta", "0.9", "--trials", "2147483648",
+            "--policy", "uniform-random", size=83682825624,
+        )
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
     def test_memory_past_the_key_counts_names_the_flag(self):
         # The child caps its address space just above its own size plus the
-        # 24 * 3^16 bytes of key counts: they fit, and the first block's
+        # 12 * 3^16 bytes of key counts: they fit, and the first block's
         # quantum tensor does not. Nothing is touched, so nothing is resident.
         code = (
             "import os, resource, sys\n"
             "from ghzbell.cli import main\n"
             "with open('/proc/self/statm') as fh:\n"
             "    size = int(fh.read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
-            "limit = size + 24 * 3 ** 16 + 64 * 2 ** 20\n"
+            "limit = size + 12 * 3 ** 16 + 64 * 2 ** 20\n"
             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
             "sys.exit(main(['simulate', '--n', '16', '--v', '0.9', '--eta', '0.9',\n"
             "               '--trials', '10', '--policy', 'uniform-random']))\n"
@@ -312,10 +324,10 @@ class TestSimulate:
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
         assert "error: --n: 16 parties need 3^16 = 43046721 setting combinations" in res.stderr
-        assert "1033121304 bytes" in res.stderr
+        assert "516560652 bytes" in res.stderr
 
     def test_n_beyond_numpy_size_limit_names_the_flag(self):
-        # The 24 * 3^45 bytes of key counts are past what numpy can even size an array for.
+        # The 12 * 3^45 bytes of key counts are past what numpy can even size an array for.
         res = run_cli(
             "simulate", "--n", "45", "--v", "0.5", "--eta", "0.5", "--trials", "10",
             "--policy", "uniform-random",
@@ -420,11 +432,12 @@ class TestConfigErrorsNameTheFlag:
                 "sweep --n 2 --eta 1.0 --v-grid 0.5,1.2 --trials-per-point 9",
                 "--v-grid: visibility must be in [0, 1], got 1.2",
             ),
-            # 24 * 3^37 bytes of key counts pass sys.maxsize; 8 * 3^37 do not.
+            # 12 * 3^37 bytes of key counts are below sys.maxsize, so the allocator
+            # refuses them at once with MemoryError; numpy's own size check starts at N = 38.
             (
                 "simulate --n 37 --v 0.5 --eta 0.5 --trials 10 --policy uniform-random",
                 "--n: 37 parties need 3^37 = 450283905890997363 setting combinations; "
-                "their key counts take 10806813741383936712 bytes",
+                "their key counts take 5403406870691968356 bytes",
             ),
             (
                 "sweep --n 37 --eta 0.5 --v-grid 0.5 --trials-per-point 10 "
@@ -646,3 +659,28 @@ class TestJsonRendering:
         expected = {"n": 2, "tensor": {"n_parties": 2, "entries": entries}, "after": [1.5]}
         assert "".join(_json_pieces(value)) == json.dumps(expected, indent=2)
         assert "".join(_json_pieces(array)) == json.dumps(entries, indent=2)
+
+    @pytest.mark.parametrize("size", [65535, 65536, 65537, 131073])
+    def test_renderer_joins_pieces_across_their_boundaries(self, size):
+        # Arrays are rendered 65 536 entries at a time; put signed zeros,
+        # nan and inf on both sides of every piece boundary and at the end.
+        array = np.arange(size) / 7.0
+        for edge in list(range(65536, size, 65536)) + [size]:
+            array[edge - 4:edge] = [-0.0, 0.0, np.nan, np.inf]
+            array[edge:edge + 4] = [np.inf, np.nan, 0.0, -0.0][:size - edge]
+        entries = array.tolist()
+        assert "".join(_json_pieces(array)) == json.dumps(entries, indent=2)
+        wrapped = "".join(_json_pieces({"entries": array, "n": 12}))
+        assert wrapped == json.dumps({"entries": entries, "n": 12}, indent=2)
+
+    def test_renderer_peak_memory(self):
+        # The 3^12 entries once rendered as one joined piece, with a
+        # 20.8 MiB peak; 65 536-entry pieces keep it near 3 MiB.
+        array = np.random.default_rng(0).choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], 3 ** 12)
+        tracemalloc.start()
+        try:
+            collections.deque(_json_pieces({"entries": array}), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20

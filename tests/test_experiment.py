@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -519,7 +520,7 @@ class TestTally:
             assert sum_prod.tolist() == [float(x) for x in want_sums]
             assert nonzero.tolist() == want_nonzero
             assert all_zero == want_all_zero
-            assert sum_prod.dtype == np.float64 and nonzero.dtype == np.int64
+            assert sum_prod.dtype == np.float64 and nonzero.dtype == np.int32  # below 2^31 trials
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_combo_index_matches_place_values(self, n):
@@ -553,7 +554,21 @@ class TestTally:
         assert sum_prod.tolist() == [1.0, 1.0, 0.0] + [0.0] * 6
         assert nonzero.tolist() == [3, 1, 0] + [0] * 6
         assert all_zero == 2
-        assert sum_prod.dtype == np.float64 and nonzero.dtype == np.int64
+        assert sum_prod.dtype == np.float64 and nonzero.dtype == np.int32  # below 2^31 trials
+
+    @pytest.mark.parametrize("trials, dtype", [(2 ** 31 - 1, np.int32), (2 ** 31, np.int64)])
+    def test_key_counts_are_int32_below_2_to_the_31_trials(self, trials, dtype, monkeypatch):
+        # No count can exceed the trial count, so int32 holds every count
+        # below 2^31 trials; from 2^31 on the counts are int64.
+        config = ExperimentConfig(2, 0.8, 0.9, trials, seed=1, setting_policy=UNIFORM_RANDOM)
+        _capture_stats(monkeypatch)
+        blocks = [(np.array([2, 2, 0]), 0), (np.repeat([4, 5, 7, 26], [1, 70000, 2, 3]), 2)]
+        counts, sum_prod, nonzero, all_zero = _summarize(config, blocks)
+        assert counts.tolist() == [3, 70001, 2] + [0] * 5 + [3]
+        assert sum_prod.tolist() == [1.0, 70000.0, 0.0] + [0.0] * 5 + [3.0]
+        assert nonzero.tolist() == [3, 70000, 0] + [0] * 5 + [3]
+        assert all_zero == 2
+        assert counts.dtype == nonzero.dtype == dtype and sum_prod.dtype == np.float64
 
     @pytest.mark.parametrize("n, eta", [(2, 0.7), (3, 1.0), (5, 0.9)])
     def test_sampled_products_are_the_keys_products(self, n, eta):
@@ -608,7 +623,7 @@ class TestSummaryFromStats:
         counts, sum_prod, nonzero = self._stats_with_trial_counts(n, n, weighted_low)
         trials = max(int(counts.sum()), 1)
         config = ExperimentConfig(n, 0.8, 0.9, trials, seed=1, setting_policy=UNIFORM_RANDOM)
-        got = _summary_from_stats(config, counts, sum_prod, nonzero, 2)
+        got = _summary_from_stats(config, counts.copy(), sum_prod.copy(), nonzero.copy(), 2)
         est, lhs, se = _masked_divide_summary(n, counts, sum_prod, nonzero)
         entries = got.estimated_tensor.entries
         assert np.array_equal(entries.view(np.int64), est.view(np.int64))
@@ -624,7 +639,7 @@ class TestSummaryFromStats:
         sum_prod = np.zeros(9)
         nonzero[0], sum_prod[0] = 0, 2.0  # inconsistent on purpose: variance -2
         config = ExperimentConfig(n, 0.8, 0.9, 18, seed=1, setting_policy=UNIFORM_RANDOM)
-        got = _summary_from_stats(config, counts, sum_prod, nonzero, 0)
+        got = _summary_from_stats(config, counts.copy(), sum_prod.copy(), nonzero.copy(), 0)
         est, lhs, se = _masked_divide_summary(n, counts, sum_prod, nonzero)
         assert np.array_equal(got.estimated_tensor.entries.view(np.int64), est.view(np.int64))
         assert got.lhs.hex() == lhs.hex()
@@ -645,6 +660,20 @@ class TestSummaryFromStats:
         assert got.lhs.hex() == lhs.hex()
         assert got.standard_error_lhs.hex() == se.hex()
         assert got.p_all_zero == (~batch.outcomes.any(axis=1)).sum() / config.trials
+
+    def test_run_experiment_peak_memory(self):
+        # At N = 12 the int64 key counts and the summary's own 3^N
+        # temporaries once peaked at 57 bytes per combination; int32 counts
+        # and a summary in its inputs' buffers take 33.
+        config = ExperimentConfig(12, 0.6, 0.98, 2 * 3 ** 12, seed=7)
+        run_experiment(config)  # warm-up: the cached quantum tensor
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 3 ** 12
 
 
 class TestSettingPolicies:
