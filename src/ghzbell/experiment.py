@@ -506,14 +506,12 @@ def _summarize(config: ExperimentConfig, blocks) -> ExperimentSummary:
     Each block's keys are added, in block order, into 3 * 3^N key counts by
     ``np.add.at`` (fast from numpy 1.25 on). Row c holds combination c's -1, 0
     and +1 counts; the product sums are +1 minus -1 counts, exact in float64.
-    No count exceeds ``config.trials``, so the counts are int32 (4 bytes)
-    below 2^31 trials and int64 (8 bytes) from there on; they are freed once
-    split, before the summary. Where the run does not fit in memory,
-    ``n_parties`` is rejected here with the size of those counts, 12 * 3^N or
-    24 * 3^N bytes: numpy cannot size them from N = 38 on, and any
-    MemoryError on the way (the counts themselves, the blocks, the first
-    block's quantum tensor, the count split or the summary) is reported the
-    same way.
+    No count exceeds ``config.trials``, so they are int32 below 2^31 trials,
+    else int64, and are freed once split, before the summary. Where the run
+    does not fit in memory, ``n_parties`` is rejected here with the size of
+    those counts: numpy cannot size them from N = 38 on, and any MemoryError
+    on the way (the blocks, the first block's quantum tensor, the count split
+    or the summary) is reported the same way.
     """
     n, combos = config.n_parties, config.n_combos
     dtype = np.dtype(np.int32 if config.trials < 2 ** 31 else np.int64)
