@@ -10,8 +10,8 @@ Subcommands:
 JSON is the default format; the human format is rendered from the same data
 structure, never computed separately. Exit codes: 0 success, 1 failed check,
 2 usage error. A value the library rejects raises _FieldError, which main
-reports as a usage error led by the flag that set it. The environment variable
-GHZBELL_SEED overrides the default seed (0) when --seed is not given.
+reports as a usage error led by the flag that set it. GHZBELL_SEED, when set,
+is --seed's default in place of 0, so its errors name --seed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 
 from .checks import run_checks
 from .experiment import (
-    MAX_SEED,
     ExperimentConfig,
     ROUND_ROBIN,
     SETTING_POLICIES,
@@ -92,23 +91,6 @@ def _emit_json(data) -> None:
     sys.stdout.write("\n")
 
 
-def _seed(args, parser: argparse.ArgumentParser) -> int:
-    """--seed, else GHZBELL_SEED, else 0; out of 0..2^64-1 is a usage error."""
-    if args.seed is not None:
-        seed, source = args.seed, "--seed"
-    else:
-        raw = os.environ.get(SEED_ENV_VAR)
-        if raw is None:
-            return 0
-        try:
-            seed, source = int(raw), SEED_ENV_VAR
-        except ValueError:
-            parser.error(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-    if not 0 <= seed <= MAX_SEED:
-        parser.error(f"{source} must be in 0..2^64-1, got {seed}")
-    return seed
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghzbell",
@@ -139,10 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--v", type=float, required=True, help="visibility in [0, 1]")
     p_sim.add_argument("--eta", type=float, required=True, help="detection efficiency in [0, 1]")
     p_sim.add_argument("--trials", type=int, required=True, help="number of trials")
-    p_sim.add_argument("--seed", type=int, default=None, help="64-bit seed (default 0)")
-    p_sim.add_argument("--policy", choices=SETTING_POLICIES, default=ROUND_ROBIN)
-    p_sim.add_argument("--workers", type=int, default=1, help="worker threads (no effect on output)")
-    p_sim.add_argument("--format", choices=("json", "human"), default="json")
 
     p_sweep = sub.add_parser("sweep", help="experiments across a visibility grid")
     p_sweep.add_argument("--n", type=int, required=True, help="number of parties (>= 2)")
@@ -151,10 +129,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--v-grid", type=str, required=True, help="comma-separated visibilities, e.g. 0.4,0.5,0.6"
     )
     p_sweep.add_argument("--trials-per-point", type=int, required=True)
-    p_sweep.add_argument("--seed", type=int, default=None, help="64-bit seed (default 0)")
-    p_sweep.add_argument("--policy", choices=SETTING_POLICIES, default=ROUND_ROBIN)
-    p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.add_argument("--format", choices=("json", "csv", "human"), default="json")
+    for p, formats in ((p_sim, ("json", "human")), (p_sweep, ("json", "csv", "human"))):
+        # argparse runs a string default through type=int only when --seed is absent.
+        p.add_argument(
+            "--seed", type=int, default=os.environ.get(SEED_ENV_VAR, "0"),
+            help=f"64-bit seed (default ${SEED_ENV_VAR}, else 0)",
+        )
+        p.add_argument("--policy", choices=SETTING_POLICIES, default=ROUND_ROBIN)
+        p.add_argument("--workers", type=int, default=1, help="worker threads (no effect on output)")
+        p.add_argument("--format", choices=formats, default="json")
 
     p_verify = sub.add_parser("verify", help="run the self-check suite")
     p_verify.add_argument(
@@ -246,7 +229,7 @@ def _cmd_simulate(args, parser) -> int:
         visibility=args.v,
         efficiency=args.eta,
         trials=args.trials,
-        seed=_seed(args, parser),
+        seed=args.seed,
         setting_policy=args.policy,
     )
     summary = run_experiment(config, workers=args.workers)
@@ -276,7 +259,6 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
-    seed = _seed(args, parser)
     try:
         grid = [float(tok) for tok in args.v_grid.split(",") if tok.strip()]
     except ValueError:
@@ -288,7 +270,7 @@ def _cmd_sweep(args, parser) -> int:
         eta=args.eta,
         v_grid=grid,
         trials_per_point=args.trials_per_point,
-        seed=seed,
+        seed=args.seed,
         setting_policy=args.policy,
         workers=args.workers,
     )
@@ -296,7 +278,7 @@ def _cmd_sweep(args, parser) -> int:
         "n_parties": args.n,
         "efficiency": args.eta,
         "trials_per_point": args.trials_per_point,
-        "seed": seed,
+        "seed": args.seed,
         "setting_policy": args.policy,
         "points": [p.to_dict() for p in points],
     }
@@ -343,6 +325,7 @@ _ENGINE_FLAGS = {
     "visibility": "--v",
     "efficiency": "--eta",
     "trials": "--trials",
+    "seed": "--seed",
     "workers": "--workers",
 }
 # Each subcommand's handler, and the flag that sets each field its library

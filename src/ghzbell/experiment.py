@@ -69,11 +69,13 @@ SETTING_POLICIES = (ROUND_ROBIN, UNIFORM_RANDOM)
 
 BLOCK_TRIALS = 65536
 MAX_SEED = 2 ** 64 - 1
+# A trial's key, 3 combo + 1 + product, is below 3^(N+1): int64 holds it up to N = 38.
+_MAX_PARTIES = 38
 
 
 def _check_seed(seed: int) -> None:
     if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+        raise _FieldError("seed", f"seed must fit in 64 unsigned bits, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_parties < 2:
             raise _FieldError("n_parties", f"need at least 2 parties, got {self.n_parties}")
+        if self.n_parties > _MAX_PARTIES:
+            raise _FieldError(
+                "n_parties",
+                f"the engine keys trials by setting combination in int64, which holds at "
+                f"most {_MAX_PARTIES} parties, got {self.n_parties}",
+            )
         if not 0.0 <= self.visibility <= 1.0:
             raise _FieldError("visibility", f"visibility must be in [0, 1], got {self.visibility}")
         if not 0.0 <= self.efficiency <= 1.0:
@@ -509,7 +517,7 @@ def _summarize(config: ExperimentConfig, blocks) -> ExperimentSummary:
     No count exceeds ``config.trials``, so they are int32 below 2^31 trials,
     else int64, and are freed once split, before the summary. Where the run
     does not fit in memory, ``n_parties`` is rejected here with the size of
-    those counts: numpy cannot size them from N = 38 on, and any MemoryError
+    those counts: numpy cannot size them at N = 38, and any MemoryError
     on the way (the blocks, the first block's quantum tensor, the count split
     or the summary) is reported the same way.
     """
@@ -556,11 +564,17 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSumm
 
 
 def _batch_block(batch: TrialBatch, config: ExperimentConfig, outcomes: np.ndarray):
-    """The (keys, none-detected count) block of ``batch``'s settings with ``outcomes``."""
+    """The (keys, none-detected count) block of ``batch``'s settings with ``outcomes``.
+
+    The batch must be the config's whole run: its trial count bounds the key
+    counts, which ``_summarize`` sizes from ``config.trials``.
+    """
     if batch.n_parties != config.n_parties:
         raise ValueError(
             f"batch has {batch.n_parties} parties but config has {config.n_parties}"
         )
+    if len(batch) != config.trials:
+        raise ValueError(f"batch has {len(batch)} trials but config says {config.trials}")
     cols = np.asfortranarray(outcomes)
     key = 3 * _combo_index(batch.settings) + 1 + cols.prod(axis=1, dtype=np.int64)
     return key, int((~cols.any(axis=1)).sum())
@@ -568,10 +582,7 @@ def _batch_block(batch: TrialBatch, config: ExperimentConfig, outcomes: np.ndarr
 
 def summarize_batch(batch: TrialBatch, config: ExperimentConfig) -> ExperimentSummary:
     """Summary of an explicit trial batch (e.g. one loaded from disk)."""
-    block = _batch_block(batch, config, batch.outcomes)
-    if len(batch) != config.trials:
-        raise ValueError(f"batch has {len(batch)} trials but config says {config.trials}")
-    return _summarize(config, [block])
+    return _summarize(config, [_batch_block(batch, config, batch.outcomes)])
 
 
 def auxiliary_tensor(batch: TrialBatch, config: ExperimentConfig) -> CorrelationTensor:

@@ -174,6 +174,9 @@ def threshold_table(n_max: int) -> list[ThresholdRow]:
     """Rows for N = 2..n_max: three-setting and two-setting visibility, eta_cr."""
     if n_max < 2:
         raise _FieldError("n_max", f"n_max must be at least 2, got {n_max}")
+    # The N = n_max constants first: an n_max whose 3^N leaves float64 raises
+    # OverflowError here, before N = 2..n_max is built.
+    _efficiency_margin(n_max)
     ns = range(2, n_max + 1)
     return [
         ThresholdRow(

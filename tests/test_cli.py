@@ -197,6 +197,15 @@ class TestThresholds:
         assert "--n-max 647" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("n_max", ["1000000000000", "100000000000000000000"])
+    def test_huge_n_max_is_a_usage_error_before_any_row(self, n_max, capsys):
+        # N = 2..n_max would take terabytes as an array, or not fit numpy at all.
+        with pytest.raises(SystemExit) as info:
+            main(["thresholds", "--n-max", n_max])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: --n-max {n_max} overflows double precision" in err
+
 
 class TestSimulate:
     def test_json_payload_and_violation(self):
@@ -269,6 +278,17 @@ class TestSimulate:
             env=_env(GHZBELL_SEED="not-a-number"),
         )
         assert res.returncode == 2
+        assert "argument --seed: invalid int value: 'not-a-number'" in res.stderr
+
+    def test_env_seed_out_of_range_names_the_flag(self):
+        # GHZBELL_SEED is --seed's default, so the engine's check names --seed.
+        res = run_cli(
+            "simulate", "--n", "2", "--v", "1.0", "--eta", "1.0", "--trials", "9",
+            env=_env(GHZBELL_SEED="-1"),
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "error: --seed: seed must fit in 64 unsigned bits, got -1" in res.stderr
 
     def test_usage_errors(self):
         bad_v = run_cli(
@@ -327,14 +347,26 @@ class TestSimulate:
         assert "516560652 bytes" in res.stderr
 
     def test_n_beyond_numpy_size_limit_names_the_flag(self):
-        # The 12 * 3^45 bytes of key counts are past what numpy can even size an array for.
+        # The 12 * 3^38 bytes of key counts are past what numpy can even size an array for.
         res = run_cli(
-            "simulate", "--n", "45", "--v", "0.5", "--eta", "0.5", "--trials", "10",
+            "simulate", "--n", "38", "--v", "0.5", "--eta", "0.5", "--trials", "10",
             "--policy", "uniform-random",
         )
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
-        assert "--n: 45 parties need 3^45 = 2954312706550833698643" in res.stderr
+        assert "--n: 38 parties need 3^38 = 1350851717672992089" in res.stderr
+
+    @pytest.mark.parametrize("policy", ["round-robin", "uniform-random"])
+    @pytest.mark.parametrize("n", ["39", "45", "10000", "100000000"])
+    def test_n_past_int64_keys_names_the_flag_at_once(self, n, policy, capsys):
+        # Rejected before 3^N is computed: no 3^N in the message, and no wait.
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--n", n, "--v", "0.5", "--eta", "0.5", "--trials", "10",
+                  "--policy", policy])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: --n: the engine keys trials by setting combination in int64, which " \
+            f"holds at most 38 parties, got {n}" in err
 
 
 class TestSweep:
@@ -388,12 +420,12 @@ class TestSweep:
 
     def test_n_beyond_numpy_size_limit_names_the_flag(self):
         res = run_cli(
-            "sweep", "--n", "45", "--eta", "0.5", "--v-grid", "0.5",
+            "sweep", "--n", "38", "--eta", "0.5", "--v-grid", "0.5",
             "--trials-per-point", "10", "--policy", "uniform-random",
         )
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
-        assert "--n: 45 parties need 3^45 = 2954312706550833698643" in res.stderr
+        assert "--n: 38 parties need 3^38 = 1350851717672992089" in res.stderr
 
     def test_negative_seed_names_the_flag(self):
         res = run_cli(
@@ -401,7 +433,7 @@ class TestSweep:
             "--trials-per-point", "9", "--seed", "-1",
         )
         assert res.returncode == 2
-        assert "--seed must be in 0..2^64-1, got -1" in res.stderr
+        assert "error: --seed: seed must fit in 64 unsigned bits, got -1" in res.stderr
 
 
 class TestConfigErrorsNameTheFlag:
@@ -445,12 +477,26 @@ class TestConfigErrorsNameTheFlag:
                 "--n: 37 parties need 3^37 = 450283905890997363 setting combinations",
             ),
             (
+                "sweep --n 10000 --eta 0.5 --v-grid 0.5 --trials-per-point 10",
+                "--n: the engine keys trials by setting combination in int64, which holds "
+                "at most 38 parties, got 10000",
+            ),
+            (
                 "simulate --n 2 --v 1.0 --eta 1.0 --trials 9 --workers 0",
                 "--workers: workers must be positive, got 0",
             ),
             (
                 "sweep --n 2 --eta 1.0 --v-grid 0.5 --trials-per-point 9 --workers 0",
                 "--workers: workers must be positive, got 0",
+            ),
+            (
+                "simulate --n 2 --v 1.0 --eta 1.0 --trials 9 --seed -1",
+                "--seed: seed must fit in 64 unsigned bits, got -1",
+            ),
+            (
+                "sweep --n 2 --eta 1.0 --v-grid 0.5 --trials-per-point 9 "
+                "--seed 18446744073709551616",
+                "--seed: seed must fit in 64 unsigned bits, got 18446744073709551616",
             ),
             # The exact side's own checks, through the same table of flags.
             ("bound --n 1", "--n: need at least 2 parties, got 1"),
@@ -462,7 +508,8 @@ class TestConfigErrorsNameTheFlag:
         ],
         ids=[
             "n", "v", "eta", "trials", "trials-per-point", "v-grid",
-            "simulate-n37", "sweep-n37", "simulate-workers", "sweep-workers",
+            "simulate-n37", "sweep-n37", "sweep-n10000", "simulate-workers", "sweep-workers",
+            "simulate-seed", "sweep-seed",
             "bound-n1", "bound-n9", "bound-n9-brute",
             "thresholds-n-max1", "verify-n-max1", "verify-n-max9",
         ],

@@ -127,6 +127,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_out_of_range_names_the_field(self, seed):
+        with pytest.raises(ValueError, match="64 unsigned bits") as info:
+            ExperimentConfig(n_parties=2, visibility=1.0, efficiency=1.0, trials=9, seed=seed)
+        assert info.value.field == "seed"
+
+    @pytest.mark.parametrize("policy", [ROUND_ROBIN, UNIFORM_RANDOM])
+    @pytest.mark.parametrize("n", [39, 10 ** 4, 10 ** 8])
+    def test_parties_past_int64_keys_rejected_before_3_to_the_n(self, n, policy):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at most 38 parties") as info:
+            ExperimentConfig(n, 0.5, 0.5, 10, seed=0, setting_policy=policy)
+        assert info.value.field == "n_parties"
+        assert time.perf_counter() - start < 5.0  # 3 ** 10 ** 8 alone takes over a minute
+
     def test_uniform_random_skips_divisibility(self):
         cfg = ExperimentConfig(
             n_parties=2,
@@ -913,6 +928,13 @@ class TestAuxiliaryTensor:
         with pytest.raises(ValueError):
             auxiliary_tensor(batch, cfg3)
 
+    def test_trial_count_mismatch(self):
+        # The key counts are sized from config.trials, so a longer batch could wrap them.
+        batch = generate_trials(ExperimentConfig(2, 1.0, 0.9, 90, seed=0))
+        short = ExperimentConfig(2, 1.0, 0.9, 9, seed=0)
+        with pytest.raises(ValueError, match="batch has 90 trials but config says 9"):
+            auxiliary_tensor(batch, short)
+
 
 class TestSummarizeBatchValidation:
     def test_trial_count_mismatch(self):
@@ -979,8 +1001,9 @@ class TestVisibilitySweep:
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_out_of_range(self, seed):
-        with pytest.raises(ValueError, match="64 unsigned bits"):
+        with pytest.raises(ValueError, match="64 unsigned bits") as info:
             visibility_sweep(2, 1.0, [0.5], 9, seed=seed)
+        assert info.value.field == "seed"
 
     def test_point_to_dict(self):
         (point,) = visibility_sweep(

@@ -225,6 +225,19 @@ class TestThresholdTable:
             threshold_table(1)
         assert info.value.field == "n_max"
 
+    @pytest.mark.parametrize(
+        "n_max", [647, 10 ** 12, 10 ** 20, 10 ** 400], ids=["647", "1e12", "1e20", "1e400"]
+    )
+    def test_overflowing_n_max_raises_before_building_any_n(self, n_max, monkeypatch):
+        import ghzbell.thresholds as thresholds
+
+        def no_bisection(ns):
+            raise AssertionError("N = 2..n_max was built before the overflow was seen")
+
+        monkeypatch.setattr(thresholds, "critical_efficiency", no_bisection)
+        with pytest.raises(OverflowError):
+            threshold_table(n_max)
+
     def test_csv_header_and_shape(self):
         text = render_table_csv(threshold_table(4))
         lines = text.splitlines()
