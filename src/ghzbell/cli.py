@@ -9,9 +9,9 @@ Subcommands:
 
 JSON is the default format; the human format is rendered from the same data
 structure, never computed separately. Exit codes: 0 success, 1 failed check,
-2 usage error. A value the library rejects raises _FieldError, which main
-reports as a usage error led by the flag that set it. GHZBELL_SEED, when set,
-is --seed's default in place of 0, so its errors name --seed.
+2 usage error. main alone reports a _FieldError, raised by the library or a
+handler, through the subcommand's parser and led by the flag that set the
+value. GHZBELL_SEED, when set, is --seed's default, so its errors name --seed.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _emit_json(data) -> None:
     sys.stdout.write("\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="ghzbell",
         description=(
@@ -149,10 +149,10 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="force the first check to fail (tests the failure path)",
     )
-    return parser
+    return parser, sub.choices
 
 
-def _cmd_bound(args, parser) -> int:
+def _cmd_bound(args) -> int:
     try:
         norm_sq = 3.0 ** args.n / 2.0
     except OverflowError:
@@ -167,7 +167,7 @@ def _cmd_bound(args, parser) -> int:
             "violation_factor": violation_factor(args.n),
         }
     except OverflowError:
-        parser.error(f"--n {args.n} overflows double precision")
+        raise _FieldError("n_parties", f"{args.n} overflows double precision") from None
     if args.method in ("brute", "both"):
         brute, strategy = max_score_brute(args.n)
         data["max_s"] = brute
@@ -200,11 +200,11 @@ def _cmd_bound(args, parser) -> int:
     return 0
 
 
-def _cmd_thresholds(args, parser) -> int:
+def _cmd_thresholds(args) -> int:
     try:
         rows = threshold_table(args.n_max)
     except OverflowError:
-        parser.error(f"--n-max {args.n_max} overflows double precision")
+        raise _FieldError("n_max", f"{args.n_max} overflows double precision") from None
     if args.format == "csv":
         sys.stdout.write(render_table_csv(rows))
     elif args.format == "human":
@@ -223,7 +223,7 @@ def _cmd_thresholds(args, parser) -> int:
     return 0
 
 
-def _cmd_simulate(args, parser) -> int:
+def _cmd_simulate(args) -> int:
     config = ExperimentConfig(
         n_parties=args.n,
         visibility=args.v,
@@ -258,13 +258,13 @@ def _cmd_simulate(args, parser) -> int:
     return 0
 
 
-def _cmd_sweep(args, parser) -> int:
+def _cmd_sweep(args) -> int:
     try:
         grid = [float(tok) for tok in args.v_grid.split(",") if tok.strip()]
     except ValueError:
-        parser.error(f"--v-grid must be comma-separated numbers, got {args.v_grid!r}")
-    if not grid:
-        parser.error("--v-grid must contain at least one visibility")
+        raise _FieldError(
+            "visibility", f"visibilities must be comma-separated numbers, got {args.v_grid!r}"
+        ) from None
     points = visibility_sweep(
         n_parties=args.n,
         eta=args.eta,
@@ -302,7 +302,7 @@ def _cmd_sweep(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     results = run_checks(n_max=args.n_max, inject_fault=args.inject_fault)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
@@ -340,13 +340,13 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     handler, flags = COMMANDS[args.command]
     try:
-        return handler(args, parser)
+        return handler(args)
     except _FieldError as exc:
-        parser.error(f"{flags[exc.field]}: {exc}")
+        subparsers[args.command].error(f"{flags[exc.field]}: {exc}")
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ summarize_batch on the trials generate_trials draws.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
 from collections import deque
@@ -58,6 +59,7 @@ from .lhv import lhv_bound
 from .quantum import (
     CorrelationTensor,
     _FieldError,
+    _check_parties,
     build_settings,
     entry_sum_closed_form,
     quantum_tensor,
@@ -73,7 +75,15 @@ MAX_SEED = 2 ** 64 - 1
 _MAX_PARTIES = 38
 
 
+def _check_integer(field: str, value: int) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise _FieldError(field, f"{field} must be an integer, got {value!r}") from None
+
+
 def _check_seed(seed: int) -> None:
+    _check_integer("seed", seed)
     if not 0 <= seed <= MAX_SEED:
         raise _FieldError("seed", f"seed must fit in 64 unsigned bits, got {seed}")
 
@@ -90,8 +100,8 @@ class ExperimentConfig:
     setting_policy: str = ROUND_ROBIN
 
     def __post_init__(self) -> None:
-        if self.n_parties < 2:
-            raise _FieldError("n_parties", f"need at least 2 parties, got {self.n_parties}")
+        _check_integer("n_parties", self.n_parties)
+        _check_parties(self.n_parties)
         if self.n_parties > _MAX_PARTIES:
             raise _FieldError(
                 "n_parties",
@@ -102,6 +112,7 @@ class ExperimentConfig:
             raise _FieldError("visibility", f"visibility must be in [0, 1], got {self.visibility}")
         if not 0.0 <= self.efficiency <= 1.0:
             raise _FieldError("efficiency", f"efficiency must be in [0, 1], got {self.efficiency}")
+        _check_integer("trials", self.trials)
         if self.trials < 1:
             raise _FieldError("trials", f"trials must be positive, got {self.trials}")
         _check_seed(self.seed)
@@ -334,11 +345,6 @@ class SweepPoint:
         return asdict(self)
 
 
-def _place_values(n_parties: int) -> np.ndarray:
-    """Base-3 weight of each party's setting in a combo index, party 0 slowest."""
-    return 3 ** (n_parties - 1 - np.arange(n_parties, dtype=np.int64))
-
-
 def _combo_index(settings: np.ndarray) -> np.ndarray:
     """Combo index of each 1-based settings row in CorrelationTensor order, by Horner's rule."""
     idx = np.zeros(settings.shape[0], dtype=np.int64)
@@ -451,8 +457,8 @@ def generate_trials(config: ExperimentConfig, workers: int = 1) -> TrialBatch:
     parts = list(_map_blocks(config, work, workers))
     combos = np.concatenate([p[0] for p in parts])
     outcomes = np.concatenate([p[1] for p in parts])
-    place = _place_values(config.n_parties)
-    settings = ((combos[:, None] // place) % 3 + 1).astype(np.int8)
+    digits = np.unravel_index(combos, (3,) * config.n_parties)
+    settings = np.stack(digits, axis=1).astype(np.int8) + np.int8(1)
     return TrialBatch(settings=settings, outcomes=outcomes)
 
 
@@ -610,8 +616,8 @@ def visibility_sweep(
     """Run one experiment per visibility value and collect the verdicts.
 
     Each point derives an independent child seed from (seed, point index), so
-    the whole sweep is reproducible from ``seed`` alone. Every point's config
-    is built, and so checked, before the first experiment runs.
+    the whole sweep is reproducible from ``seed`` alone. The grid must not be
+    empty, and every point's config is checked before the first one runs.
     """
     _check_seed(seed)
     configs = [
@@ -625,6 +631,8 @@ def visibility_sweep(
         )
         for i, v in enumerate(v_grid)
     ]
+    if not configs:
+        raise _FieldError("visibility", "need at least one visibility, got none")
     points = []
     for config in configs:
         summary = run_experiment(config, workers=workers)

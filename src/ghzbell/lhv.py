@@ -39,6 +39,7 @@ from .quantum import (
     CorrelationTensor,
     SettingsGrid,
     _FieldError,
+    _check_parties,
     build_settings,
     integer_tensor,
 )
@@ -65,8 +66,7 @@ class DeterministicStrategy:
 
     def __post_init__(self) -> None:
         assignments = tuple(tuple(t) for t in self.assignments)
-        if len(assignments) < 2:
-            raise ValueError("need at least 2 parties")
+        _check_parties(len(assignments))
         for k, triple in enumerate(assignments):
             if len(triple) != 3:
                 raise ValueError(f"party {k} needs exactly 3 assigned values")
@@ -140,8 +140,7 @@ def strategy_score(strategy: DeterministicStrategy, q: CorrelationTensor) -> flo
 
 def lhv_bound(n_parties: int) -> float:
     """The deterministic maximum 2^(N-1) sqrt(3)."""
-    if n_parties < 2:
-        raise _FieldError("n_parties", f"need at least 2 parties, got {n_parties}")
+    _check_parties(n_parties)
     return math.ldexp(HALF_SQRT3, n_parties)
 
 
@@ -152,8 +151,6 @@ def bound_attaining_strategy(n_parties: int) -> DeterministicStrategy:
     every other party's on class 0 (+2), so the product has magnitude 2^N at
     phase pi/6 and real part 2^(N-1) sqrt(3).
     """
-    if n_parties < 2:
-        raise ValueError(f"need at least 2 parties, got {n_parties}")
     return DeterministicStrategy(assignments=((1, 1, -1),) * n_parties)
 
 
@@ -189,8 +186,7 @@ def max_score_brute(n_parties: int) -> tuple[float, DeterministicStrategy]:
     candidates = np.ravel_multi_index(rep_digits, (8,) * n_parties)
     flipped = scores[hits] < 0
     candidates[flipped] += 7 - 2 * rep_digits[-1][flipped]
-    index = int(candidates.min())
-    digits = [(index // 8 ** (n_parties - 1 - k)) % 8 for k in range(n_parties)]
+    digits = np.unravel_index(candidates.min(), (8,) * n_parties)
     strategy = DeterministicStrategy(assignments=tuple(SIGN_TRIPLES[d] for d in digits))
     return HALF_SQRT3 * float(best), strategy
 
@@ -222,6 +218,5 @@ def max_score_factorized(n_parties: int) -> float:
 
 def violation_factor(n_parties: int) -> float:
     """Ratio of the quantum value 3^N/2 to the bound: (3/2)^N / sqrt(3)."""
-    if n_parties < 2:
-        raise ValueError(f"need at least 2 parties, got {n_parties}")
+    _check_parties(n_parties)
     return 1.5 ** n_parties / math.sqrt(3.0)

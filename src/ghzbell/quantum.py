@@ -52,6 +52,12 @@ class _FieldError(ValueError):
         self.field = field
 
 
+def _check_parties(n: int) -> None:
+    """The paper's test needs at least two parties."""
+    if n < 2:
+        raise _FieldError("n_parties", f"need at least 2 parties, got {n}")
+
+
 @dataclass(frozen=True)
 class SettingsGrid:
     """The paper's fixed measurement phases for N parties, three settings each.
@@ -63,8 +69,7 @@ class SettingsGrid:
     n_parties: int
 
     def __post_init__(self) -> None:
-        if self.n_parties < 2:
-            raise ValueError(f"need at least 2 parties, got {self.n_parties}")
+        _check_parties(self.n_parties)
 
     def phase_classes(self) -> tuple[tuple[int, int, int], ...]:
         """Each phase as its integer multiple of pi/6, per party and setting."""
@@ -91,8 +96,7 @@ class CorrelationTensor:
     _take: InitVar[bool] = False
 
     def __post_init__(self, _take: bool) -> None:
-        if self.n_parties < 2:
-            raise ValueError(f"need at least 2 parties, got {self.n_parties}")
+        _check_parties(self.n_parties)
         arr = self.entries if _take else np.array(self.entries, dtype=np.float64).ravel()
         if arr.size != 3 ** self.n_parties:
             raise ValueError(
@@ -118,13 +122,8 @@ def setting_phase_classes(grid: SettingsGrid) -> np.ndarray:
 
     Flat int array of length 3^N, same ordering as CorrelationTensor entries.
     """
-    n = grid.n_parties
-    total = np.zeros((3,) * n, dtype=np.int64)
-    for k, classes in enumerate(grid.phase_classes()):
-        shape = [1] * n
-        shape[k] = 3
-        total = total + np.asarray(classes, dtype=np.int64).reshape(shape)
-    return (total % 12).ravel()
+    classes = [np.asarray(c, dtype=np.int64) for c in grid.phase_classes()]
+    return (functools.reduce(np.add.outer, classes) % 12).ravel()
 
 
 def _odd_class_table(grid: SettingsGrid) -> np.ndarray:
@@ -171,7 +170,6 @@ def entry_sum_closed_form(n_parties: int) -> float:
     sin((N-1) pi/3) only takes the values {0, +-sqrt(3)/2}, so the result is
     exactly 0 whenever N = 1 (mod 3).
     """
-    if n_parties < 2:
-        raise ValueError(f"need at least 2 parties, got {n_parties}")
+    _check_parties(n_parties)
     sin_table = (0.0, HALF_SQRT3, HALF_SQRT3, 0.0, -HALF_SQRT3, -HALF_SQRT3)
     return -(2.0 ** n_parties) * sin_table[(n_parties - 1) % 6]

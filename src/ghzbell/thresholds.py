@@ -37,7 +37,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .lhv import lhv_bound
-from .quantum import _FieldError, entry_sum_closed_form
+from .quantum import _FieldError, _check_parties, entry_sum_closed_form
 
 BISECTION_LO = 1e-6
 BISECTION_TOL = 1e-12
@@ -152,8 +152,7 @@ def efficiency_closed_form(n_parties: int) -> float:
 
 def two_setting_visibility_threshold(n_parties: int) -> float:
     """Critical visibility of the classic two-setting inequalities: 2^((1-N)/2)."""
-    if n_parties < 2:
-        raise ValueError(f"need at least 2 parties, got {n_parties}")
+    _check_parties(n_parties)
     return 2.0 ** ((1 - n_parties) / 2)
 
 

@@ -151,7 +151,7 @@ class TestBound:
     def test_overflowing_bound_is_a_usage_error(self):
         res = run_cli("bound", "--n", "1024", "--method", "factorized")
         assert res.returncode == 2
-        assert "--n 1024 overflows double precision" in res.stderr
+        assert "--n: 1024 overflows double precision" in res.stderr
         assert "Traceback" not in res.stderr
 
 
@@ -194,7 +194,7 @@ class TestThresholds:
         # --n-max 646 is the last table that fits (see the csv-646 digest).
         res = run_cli("thresholds", "--n-max", "647")
         assert res.returncode == 2
-        assert "--n-max 647" in res.stderr
+        assert "--n-max: 647 overflows double precision" in res.stderr
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("n_max", ["1000000000000", "100000000000000000000"])
@@ -204,7 +204,7 @@ class TestThresholds:
             main(["thresholds", "--n-max", n_max])
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert f"error: --n-max {n_max} overflows double precision" in err
+        assert f"error: --n-max: {n_max} overflows double precision" in err
 
 
 class TestSimulate:
@@ -505,6 +505,16 @@ class TestConfigErrorsNameTheFlag:
             ("thresholds --n-max 1", "--n-max: n_max must be at least 2, got 1"),
             ("verify --n-max 1", "--n-max: n_max must be at least 2, got 1"),
             ("verify --n-max 9", "--n-max: exhaustive search supports 2..8 parties, got 9"),
+            # A handler's own checks and overflow translations, through the same table.
+            (
+                "sweep --n 2 --eta 1.0 --v-grid , --trials-per-point 9",
+                "--v-grid: need at least one visibility, got none",
+            ),
+            (
+                "sweep --n 2 --eta 1.0 --v-grid 0.5,x --trials-per-point 9",
+                "--v-grid: visibilities must be comma-separated numbers, got '0.5,x'",
+            ),
+            ("bound --n 1024 --method factorized", "--n: 1024 overflows double precision"),
         ],
         ids=[
             "n", "v", "eta", "trials", "trials-per-point", "v-grid",
@@ -512,13 +522,17 @@ class TestConfigErrorsNameTheFlag:
             "simulate-seed", "sweep-seed",
             "bound-n1", "bound-n9", "bound-n9-brute",
             "thresholds-n-max1", "verify-n-max1", "verify-n-max9",
+            "v-grid-empty", "v-grid-not-numbers", "bound-n1024",
         ],
     )
     def test_message_leads_with_the_flag(self, args, message):
         res = run_cli(*args.split())
         assert res.returncode == 2
         assert res.stdout == ""
-        assert f"error: {message}" in res.stderr
+        # Reported by the subcommand's own parser, under its own usage line.
+        command = args.split()[0]
+        assert res.stderr.startswith(f"usage: ghzbell {command} ")
+        assert f"ghzbell {command}: error: {message}" in res.stderr
         assert "Traceback" not in res.stderr
 
 

@@ -127,6 +127,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [("n_parties", 3.0), ("trials", 27.0), ("seed", 1.5)])
+    def test_non_integer_rejected_at_construction(self, field, value):
+        kwargs = dict(n_parties=3, visibility=0.9, efficiency=0.8, trials=27, seed=0)
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value}$") as info:
+            ExperimentConfig(**{**kwargs, field: value})
+        assert info.value.field == field
+
+    def test_numpy_integers_accepted(self):
+        cfg = ExperimentConfig(np.int64(3), 0.9, 0.8, np.int32(27), seed=np.uint64(2 ** 64 - 1))
+        assert cfg.n_combos == 27
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_out_of_range_names_the_field(self, seed):
         with pytest.raises(ValueError, match="64 unsigned bits") as info:
@@ -998,6 +1009,16 @@ class TestVisibilitySweep:
                 n_parties=3, eta=0.9, v_grid=[0.5, 0.6, 1.5], trials_per_point=27, seed=0
             )
         assert info.value.field == "visibility"
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one visibility, got none$") as info:
+            visibility_sweep(3, 0.9, [], 27, 0)
+        assert info.value.field == "visibility"
+
+    def test_non_integer_seed_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$") as info:
+            visibility_sweep(2, 1.0, [0.5], 9, seed=1.5)
+        assert info.value.field == "seed"
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_out_of_range(self, seed):

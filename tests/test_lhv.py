@@ -15,6 +15,7 @@ Core claims covered here:
 import cmath
 import itertools
 import math
+import re
 import string
 import tracemalloc
 
@@ -23,6 +24,7 @@ import pytest
 
 from ghzbell import (
     DeterministicStrategy,
+    PartyPhasor,
     bound_attaining_strategy,
     build_settings,
     lhv_bound,
@@ -220,6 +222,19 @@ class TestPartyPhasor:
             party_phasor((1.7, 1, -1), 0, grid)
         with pytest.raises(ValueError):
             party_phasor((1, 1, 1), 2, grid)
+
+    @pytest.mark.parametrize(
+        "magnitude, phase_class, message",
+        [
+            (1, 0, "party phasor magnitude must be 0 or 2, got 1"),
+            (2, 12, "phase class must be in 0..11, got 12"),
+            (2, -1, "phase class must be in 0..11, got -1"),
+            (0, 3, "zero phasor must carry phase class 0"),
+        ],
+    )
+    def test_rejects_an_impossible_phasor(self, magnitude, phase_class, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PartyPhasor(magnitude=magnitude, phase_class=phase_class)
 
 
 class TestFactorizedScore:

@@ -14,7 +14,9 @@ Core claims covered here:
     entry sum times sqrt(3)/2 is the closed form exactly, and the quantum
     tensor is sqrt(3)/2 times T to the last bit,
   * each N's quantum tensor and integer table are built once and shared,
-    with read-only entries.
+    with read-only entries,
+  * every public entry point that takes a party count rejects N = 1 through
+    the one rule, with the same field and message.
 """
 
 import itertools
@@ -27,15 +29,23 @@ import pytest
 
 from ghzbell import (
     CorrelationTensor,
+    DeterministicStrategy,
+    ExperimentConfig,
     SettingsGrid,
+    bound_attaining_strategy,
     build_settings,
+    critical_visibility,
+    efficiency_closed_form,
     entry_sum_closed_form,
+    lhv_bound,
     quantum_tensor,
     setting_phase_classes,
     tensor_entry_sum,
     tensor_norm_sq,
+    two_setting_visibility_threshold,
+    violation_factor,
 )
-from ghzbell.quantum import COS12, HALF_SQRT3, integer_tensor
+from ghzbell.quantum import COS12, HALF_SQRT3, _FieldError, integer_tensor
 
 SQRT3 = math.sqrt(3.0)
 SEVEN_VALUES = {0.0, 0.5, -0.5, SQRT3 / 2, -SQRT3 / 2, 1.0, -1.0}
@@ -227,3 +237,31 @@ class TestIntegerTensor:
             assert isinstance(t, CorrelationTensor)
             assert integer_tensor(build_settings(n)) is t
             assert not t.entries.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_settings(1),
+        lambda: CorrelationTensor(1, np.zeros(3)),
+        lambda: entry_sum_closed_form(1),
+        lambda: lhv_bound(1),
+        lambda: violation_factor(1),
+        lambda: bound_attaining_strategy(1),
+        lambda: DeterministicStrategy(assignments=((1, 1, -1),)),
+        lambda: two_setting_visibility_threshold(1),
+        lambda: critical_visibility(1),
+        lambda: efficiency_closed_form(1),
+        lambda: ExperimentConfig(1, 0.5, 0.5, 3, seed=0),
+    ],
+    ids=[
+        "build_settings", "CorrelationTensor", "entry_sum_closed_form", "lhv_bound",
+        "violation_factor", "bound_attaining_strategy", "DeterministicStrategy",
+        "two_setting_visibility_threshold", "critical_visibility", "efficiency_closed_form",
+        "ExperimentConfig",
+    ],
+)
+def test_one_party_is_rejected_by_the_one_rule(call):
+    with pytest.raises(_FieldError, match="^need at least 2 parties, got 1$") as info:
+        call()
+    assert info.value.field == "n_parties"
