@@ -136,12 +136,29 @@ class ExperimentConfig:
 
 
 # Trials-file cells: "%d" of an int8 value and the separator after it, zero-
-# padded to 8 bytes as one uint64. Cell 256 * k + u holds the value whose uint8
-# view is u, followed by separator k: " ", " | " or "\n".
+# padded to 4 bytes as one uint32, or empty if wider. Cell 256 * k + u holds the
+# value whose uint8 view is u, followed by separator k: " ", " | " or "\n".
 _CELLS = np.array(
-    ["%d%s" % (v, sep) for sep in (" ", " | ", "\n") for v in [*range(128), *range(-128, 0)]],
-    dtype="S8",
-).view(np.uint64)
+    [cell if len(cell) <= 4 else "" for sep in (" ", " | ", "\n")
+     for cell in ["%d%s" % (v, sep) for v in [*range(128), *range(-128, 0)]]],
+    dtype="S4",
+).view(np.uint32)
+
+
+def _check_ranges(settings, outcomes) -> tuple[np.ndarray, np.ndarray]:
+    """``settings`` and ``outcomes`` as int8, checked before the cast, which would wrap 257 to 1.
+
+    Settings must be in 1..3 and outcomes in {-1, 0, +1}, by ``==`` as ``np.isin``
+    compares: 1.0 and True pass, 1.5 fails.
+    """
+    settings, outcomes = np.asarray(settings), np.asarray(outcomes)
+    if settings.ndim != 2 or settings.shape != outcomes.shape:
+        raise ValueError("settings and outcomes must be equal-shaped 2-D arrays")
+    if not ((settings == 1) | (settings == 2) | (settings == 3)).all():
+        raise ValueError("setting indices must be in 1..3")
+    if not ((outcomes == -1) | (outcomes == 0) | (outcomes == 1)).all():
+        raise ValueError("outcomes must be in {-1, 0, +1}")
+    return settings.astype(np.int8, copy=False), outcomes.astype(np.int8, copy=False)
 
 
 @dataclass
@@ -149,25 +166,17 @@ class TrialBatch:
     """Column-oriented batch of trials.
 
     ``settings`` is (trials, N) with 1-based setting indices; ``outcomes`` is
-    (trials, N) with values in {-1, 0, +1}. Persists as newline-delimited
-    ``s_1 ... s_N | m_1 ... m_N`` records: ``save`` writes each value's cell of
-    ``_CELLS``, and ``load`` reads values as ``_parse_records`` describes.
+    (trials, N) with values in {-1, 0, +1}, both int8 once ``_check_ranges``
+    has passed them. Persists as newline-delimited ``s_1 ... s_N | m_1 ... m_N``
+    records: ``save`` writes each value's cell of ``_CELLS``, and ``load`` reads
+    values as ``_parse_records`` describes.
     """
 
     settings: np.ndarray
     outcomes: np.ndarray
 
     def __post_init__(self) -> None:
-        # Checked before the int8 cast, which would wrap 257 to 1.
-        settings, outcomes = np.asarray(self.settings), np.asarray(self.outcomes)
-        if settings.ndim != 2 or settings.shape != outcomes.shape:
-            raise ValueError("settings and outcomes must be equal-shaped 2-D arrays")
-        if settings.size and not np.isin(settings, (1, 2, 3)).all():
-            raise ValueError("setting indices must be in 1..3")
-        if outcomes.size and not np.isin(outcomes, (-1, 0, 1)).all():
-            raise ValueError("outcomes must be in {-1, 0, +1}")
-        self.settings = settings.astype(np.int8, copy=False)
-        self.outcomes = outcomes.astype(np.int8, copy=False)
+        self.settings, self.outcomes = _check_ranges(self.settings, self.outcomes)
 
     def __len__(self) -> int:
         return self.settings.shape[0]
@@ -177,12 +186,14 @@ class TrialBatch:
         return self.settings.shape[1]
 
     def save(self, path) -> None:
-        n = self.n_parties
-        text = " | \n" * len(self)
+        """Write each value's ``_CELLS`` cell once ``_check_ranges`` passes the current arrays."""
+        settings, outcomes = _check_ranges(self.settings, self.outcomes)
+        trials, n = settings.shape
+        text = " | \n" * trials
         if n:
-            separators = 256 * np.array([0] * (n - 1) + [1] + [0] * (n - 1) + [2])
-            values = np.hstack([self.settings, self.outcomes]).view(np.uint8)
-            text = _CELLS[values + separators].tobytes().translate(None, b"\0").decode("ascii")
+            separators = np.array([0] * (n - 1) + [256] + [0] * (n - 1) + [512], dtype=np.uint16)
+            values = np.hstack([settings, outcomes]).view(np.uint8)
+            text = _CELLS.take(values + separators).tobytes().translate(None, b"\0").decode("ascii")
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
 
@@ -244,12 +255,14 @@ def _parse_records(text: str) -> np.ndarray:
     # Token starts are "d" or "s" bytes, both below "t"; dropping the other
     # token bytes and the blanks leaves one event per start, bar and line end.
     events = np.maximum(role, start * np.uint8(ord("t"))).tobytes().translate(None, b"ds ")
-    while b"\n\n" in events:  # blank lines
-        events = events.replace(b"\n\n", b"\n")
     events = events.strip(b"\n")
     records, width = events.count(b"|"), max(events.find(b"|"), 0)
-    if events != ((b"t" * width + b"|" + b"t" * width + b"\n") * records)[:-1]:
+    expected = ((b"t" * width + b"|" + b"t" * width + b"\n") * records)[:-1]
+    while events != expected and b"\n\n" in events:  # blank lines, after the first record
+        events = events.replace(b"\n\n", b"\n")
+    if events != expected:
         raise ValueError("malformed trials file")
+    del events, expected  # so they do not stack on the passes below
     end = digit & ~digit_next
     minus = np.concatenate(([False], raw[:-1] == ord("-")))
     last = (raw + np.uint8(64) * minus) * end  # 0 except at each token's last digit
@@ -386,17 +399,16 @@ def _sample(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generat
     """Outcomes of one trial per entry of ``combos``, drawn from ``rng``.
 
     After the draws of ``_draw`` come one fair-sign uniform per station, last.
-    Every registered station takes a fair sign. In an all-detected trial the
-    last sign is then flipped when the product misses the target parity,
-    ``key % 3 - 1``. The product is all the law depends on, so this gives
-    exactly P(r) = 2^-N (1 + V prod(r) q).
+    Every registered station takes a fair sign, minus below 1/2. In an all-detected
+    trial the last sign is then flipped where the XOR of the minus bits misses the
+    target parity, ``key % 3 - 1``. The product is all the law depends on, so
+    this gives exactly P(r) = 2^-N (1 + V prod(r) q).
     """
     detected, all_det, key = _draw(config, combos, rng)
-    outcomes = np.where(rng.random(detected.shape) < 0.5, -1, 1).astype(np.int8)
-    signs = np.asfortranarray(outcomes[all_det]).prod(axis=1)
-    outcomes[all_det, -1] *= (key[all_det] % 3 - 1) * signs
-    outcomes *= detected
-    return outcomes
+    # Column-major, as in _draw, so the parity runs along contiguous columns.
+    minus = np.asfortranarray(rng.random(detected.shape) < 0.5)
+    minus[:, -1] ^= all_det & (np.logical_xor.reduce(minus, axis=1) != (key % 3 == 0))
+    return np.ascontiguousarray(detected.view(np.int8) - np.int8(2) * (minus & detected))
 
 
 def _block_combos(config: ExperimentConfig, block: int) -> tuple[np.ndarray, np.random.Generator]:
@@ -600,7 +612,7 @@ def auxiliary_tensor(batch: TrialBatch, config: ExperimentConfig) -> Correlation
     is +p|q_N| for N = 0, 3 (mod 6), and no shift for N = 1 (mod 3), where
     q_N = 0.
     """
-    folded = np.where(batch.outcomes == 0, -1, batch.outcomes)
+    folded = batch.outcomes - (batch.outcomes == 0)  # 0 - 1 = -1
     return _summarize(config, [_batch_block(batch, config, folded)]).estimated_tensor
 
 

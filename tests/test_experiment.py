@@ -4,6 +4,10 @@ Core claims covered here:
   * configs validate their ranges, including the round-robin divisibility rule,
   * trial generation is bit-reproducible from the seed and independent of the
     worker count, and the streaming summary equals the batch summary exactly,
+  * the batch constructor and save accept and reject exactly what the earlier
+    np.isin range check did, and save refuses arrays changed out of range,
+  * generate_trials draws the same outcomes as the earlier sign fill (np.where,
+    boolean gather, prod and scatter) for N = 2..6 and 12,
   * the key-count tally equals a per-combination loop over explicit trials, in
     one block or several, and each sampled trial's outcome product is the one
     its key encodes,
@@ -53,6 +57,7 @@ from ghzbell import (
 import ghzbell.experiment as experiment
 from ghzbell.experiment import (
     BLOCK_TRIALS,
+    _block_combos,
     _combo_index,
     _draw,
     _sample,
@@ -78,6 +83,28 @@ def _summaries_equal(a: ExperimentSummary, b: ExperimentSummary) -> bool:
         and a.violated == b.violated
         and a.standard_error_lhs == b.standard_error_lhs
     )
+
+
+def _isin_check(settings, outcomes):
+    """The batch range check as np.isin made it: its message, or None if it passes."""
+    settings, outcomes = np.asarray(settings), np.asarray(outcomes)
+    if settings.ndim != 2 or settings.shape != outcomes.shape:
+        return "settings and outcomes must be equal-shaped 2-D arrays"
+    if settings.size and not np.isin(settings, (1, 2, 3)).all():
+        return "setting indices must be in 1..3"
+    if outcomes.size and not np.isin(outcomes, (-1, 0, 1)).all():
+        return "outcomes must be in {-1, 0, +1}"
+    return None
+
+
+def _reference_sample(config, combos, rng):
+    """The earlier fair-sign fill: signs by np.where, then a gather, prod and scatter."""
+    detected, all_det, key = _draw(config, combos, rng)
+    outcomes = np.where(rng.random(detected.shape) < 0.5, -1, 1).astype(np.int8)
+    signs = np.asfortranarray(outcomes[all_det]).prod(axis=1)
+    outcomes[all_det, -1] *= (key[all_det] % 3 - 1) * signs
+    outcomes *= detected
+    return outcomes
 
 
 class TestExperimentConfig:
@@ -176,6 +203,86 @@ class TestTrialBatch:
             TrialBatch(settings=np.full((2, 2), 4), outcomes=np.ones((2, 2)))
         with pytest.raises(ValueError):
             TrialBatch(settings=np.ones((2, 2)), outcomes=np.full((2, 2), 2))
+
+    # The int8 cast of 1+0j warns that it drops the imaginary part, as it did before.
+    @pytest.mark.filterwarnings("ignore:Casting complex values to real")
+    @pytest.mark.parametrize(
+        "value", [1.0, 1.5, True, False, np.nan, 1 + 0j, 1 + 1j, -2, np.int64(257)]
+    )
+    @pytest.mark.parametrize("where", ["settings", "outcomes"])
+    def test_range_check_matches_isin(self, value, where):
+        # 257 is the int8-wrap guard: cast first, it would read as 1.
+        settings = np.array([[1, 2], [3, 1]], dtype=np.asarray(value).dtype)
+        outcomes = np.array([[-1, 0], [1, 1]], dtype=settings.dtype)
+        (settings if where == "settings" else outcomes)[1, 0] = value
+        message = _isin_check(settings, outcomes)
+        if message is None:
+            batch = TrialBatch(settings=settings, outcomes=outcomes)
+            assert batch.settings.dtype == batch.outcomes.dtype == np.int8
+            assert np.array_equal(batch.settings, settings.real.astype(np.int8))
+            assert np.array_equal(batch.outcomes, outcomes.real.astype(np.int8))
+        else:
+            with pytest.raises(ValueError) as err:
+                TrialBatch(settings=settings, outcomes=outcomes)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "settings, outcomes",
+        [
+            (np.empty((0, 3)), np.empty((0, 3))),
+            (np.empty((3, 0)), np.empty((3, 0))),
+            (np.empty((0, 3)), np.empty((3, 0))),
+            (np.full((0, 3), 9), np.full((0, 3), 9)),
+            (np.ones(3), np.ones(3)),
+            (np.ones((2, 3)), np.ones((2, 2))),
+            (np.full((2, 2), 4), np.ones((2, 2))),
+            (np.ones((2, 2)), np.full((2, 2), 2)),
+            (np.full((2, 2), 4), np.full((2, 2), 2)),
+        ],
+        ids=[
+            "zero-trials", "zero-parties", "transposed-empty", "empty-out-of-range", "1-d",
+            "unequal", "setting-4", "outcome-2", "both-out-of-range",
+        ],
+    )
+    def test_shapes_and_empty_arrays_match_isin(self, settings, outcomes):
+        message = _isin_check(settings, outcomes)
+        if message is None:
+            batch = TrialBatch(settings=settings, outcomes=outcomes)
+            assert batch.settings.shape == batch.outcomes.shape == settings.shape
+        else:
+            with pytest.raises(ValueError) as err:
+                TrialBatch(settings=settings, outcomes=outcomes)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda b: b.outcomes.__setitem__((0, 0), 5), "outcomes must be in {-1, 0, +1}"),
+            (lambda b: b.settings.__setitem__((1, 2), 0), "setting indices must be in 1..3"),
+            (lambda b: setattr(b, "outcomes", b.outcomes[:1]), "settings and outcomes must be "
+             "equal-shaped 2-D arrays"),
+            (lambda b: setattr(b, "settings", np.full((2, 3), 1.5)), "setting indices must be "
+             "in 1..3"),
+        ],
+        ids=["outcome-5", "setting-0", "unequal-shapes", "setting-1.5"],
+    )
+    def test_save_refuses_arrays_changed_out_of_range(self, tmp_path, change, message):
+        batch = TrialBatch(settings=np.ones((2, 3)), outcomes=np.zeros((2, 3)))
+        change(batch)
+        path = tmp_path / "trials.txt"
+        with pytest.raises(ValueError) as err:
+            batch.save(path)
+        assert str(err.value) == message
+        assert not path.exists()
+
+    def test_save_writes_in_range_arrays_set_after_construction(self, tmp_path):
+        # save checks and casts the arrays as they are, as the constructor would.
+        batch = TrialBatch(settings=np.ones((2, 2)), outcomes=np.zeros((2, 2)))
+        batch.settings = np.array([[1.0, 3.0], [2.0, 2.0]])
+        batch.outcomes = [[-1, 0], [1, 1]]
+        path = tmp_path / "trials.txt"
+        batch.save(path)
+        assert path.read_text() == "1 3 | -1 0\n2 2 | 1 1\n"
 
     def test_len_and_parties(self):
         batch = TrialBatch(settings=np.ones((5, 3)), outcomes=np.zeros((5, 3)))
@@ -609,6 +716,25 @@ class TestTally:
         assert np.array_equal(products[all_det], key[all_det] % 3 - 1)
         assert np.array_equal(products, key % 3 - 1)
         assert np.array_equal(key // 3, combos)
+
+    @pytest.mark.parametrize("policy", [ROUND_ROBIN, UNIFORM_RANDOM])
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.93, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12])
+    def test_generated_outcomes_match_the_reference_sign_fill(self, n, eta, policy):
+        # At least two blocks, the last one partial.
+        trials = 3 ** n * -(-70000 // 3 ** n)
+        config = ExperimentConfig(
+            n_parties=n, visibility=0.8, efficiency=eta, trials=trials, seed=n,
+            setting_policy=policy,
+        )
+        blocks = -(-trials // BLOCK_TRIALS)
+        expected = np.concatenate(
+            [_reference_sample(config, *_block_combos(config, b)) for b in range(blocks)]
+        )
+        outcomes = generate_trials(config, workers=2).outcomes
+        assert blocks >= 2 and outcomes.dtype == expected.dtype == np.int8
+        assert outcomes.flags.c_contiguous
+        assert np.array_equal(outcomes, expected)
 
 
 def _masked_divide_summary(n, counts, sum_prod, nonzero):
