@@ -11,11 +11,11 @@ Contents:
     entry_sum_closed_form -- closed form for the tensor entry sum
 
 Every phase in the grid is a multiple of pi/6 (stored as that integer
-multiple, its phase class). The first party's classes are odd and every other
-party's even, so each setting combination's total class is odd and its
-correlation is sqrt(3)/2 times an integer in {0, +-1}. The exact side works on
-that integer table, where every score, norm and sum is an integer held exactly
-in float64; the quantum tensor is the table times sqrt(3)/2.
+multiple, its phase class). The first party's classes are 1 + 2d and every
+other party's 2d, for d its 0-based setting, so each combination's correlation
+is sqrt(3)/2 times T = (1, 0, -1, -1, 0, 1)[sum of d mod 6]. The exact side
+works on that integer table, where every score, norm and sum is an integer
+held exactly in float64; the quantum tensor is the table times sqrt(3)/2.
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ COS12 = (
 )
 # cos(c * pi/6) / (sqrt(3)/2) at the odd classes c = 1, 3, ..., 11, indexed by c // 2.
 ODD_CLASS_COS = (1, 0, -1, -1, 0, 1)
-
-# Phase classes in units of pi/6: the first party measures at pi/6, pi/2 and
-# 5pi/6, every other party at 0, pi/3 and 2pi/3. Spacing within a party is
-# exactly pi/3.
-FIRST_PARTY_CLASSES = (1, 3, 5)
-OTHER_PARTY_CLASSES = (0, 2, 4)
 
 
 class _FieldError(ValueError):
@@ -73,7 +67,7 @@ class SettingsGrid:
 
     def phase_classes(self) -> tuple[tuple[int, int, int], ...]:
         """Each phase as its integer multiple of pi/6, per party and setting."""
-        return (FIRST_PARTY_CLASSES,) + (OTHER_PARTY_CLASSES,) * (self.n_parties - 1)
+        return ((1, 3, 5),) + ((0, 2, 4),) * (self.n_parties - 1)
 
 
 def build_settings(n_parties: int) -> SettingsGrid:
@@ -117,19 +111,19 @@ class CorrelationTensor:
         return {"n_parties": self.n_parties, "entries": self.entries.tolist()}
 
 
+def _setting_residues(grid: SettingsGrid) -> np.ndarray:
+    """Flat int64 sum of 0-based settings mod 6 per combination, in CorrelationTensor order."""
+    digits = [np.arange(3, dtype=np.int64)] * grid.n_parties
+    return (functools.reduce(np.add.outer, digits) % 6).ravel()
+
+
 def setting_phase_classes(grid: SettingsGrid) -> np.ndarray:
     """Total phase class (multiple of pi/6 mod 12) of every setting combination.
 
-    Flat int array of length 3^N, same ordering as CorrelationTensor entries.
+    Flat int64 array of length 3^N, same ordering as CorrelationTensor
+    entries: 1 + 2 (sum of 0-based settings mod 6).
     """
-    classes = [np.asarray(c, dtype=np.int64) for c in grid.phase_classes()]
-    return (functools.reduce(np.add.outer, classes) % 12).ravel()
-
-
-def _odd_class_table(grid: SettingsGrid) -> np.ndarray:
-    """Flat 3^N array of cos(total phase) / (sqrt(3)/2), looked up from the odd classes."""
-    # Class c reads entry c // 2 of ODD_CLASS_COS, with no halved copy of the classes.
-    return np.repeat(np.asarray(ODD_CLASS_COS, dtype=np.float64), 2)[setting_phase_classes(grid)]
+    return 1 + 2 * _setting_residues(grid)
 
 
 @functools.cache
@@ -139,7 +133,8 @@ def integer_tensor(grid: SettingsGrid) -> CorrelationTensor:
     Cached and read-only like quantum_tensor, and built apart from it, so the
     engine's large-N runs do not hold both.
     """
-    return CorrelationTensor(grid.n_parties, _odd_class_table(grid), _take=True)
+    entries = np.asarray(ODD_CLASS_COS, dtype=np.float64)[_setting_residues(grid)]
+    return CorrelationTensor(grid.n_parties, entries, _take=True)
 
 
 @functools.cache
@@ -149,7 +144,7 @@ def quantum_tensor(grid: SettingsGrid) -> CorrelationTensor:
     sqrt(3)/2 times the integer table. Cached: every caller shares one tensor
     per N, and its entries are read-only.
     """
-    entries = _odd_class_table(grid)
+    entries = np.asarray(ODD_CLASS_COS, dtype=np.float64)[_setting_residues(grid)]
     entries *= HALF_SQRT3
     return CorrelationTensor(grid.n_parties, entries, _take=True)
 

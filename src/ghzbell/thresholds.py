@@ -20,11 +20,12 @@ closed form sqrt(3) (2/3)^N.
 
 critical_efficiency bisects for the roots of every requested N at once,
 elementwise over numpy arrays, so threshold_table and the checks solve all
-their N in one call. Its per-N constants (3^N, |q_N|, the bound) stay exact
-Python floats; only the margin is evaluated in numpy, whose SIMD ``pow`` can
-differ from libm's in the last bit. Over N = 2..646 no bisection decision
-lies within hundreds of ulps of 0, so the results equal those of a per-N
-bisection in plain floats bit for bit.
+their N in one call. Every bracket starts as [1e-6, 1], so every N takes the
+same fixed 40 halving steps to a width below 1e-12. Its per-N constants
+(3^N, |q_N|, the bound) stay exact Python floats; only the margin is
+evaluated in numpy, whose SIMD ``pow`` can differ from libm's in the last
+bit. Over N = 2..646 no bisection decision lies within hundreds of ulps of 0,
+so the results equal those of a per-N bisection in plain floats bit for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from .lhv import lhv_bound
 from .quantum import _FieldError, _check_parties, entry_sum_closed_form
 
 BISECTION_LO = 1e-6
-BISECTION_TOL = 1e-12
-BISECTION_MAX_ITER = 200
+# Every bracket starts at 1 - 1e-6 wide and halves each step: after 40 steps it
+# is first below 1e-12, whatever N.
+BISECTION_STEPS = 40
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -99,23 +101,24 @@ def _efficiency_margin(n_parties):
 def critical_efficiency(n_parties):
     """Smallest detection efficiency allowing violation at perfect visibility.
 
-    Bisection on [1e-6, 1] to 1e-12 absolute tolerance for the root of the
-    margin g(eta) = (3^N/2) eta^N + |q_N| (1-eta)^N - 2^(N-1) sqrt(3). The root
-    is unique: g is convex on [0, 1] for N >= 2 and |q_N| is 0 or exactly the
-    bound, so g(0) < 0, or g(0) = 0 with g'(0) = -N |q_N| < 0; as g(1) > 0, g
-    crosses zero exactly once on (0, 1]. RuntimeError names the first N whose
-    premise (|q_N| / bound is 0 or 1) or bracket fails. When q_N = 0
-    (N = 1 mod 3) the root also has the closed form (2^N sqrt(3) / 3^N)^(1/N).
+    Bisection on [1e-6, 1], 40 halving steps to a bracket below 1e-12, for
+    the root of the margin g(eta) = (3^N/2) eta^N + |q_N| (1-eta)^N -
+    2^(N-1) sqrt(3). The root is unique: g is convex on [0, 1] for N >= 2 and
+    |q_N| is 0 or exactly the bound, so g(0) < 0, or g(0) = 0 with
+    g'(0) = -N |q_N| < 0; as g(1) > 0, g crosses zero exactly once on (0, 1].
+    RuntimeError names the first N whose premise (|q_N| / bound is 0 or 1) or
+    bracket fails. When q_N = 0 (N = 1 mod 3) the root also has the closed
+    form (2^N sqrt(3) / 3^N)^(1/N).
 
     An int gives a float. A sequence of N gives a float64 array, solved by one
-    bisection that runs elementwise over all of them: each entry halves its own
-    bracket and freezes once it is narrower than the tolerance, so it takes
-    the same steps as a bisection of that N alone. Pass every N at once: most
-    of a call's cost is its 40 or so numpy steps, whatever the number of N.
-    numpy's SIMD ``pow`` may differ from libm's in the last bit, but over N = 2..646 every bisection decision has
-    |g(mid)| >= 2^-46 max(A + B, bound), with A and B the two power terms:
-    hundreds of ulps, so a few-ulp error in ``pow`` changes no decision and no
-    digit of the result.
+    bisection that runs elementwise over all of them: every entry halves its
+    own bracket at each of the same 40 steps, so it takes the steps of a
+    bisection of that N alone. Pass every N at once: most of a call's cost is
+    its 40 numpy steps, whatever the number of N. numpy's SIMD ``pow`` may
+    differ from libm's in the last bit, but over N = 2..646 every bisection
+    decision has |g(mid)| >= 2^-46 max(A + B, bound), with A and B the two
+    power terms: hundreds of ulps, so a few-ulp error in ``pow`` changes no
+    decision and no digit of the result.
     """
     margin = _efficiency_margin(n_parties)
     lo = np.full(np.shape(n_parties), BISECTION_LO)
@@ -128,15 +131,11 @@ def critical_efficiency(n_parties):
             f"N={np.ravel(n_parties)[i]}: bisection bracket does not straddle the root: "
             f"g({BISECTION_LO})={float(g_lo.flat[i])!r}, g(1.0)={float(g_hi.flat[i])!r}"
         )
-    active = np.ones(lo.shape, dtype=bool)
-    for _ in range(BISECTION_MAX_ITER):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         below = margin(mid) < 0.0
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-        active &= hi - lo >= BISECTION_TOL
-        if not active.any():
-            break
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     eta = 0.5 * (lo + hi)
     return float(eta) if eta.ndim == 0 else eta
 

@@ -11,8 +11,10 @@ Core claims covered here:
     array the package builds is taken over without a copy, under the same
     checks,
   * the integer table T holds only 0 and +-1, 2 3^(N-1) of them nonzero, its
-    entry sum times sqrt(3)/2 is the closed form exactly, and the quantum
-    tensor is sqrt(3)/2 times T to the last bit,
+    entry sum times sqrt(3)/2 is the closed form exactly (and so is the sum
+    walked from the six setting-sum residue counts, for every N up to 1023),
+    the quantum tensor is sqrt(3)/2 times T to the last bit, and both match a
+    lookup of the grid's summed phase classes,
   * each N's quantum tensor and integer table are built once and shared,
     with read-only entries,
   * every public entry point that takes a party count rejects N = 1 through
@@ -45,7 +47,7 @@ from ghzbell import (
     two_setting_visibility_threshold,
     violation_factor,
 )
-from ghzbell.quantum import COS12, HALF_SQRT3, _FieldError, integer_tensor
+from ghzbell.quantum import COS12, HALF_SQRT3, ODD_CLASS_COS, _FieldError, integer_tensor
 
 SQRT3 = math.sqrt(3.0)
 SEVEN_VALUES = {0.0, 0.5, -0.5, SQRT3 / 2, -SQRT3 / 2, 1.0, -1.0}
@@ -227,9 +229,42 @@ class TestIntegerTensor:
         grid = build_settings(n)
         q, t = quantum_tensor(grid), integer_tensor(grid)
         assert (HALF_SQRT3 * t.entries).tobytes() == q.entries.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_tables_match_the_summed_phase_classes(self, n):
+        # The reference adds the grid's per-party phase classes combination by
+        # combination, in CorrelationTensor order, apart from the digit-sum rule.
+        grid = build_settings(n)
+        classes = np.array(
+            [sum(combo) % 12 for combo in itertools.product(*grid.phase_classes())],
+            dtype=np.int64,
+        )
+        got = setting_phase_classes(grid)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, classes)
         # The same bits as looking each entry up in the 12-class cosine table.
-        table = np.asarray(COS12)[setting_phase_classes(grid)]
-        assert table.tobytes() == q.entries.tobytes()
+        table = np.asarray(COS12)[classes]
+        assert table.tobytes() == quantum_tensor(grid).entries.tobytes()
+        assert (table / HALF_SQRT3).tobytes() == integer_tensor(grid).entries.tobytes()
+
+    @staticmethod
+    def _entry_sum_by_residue_counts(n):
+        """Sum of T from the number of combinations at each setting sum mod 6, in Python ints."""
+        counts = [1, 0, 0, 0, 0, 0]
+        for _ in range(n):
+            counts = [counts[r] + counts[r - 1] + counts[r - 2] for r in range(6)]
+        return sum(c * t for c, t in zip(counts, ODD_CLASS_COS))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_entry_sum_from_residue_counts_matches_the_table(self, n):
+        total = self._entry_sum_by_residue_counts(n)
+        assert total in (0, 2 ** n, -(2 ** n))
+        assert total == tensor_entry_sum(integer_tensor(build_settings(n)))
+
+    def test_entry_sum_from_residue_counts_is_the_closed_form_for_every_n(self):
+        for n in range(2, 1024):
+            total = self._entry_sum_by_residue_counts(n)
+            assert HALF_SQRT3 * total == entry_sum_closed_form(n), n
 
     def test_cached_once_per_n_and_read_only(self):
         for n in range(2, 6):

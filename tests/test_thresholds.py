@@ -334,14 +334,17 @@ class TestElementwiseBisection:
         # Replay every bisection in plain Python floats (libm pow) and keep
         # the smallest |g(mid)| / max(A + B, bound) over all decisions. A
         # SIMD pow a few ulps off cannot flip a decision this far from 0.
-        from ghzbell.thresholds import BISECTION_LO, BISECTION_MAX_ITER, BISECTION_TOL
+        # Each replay stops on its own once its bracket is below 1e-12, and
+        # every N takes exactly the fixed step count the solver runs.
+        from ghzbell.thresholds import BISECTION_LO, BISECTION_STEPS
 
-        results = []
+        results, steps = [], []
         worst = math.inf
         for n in self.ALL_N:
             three_n, q_abs, bound = 3.0 ** n, abs(entry_sum_closed_form(n)), lhv_bound(n)
             lo, hi = BISECTION_LO, 1.0
-            for _ in range(BISECTION_MAX_ITER):
+            k = 0
+            while hi - lo >= 1e-12:
                 mid = 0.5 * (lo + hi)
                 a, b = mid ** n * three_n / 2.0, q_abs * (1.0 - mid) ** n
                 g = a + b - bound
@@ -350,10 +353,11 @@ class TestElementwiseBisection:
                     lo = mid
                 else:
                     hi = mid
-                if hi - lo < BISECTION_TOL:
-                    break
+                k += 1
             results.append(0.5 * (lo + hi))
+            steps.append(k)
         assert worst >= 2.0 ** -46, math.log2(worst)
+        assert steps == [BISECTION_STEPS] * len(self.ALL_N)
         assert critical_efficiency(self.ALL_N).tolist() == results
 
     def test_premise_failure_names_the_first_bad_n(self, monkeypatch):
