@@ -358,16 +358,6 @@ class SweepPoint:
         return asdict(self)
 
 
-def _combo_index(settings: np.ndarray) -> np.ndarray:
-    """Combo index of each 1-based settings row in CorrelationTensor order, by Horner's rule."""
-    idx = np.zeros(settings.shape[0], dtype=np.int64)
-    for k in range(settings.shape[1]):
-        idx *= 3
-        idx += settings[:, k]
-        idx -= 1
-    return idx
-
-
 def _draw(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generator):
     """Detection and outcome-product draws of one trial per entry of ``combos``.
 
@@ -436,7 +426,9 @@ def _map_blocks(config: ExperimentConfig, func, workers: int):
     than 2·workers are pending, so a caller that folds them in keeps at most
     that many blocks' results alive at once. ``workers`` is checked when
     iteration starts, and the pool gets no more threads than there are CPUs.
-    Closing the iterator early cancels the blocks not yet started.
+    The pool starts after the cached quantum tensor is built: two threads that
+    miss functools.cache at once would both build it. Closing the iterator
+    early cancels the blocks not yet started.
     """
     if workers < 1:
         raise _FieldError("workers", f"workers must be positive, got {workers}")
@@ -445,6 +437,7 @@ def _map_blocks(config: ExperimentConfig, func, workers: int):
     if workers == 1 or blocks == 1:
         yield from map(func, range(blocks))
         return
+    quantum_tensor(build_settings(config.n_parties))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         try:
@@ -536,8 +529,8 @@ def _summarize(config: ExperimentConfig, blocks) -> ExperimentSummary:
     else int64, and are freed once split, before the summary. Where the run
     does not fit in memory, ``n_parties`` is rejected here with the size of
     those counts: numpy cannot size them at N = 38, and any MemoryError
-    on the way (the blocks, the first block's quantum tensor, the count split
-    or the summary) is reported the same way.
+    on the way (the blocks, the quantum tensor built as they start, the count
+    split or the summary) is reported the same way.
     """
     n, combos = config.n_parties, config.n_combos
     dtype = np.dtype(np.int32 if config.trials < 2 ** 31 else np.int64)
@@ -584,17 +577,21 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSumm
 def _batch_block(batch: TrialBatch, config: ExperimentConfig, outcomes: np.ndarray):
     """The (keys, none-detected count) block of ``batch``'s settings with ``outcomes``.
 
-    The batch must be the config's whole run: its trial count bounds the key
-    counts, which ``_summarize`` sizes from ``config.trials``.
+    The ranges are checked again, as ``save`` does, on the arrays as they are
+    now. The batch must be the config's whole run: its trial count bounds the
+    key counts, which ``_summarize`` sizes from ``config.trials``.
     """
+    settings, outcomes = _check_ranges(batch.settings, outcomes)
     if batch.n_parties != config.n_parties:
         raise ValueError(
             f"batch has {batch.n_parties} parties but config has {config.n_parties}"
         )
     if len(batch) != config.trials:
         raise ValueError(f"batch has {len(batch)} trials but config says {config.trials}")
+    # The inverse of generate_trials' np.unravel_index: CorrelationTensor order.
+    combos = np.ravel_multi_index(tuple(settings.T - np.int8(1)), (3,) * config.n_parties)
     cols = np.asfortranarray(outcomes)
-    key = 3 * _combo_index(batch.settings) + 1 + cols.prod(axis=1, dtype=np.int64)
+    key = 3 * combos + 1 + cols.prod(axis=1, dtype=np.int64)
     return key, int((~cols.any(axis=1)).sum())
 
 
@@ -612,7 +609,8 @@ def auxiliary_tensor(batch: TrialBatch, config: ExperimentConfig) -> Correlation
     is +p|q_N| for N = 0, 3 (mod 6), and no shift for N = 1 (mod 3), where
     q_N = 0.
     """
-    folded = batch.outcomes - (batch.outcomes == 0)  # 0 - 1 = -1
+    outcomes = np.asarray(batch.outcomes)
+    folded = outcomes - (outcomes == 0)  # 0 - 1 = -1
     return _summarize(config, [_batch_block(batch, config, folded)]).estimated_tensor
 
 

@@ -144,8 +144,7 @@ def quantum_tensor(grid: SettingsGrid) -> CorrelationTensor:
     sqrt(3)/2 times the integer table. Cached: every caller shares one tensor
     per N, and its entries are read-only.
     """
-    entries = np.asarray(ODD_CLASS_COS, dtype=np.float64)[_setting_residues(grid)]
-    entries *= HALF_SQRT3
+    entries = np.multiply(ODD_CLASS_COS, HALF_SQRT3)[_setting_residues(grid)]
     return CorrelationTensor(grid.n_parties, entries, _take=True)
 
 

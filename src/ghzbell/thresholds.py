@@ -47,11 +47,6 @@ BISECTION_STEPS = 40
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _over_quantum_value(numerator: float, n_parties: int, power: float = 1.0) -> float:
-    """``numerator`` over the V = 1 quantum value ``power`` 3^N / 2 (``power`` = eta^N), in Python floats."""
-    return numerator / (power * 3.0 ** n_parties / 2.0)
-
-
 def critical_visibility(n_parties: int, eta: float = 1.0) -> float:
     """Visibility at which the quantum value meets the detection-adjusted bound.
 
@@ -71,7 +66,7 @@ def critical_visibility(n_parties: int, eta: float = 1.0) -> float:
     deficit = -math.expm1(n_parties * math.log1p(-eta)) if q_abs and eta < 1.0 else 1.0
     power = eta ** n_parties
     if power >= sys.float_info.min:
-        return _over_quantum_value(bound * deficit, n_parties, power)
+        return bound * deficit / (power * 3.0 ** n_parties / 2.0)
     # log v = log(2 bound deficit) - N log(3 eta); above float64 the value is inf.
     log_v = math.log(2.0 * bound * deficit) - n_parties * math.log(3.0 * eta)
     return math.exp(log_v) if log_v < LOG_FLOAT_MAX else math.inf
@@ -179,7 +174,7 @@ def threshold_table(n_max: int) -> list[ThresholdRow]:
     return [
         ThresholdRow(
             n=n,
-            v_cr_new=_over_quantum_value(lhv_bound(n), n),
+            v_cr_new=critical_visibility(n),
             v_cr_old=two_setting_visibility_threshold(n),
             eta_cr=eta,
         )

@@ -13,7 +13,10 @@ Core claims covered here:
     its key encodes,
   * the auxiliary estimator's entries equal a masked divide of the folded
     per-combination sums bit for bit,
-  * the column-wise combo index equals the place-value sum for N = 2..12,
+  * a batch's keys hold the place-value combination index and the outcome
+    product for N = 2..12, and the estimators refuse a batch changed out of
+    range after construction,
+  * two worker threads build the cached quantum tensor once, not once each,
   * the summary's estimate, lhs and standard error equal the masked-divide
     formulas bit for bit, the infinite standard error included,
   * per-entry estimates converge to eta^N V Q within statistical error, the
@@ -55,10 +58,11 @@ from ghzbell import (
     visibility_sweep,
 )
 import ghzbell.experiment as experiment
+import ghzbell.quantum as quantum
 from ghzbell.experiment import (
     BLOCK_TRIALS,
+    _batch_block,
     _block_combos,
-    _combo_index,
     _draw,
     _sample,
     _summarize,
@@ -593,6 +597,32 @@ class TestDeterminism:
         monkeypatch.undo()
         assert _summaries_equal(summary, run_experiment(cfg))
 
+    @pytest.mark.parametrize("run", [run_experiment, generate_trials])
+    def test_two_workers_build_the_quantum_tensor_once(self, monkeypatch, run):
+        # functools.cache lets two threads that miss at once both build; the
+        # slowed build makes the first two blocks miss together unless the
+        # tensor is built before the pool starts.
+        builds = []
+        residues = quantum._setting_residues
+
+        def slow_residues(grid):
+            builds.append(grid.n_parties)
+            time.sleep(0.2)
+            return residues(grid)
+
+        monkeypatch.setattr(quantum, "_setting_residues", slow_residues)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+        cfg = ExperimentConfig(
+            n_parties=3, visibility=0.9, efficiency=0.8, trials=2 * experiment.BLOCK_TRIALS,
+            seed=5, setting_policy=UNIFORM_RANDOM,
+        )
+        quantum_tensor.cache_clear()
+        try:
+            run(cfg, workers=2)
+        finally:
+            quantum_tensor.cache_clear()
+        assert builds == [3]
+
     def test_pool_keeps_at_most_two_blocks_per_worker_in_flight(self, monkeypatch):
         # A consumer that pauses after its first result must not find every
         # block already run: the pool submits a block only when fewer than
@@ -657,16 +687,22 @@ class TestTally:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_combo_index_matches_place_values(self, n):
+        # The combo index held in the batch keys, 3 combo + 1 + product, over
+        # more rows than one block.
         rng = np.random.default_rng(n)
         rows = BLOCK_TRIALS + 3 ** min(n, 8) + 1
         settings = rng.integers(1, 4, size=(rows, n), dtype=np.int8)
         settings[0], settings[1] = 1, 3  # lowest and highest combination
-        place = 3 ** (n - 1 - np.arange(n, dtype=np.int64))
-        want = ((settings.astype(np.int64) - 1) * place).sum(axis=1)
-        got = _combo_index(settings)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
-        assert got[0] == 0 and got[1] == 3 ** n - 1
+        outcomes = rng.integers(-1, 2, size=(rows, n), dtype=np.int8)
+        outcomes[2] = 0
+        batch = TrialBatch(settings=settings, outcomes=outcomes)
+        config = ExperimentConfig(n, 0.8, 0.9, rows, seed=1, setting_policy=UNIFORM_RANDOM)
+        key, none_count = _batch_block(batch, config, batch.outcomes)
+        assert key.dtype == np.int64
+        assert np.array_equal(key // 3, _combo_indices(batch))
+        assert np.array_equal(key % 3 - 1, outcomes.astype(np.int64).prod(axis=1))
+        assert key[0] // 3 == 0 and key[1] // 3 == 3 ** n - 1
+        assert none_count == int((outcomes == 0).all(axis=1).sum()) >= 1
 
     def test_key_counts_split_into_counts_sums_and_nonzero(self, monkeypatch):
         # Key 3 combo + 1 + product: combination c's -1, 0, +1 counts are
@@ -1095,6 +1131,37 @@ class TestSummarizeBatchValidation:
         )
         with pytest.raises(ValueError):
             summarize_batch(generate_trials(cfg2), cfg3)
+
+    @pytest.mark.parametrize("estimator", [summarize_batch, auxiliary_tensor])
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda b: b.settings.__setitem__((0, 1), 4), "setting indices must be in 1..3"),
+            (lambda b: b.outcomes.__setitem__((0, 0), 2), "outcomes must be in {-1, 0, +1}"),
+            (lambda b: setattr(b, "outcomes", b.outcomes[:, :1]), "settings and outcomes must "
+             "be equal-shaped 2-D arrays"),
+        ],
+        ids=["setting-4", "outcome-2", "unequal-shapes"],
+    )
+    def test_estimators_refuse_a_batch_changed_out_of_range(self, estimator, change, message):
+        # As save does, the estimators check the arrays as they are, not as
+        # they were built: a setting 4 would count in another combination.
+        cfg = ExperimentConfig(n_parties=2, visibility=1.0, efficiency=1.0, trials=9, seed=0)
+        batch = generate_trials(cfg)
+        change(batch)
+        with pytest.raises(ValueError) as err:
+            estimator(batch, cfg)
+        assert str(err.value) == message
+
+    def test_estimators_read_in_range_arrays_set_after_construction(self):
+        # The estimators check and cast the arrays as they are, as save does.
+        cfg = ExperimentConfig(n_parties=2, visibility=0.8, efficiency=0.7, trials=90, seed=3)
+        batch = generate_trials(cfg)
+        summary, aux = summarize_batch(batch, cfg), auxiliary_tensor(batch, cfg)
+        batch.settings = batch.settings.astype(np.float64)
+        batch.outcomes = batch.outcomes.tolist()
+        assert _summaries_equal(summarize_batch(batch, cfg), summary)
+        assert np.array_equal(auxiliary_tensor(batch, cfg).entries, aux.entries)
 
 
 class TestVisibilitySweep:

@@ -214,11 +214,13 @@ class TestThresholdTable:
             assert row.eta_cr == critical_efficiency(n)
 
     def test_perfect_detection_column_matches_critical_visibility_to_the_bit(self):
-        # The column is computed without a critical_visibility call per row.
+        # Up to the float64 limit, each value is the bound over the quantum
+        # value 3^N / 2 in one Python-float divide.
         rows = threshold_table(646)
         assert [r.n for r in rows] == list(range(2, 647))
         for row in rows:
             assert row.v_cr_new.hex() == critical_visibility(row.n, 1.0).hex()
+            assert row.v_cr_new.hex() == (lhv_bound(row.n) / (3.0 ** row.n / 2.0)).hex()
 
     def test_invalid_n_max(self):
         with pytest.raises(ValueError, match="n_max must be at least 2, got 1") as info:
