@@ -138,6 +138,19 @@ def strategy_score(strategy: DeterministicStrategy, q: CorrelationTensor) -> flo
     return float(np.dot(q.entries, reduce(np.multiply.outer, arrays).ravel()))
 
 
+def _triple_scores(q: CorrelationTensor, triples: Sequence) -> np.ndarray:
+    """Scores against ``q``: entry [d_1, ..., d_N] is its product with rows d_1..d_N of ``triples``.
+
+    Each step sums out the next party's setting axis and appends its row axis,
+    a distributive regrouping of the defining 3^N-term sum.
+    """
+    rows = np.asarray(triples, dtype=np.float64)
+    scores = q.as_grid()
+    for _ in range(q.n_parties):
+        scores = np.tensordot(scores, rows, axes=([0], [1]))
+    return scores
+
+
 def lhv_bound(n_parties: int) -> float:
     """The deterministic maximum 2^(N-1) sqrt(3)."""
     _check_parties(n_parties)
@@ -161,11 +174,10 @@ def max_score_brute(n_parties: int) -> tuple[float, DeterministicStrategy]:
     == -SIGN_TRIPLES[d], so flipping any one party's triple negates the
     score. Every strategy's score is therefore +-s for the representative s
     whose triples all start with -1 (indices d < 4): + after an even number of
-    flips, - after an odd one. The integer tensor is contracted against those
-    4 triples one party at a time (a distributive regrouping of the defining
-    3^N-term sum), and the maximum over all 8^N scores is sqrt(3)/2 times the
-    largest |s| of the 4^N representatives. Every s is an integer, exact in
-    float64, so ties are equal floats. They are broken toward the
+    flips, - after an odd one. ``_triple_scores`` contracts the integer tensor
+    against those 4 triples, and the maximum over all 8^N scores is sqrt(3)/2
+    times the largest |s| of the 4^N representatives. Every s is an integer,
+    exact in float64, so ties are equal floats. They are broken toward the
     lexicographically smallest strategy under party-major, setting-minor
     ordering with -1 before +1: for s > 0 that is the representative itself,
     for s < 0 the representative with only its last party flipped. Limited to
@@ -173,12 +185,7 @@ def max_score_brute(n_parties: int) -> tuple[float, DeterministicStrategy]:
     """
     if not 2 <= n_parties <= 8:
         raise _FieldError("n_parties", f"exhaustive search supports 2..8 parties, got {n_parties}")
-    triples = np.asarray(SIGN_TRIPLES[:4], dtype=np.float64)
-    scores = integer_tensor(build_settings(n_parties)).as_grid()
-    # Each step sums out the next party's setting axis and appends its triple axis.
-    for _ in range(n_parties):
-        scores = np.tensordot(scores, triples, axes=([0], [1]))
-    scores = scores.ravel()
+    scores = _triple_scores(integer_tensor(build_settings(n_parties)), SIGN_TRIPLES[:4]).ravel()
     magnitudes = np.abs(scores)
     best = magnitudes.max()
     hits = np.flatnonzero(magnitudes == best)
@@ -200,13 +207,10 @@ def max_score_factorized(n_parties: int) -> float:
     final value 2^(N-1) sqrt(3) overflows float64 for N > 1023 (OverflowError).
     """
     grid = build_settings(n_parties)
-    first = sorted(
-        {p.phase_class for t in SIGN_TRIPLES if (p := party_phasor(t, 0, grid)).magnitude}
+    reachable, other = (
+        {p.phase_class for t in SIGN_TRIPLES if (p := party_phasor(t, k, grid)).magnitude}
+        for k in (0, 1)
     )
-    other = sorted(
-        {p.phase_class for t in SIGN_TRIPLES if (p := party_phasor(t, 1, grid)).magnitude}
-    )
-    reachable = set(first)
     for _ in range(n_parties - 1):
         updated = {(c + d) % 12 for c in reachable for d in other}
         if updated == reachable:

@@ -7,12 +7,17 @@ Core claims covered here:
     every check passes at N_max = 8,
   * the folded three-outcome check scores all 27^3 strategies at N = 3, its
     maximum is the bound, and it fails against a slightly lowered bound,
-  * the factorization check's two tables reproduce ``strategy_score`` on the
-    integer table and a complex-arithmetic phasor product for every sign
-    strategy at N = 2, 3, and the check fails on a rotated phasor or a
-    perturbed tensor,
+  * the factorization check's two tables (T contracted against sign triples
+    as ``max_score_brute`` does, and the phasor product) reproduce
+    ``strategy_score`` on the integer table and a complex-arithmetic phasor
+    product for every sign strategy at N = 2, 3, and the check fails on a
+    rotated phasor or a perturbed tensor,
   * the five tensor checks are exact: each fails when one entry of the
-    integer table moves by 2^-40, far below the 1e-9 they once allowed.
+    integer table moves by 2^-40, far below the 1e-9 they once allowed,
+  * each of the other six checks fails when the one function it reads is
+    moved just past its pass condition: 1 ulp, a factor 1 + 1e-11, a rotated
+    phasor or a 1 % shift in the printed percentages.
+The failure tests drive ``run_checks`` and pick each check's result by name.
 """
 
 import cmath
@@ -29,7 +34,6 @@ from ghzbell import (
     PartyPhasor,
     build_settings,
     lhv_bound,
-    max_score_brute,
     party_phasor,
     quantum_tensor,
     strategy_score,
@@ -157,12 +161,12 @@ def test_factorization_tables_match_the_library_scores(n):
         assert phasor[i] == _phasor_score(assignments, grid)
 
 
-def _tensors():
-    return {n: integer_tensor(build_settings(n)) for n in (2, 3)}
+def _by_name(results):
+    return {r.name: r for r in results}
 
 
-def test_factorization_check_fails_on_a_rotated_phasor(monkeypatch):
-    real = checks.party_phasor
+def _rotated_phasor(real):
+    """``party_phasor`` with the (+1, +1, -1) phasor turned one pi/6 step."""
 
     def rotated(triple, party, grid):
         p = real(triple, party, grid)
@@ -170,45 +174,78 @@ def test_factorization_check_fails_on_a_rotated_phasor(monkeypatch):
             return PartyPhasor(magnitude=p.magnitude, phase_class=(p.phase_class + 1) % 12)
         return p
 
-    monkeypatch.setattr(checks, "party_phasor", rotated)
-    assert not checks._check_factorization_identity(_tensors()).passed
+    return rotated
 
 
-def test_factorization_check_fails_on_a_perturbed_tensor():
-    tensors = _tensors()
-    entries = tensors[3].entries.copy()
-    entries[13] += 1e-6
-    tensors[3] = CorrelationTensor(n_parties=3, entries=entries)
-    result = checks._check_factorization_identity(tensors)
+def _tables_with(monkeypatch, index, delta):
+    """Patch ``checks.integer_tensor`` so T at N = 3 has ``delta`` added to entry ``index``."""
+    build = checks.integer_tensor
+
+    def patched(grid):
+        t = build(grid)
+        if grid.n_parties != 3:
+            return t
+        entries = t.entries.copy()
+        entries[index] += delta
+        return CorrelationTensor(n_parties=3, entries=entries)
+
+    monkeypatch.setattr(checks, "integer_tensor", patched)
+
+
+def test_factorization_check_fails_on_a_rotated_phasor(monkeypatch):
+    monkeypatch.setattr(checks, "party_phasor", _rotated_phasor(checks.party_phasor))
+    assert not _by_name(checks.run_checks(2))["factorization-identity"].passed
+
+
+def test_factorization_check_fails_on_a_perturbed_tensor(monkeypatch):
+    _tables_with(monkeypatch, 13, 1e-6)
+    result = _by_name(checks.run_checks(3))["factorization-identity"]
     assert not result.passed
     assert "1.000e-06" in result.detail
 
 
-def _tables(perturbed):
-    """Integer tables for N = 2..10; ``perturbed`` moves T[0] at N = 3 (a +1 entry) by 2^-40."""
-    tables = {n: integer_tensor(build_settings(n)) for n in range(2, 11)}
-    if perturbed:
-        entries = tables[3].entries.copy()
-        assert entries[0] == 1.0
-        entries[0] += PERTURBATION
-        tables[3] = CorrelationTensor(n_parties=3, entries=entries)
-    return tables
+# The five checks that read T, each exact: T[0] at N = 3 (a +1 entry) moved by
+# 2^-40 fails them. The brute-force search builds its own T and stays exact.
+EXACT_GATES = [
+    "norm-identity",
+    "entry-sum-identity",
+    "bound-brute",
+    "factorization-identity",
+    "folded-strategy-bound",
+]
 
 
-EXACT_GATES = {
-    "norm-identity": lambda tables: checks._check_norm_identity(tables, False),
-    "entry-sum-identity": lambda tables: checks._check_entry_sum(tables),
-    "bound-brute": lambda tables: checks._check_bound_brute({3: max_score_brute(3)}, tables),
-    "factorization-identity": lambda tables: checks._check_factorization_identity(tables),
-    "folded-strategy-bound": lambda tables: checks._check_folded_strategies(tables[3]),
+@pytest.mark.parametrize("name", EXACT_GATES)
+def test_gate_fails_on_a_perturbation_below_the_old_tolerance(monkeypatch, name):
+    assert PERTURBATION < checks.IDENTITY_TOL
+    assert integer_tensor(build_settings(3)).entries[0] == 1.0
+    assert _by_name(checks.run_checks(3))[name].passed
+    _tables_with(monkeypatch, 0, PERTURBATION)
+    assert not _by_name(checks.run_checks(3))[name].passed
+
+
+def _scaled(real, factor):
+    return lambda *args: real(*args) * factor
+
+
+# Each check against the one function it reads, moved just past its pass condition.
+FAULTS = {
+    "oracle-equivalence": (
+        "max_score_factorized",
+        lambda real: lambda n: math.nextafter(real(n), math.inf),
+    ),
+    "phasor-onto": ("party_phasor", _rotated_phasor),
+    "violation-factor": ("violation_factor", lambda real: _scaled(real, 1 + 1e-11)),
+    "visibility-closed-form": ("critical_visibility", lambda real: _scaled(real, 1 + 1e-11)),
+    "threshold-percents": ("percent_string", lambda real: lambda value: real(value * 1.01)),
+    "efficiency-consistency": ("efficiency_closed_form", lambda real: _scaled(real, 1 + 1e-11)),
 }
 
 
-@pytest.mark.parametrize("name", list(EXACT_GATES))
-def test_gate_fails_on_a_perturbation_below_the_old_tolerance(name):
-    assert PERTURBATION < checks.IDENTITY_TOL
-    exact = EXACT_GATES[name](_tables(perturbed=False))
-    perturbed = EXACT_GATES[name](_tables(perturbed=True))
-    assert exact.name == perturbed.name == name
-    assert exact.passed
-    assert not perturbed.passed
+@pytest.mark.parametrize("name", list(FAULTS))
+def test_each_check_fails_when_its_input_moves(monkeypatch, name):
+    attribute, fault = FAULTS[name]
+    monkeypatch.setattr(checks, attribute, fault(getattr(checks, attribute)))
+    results = _by_name(checks.run_checks(2))
+    assert len(results) == 11
+    assert not results[name].passed

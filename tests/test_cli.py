@@ -58,6 +58,28 @@ EXACT_SIDE_DIGESTS = {
 }
 
 
+# ``verify --n-max 3 --inject-fault`` in human format, byte for byte.
+INJECTED_FAULT_N3 = (
+    "FAIL norm-identity: max |norm_sq - 3^N/2| = 1.000e-03 over N=2..10\n"
+    "PASS entry-sum-identity: max |sum - (-2^N sin((N-1)pi/3))| = 0.000e+00 over N=2..10\n"
+    "PASS bound-brute: max |brute max - 2^(N-1) sqrt(3)| = 0.000e+00 over N=2..3\n"
+    "PASS oracle-equivalence: brute vs factorized max, N=2..3; max gap 0.000e+00\n"
+    "PASS factorization-identity: max |tensor score - phasor score| = 0.000e+00, exhaustive "
+    "N=2,3\n"
+    "PASS phasor-onto: 8 sign triples map onto exactly the 7 documented phasor values per "
+    "party type\n"
+    "PASS violation-factor: max |(3^N/2)/bound - (3/2)^N/sqrt(3)| = 0.000e+00 over N=2..10\n"
+    "PASS visibility-closed-form: max |v_cr(N, 1) - sqrt(3)(2/3)^N| = 1.110e-16 over "
+    "N=2..20\n"
+    "PASS threshold-percents: all rounded percentages match\n"
+    "PASS efficiency-consistency: max |v_cr(N, eta_cr(N)) - 1| = 4.156e-12 over N=2..12; "
+    "|bisection - closed form| = 4.083e-13 at N=4\n"
+    "PASS folded-strategy-bound: max folded score 6.928203230 vs bound 6.928203230 over all "
+    "19683 strategies\n"
+    "10/11 checks passed\n"
+)
+
+
 def _env(**extra):
     env = dict(os.environ)
     env.pop("GHZBELL_SEED", None)
@@ -558,6 +580,12 @@ class TestVerify:
         res = run_cli("verify", "--n-max", "4", "--inject-fault")
         assert res.returncode == 1
         assert "FAIL norm-identity" in res.stdout
+
+    def test_injected_fault_human_stdout_is_pinned(self):
+        # The 1e-3 offset moves only the norm residue; every other line is the clean run's.
+        res = run_cli("verify", "--n-max", "3", "--inject-fault")
+        assert res.returncode == 1
+        assert res.stdout == INJECTED_FAULT_N3
 
     def test_usage_error(self):
         assert run_cli("verify", "--n-max", "9").returncode == 2
