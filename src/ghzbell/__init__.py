@@ -41,8 +41,6 @@ from .quantum import (
     entry_sum_closed_form,
     quantum_tensor,
     setting_phase_classes,
-    tensor_entry_sum,
-    tensor_norm_sq,
 )
 from .thresholds import (
     CSV_HEADER,
@@ -56,7 +54,7 @@ from .thresholds import (
     two_setting_visibility_threshold,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -95,8 +93,6 @@ __all__ = [
     "setting_phase_classes",
     "strategy_score",
     "summarize_batch",
-    "tensor_entry_sum",
-    "tensor_norm_sq",
     "threshold_table",
     "two_setting_visibility_threshold",
     "violation_factor",

@@ -38,12 +38,10 @@ from .quantum import (
     HALF_SQRT3,
     ODD_CLASS_COS,
     CorrelationTensor,
-    _FieldError,
+    _check_parties,
     build_settings,
     entry_sum_closed_form,
     integer_tensor,
-    tensor_entry_sum,
-    tensor_norm_sq,
 )
 from .thresholds import (
     critical_efficiency,
@@ -170,8 +168,7 @@ def run_checks(n_max: int = 6, inject_fault: bool = False) -> list[CheckResult]:
 
     Largest N first, so an N ``max_score_brute`` cannot search fails before any search runs.
     """
-    if n_max < 2:
-        raise _FieldError("n_max", f"n_max must be at least 2, got {n_max}")
+    _check_parties(n_max)
     brute = {n: max_score_brute(n) for n in range(n_max, 1, -1)}
     tables = {n: integer_tensor(build_settings(n)) for n in range(2, 11)}
     etas = dict(zip(range(2, 13), critical_efficiency(range(2, 13)).tolist()))
@@ -181,13 +178,16 @@ def run_checks(n_max: int = 6, inject_fault: bool = False) -> list[CheckResult]:
         # (Q, Q) = (3/4) (T, T); (T, T) counts the nonzero entries, and 3/4 of it is exact.
         _largest_gap(
             "norm-identity",
-            (abs(0.75 * tensor_norm_sq(t) - (3.0 ** n / 2.0 + offset)) for n, t in tables.items()),
+            (
+                abs(0.75 * np.dot(t.entries, t.entries) - (3.0 ** n / 2.0 + offset))
+                for n, t in tables.items()
+            ),
             "max |norm_sq - 3^N/2| = {:.3e} over N=2..10",
         ),
         _largest_gap(
             "entry-sum-identity",
             (
-                abs(HALF_SQRT3 * tensor_entry_sum(t) - entry_sum_closed_form(n))
+                abs(HALF_SQRT3 * np.sum(t.entries) - entry_sum_closed_form(n))
                 for n, t in tables.items()
             ),
             "max |sum - (-2^N sin((N-1)pi/3))| = {:.3e} over N=2..10",

@@ -59,7 +59,7 @@ def _json_pieces(value, indent: str = "\n"):
     (which keeps -0.0 and 0.0 apart) once, and the piece's entries are read
     back from that table by index and joined as one piece. No table outlives
     its piece, so memory does not grow with the array, however many distinct
-    values it holds. Any other list is rendered item by item.
+    values it holds. Any other value is ``json.dumps(value, indent=2)`` itself.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
@@ -77,13 +77,10 @@ def _json_pieces(value, indent: str = "\n"):
             yield sep if start else "[" + inner
             yield sep.join(np.array(reprs, dtype=object)[index].tolist())
         yield indent + "]"
-    elif isinstance(value, (list, tuple)) and value:
-        for i, item in enumerate(value):
-            yield ("," if i else "[") + inner
-            yield from _json_pieces(item, inner)
-        yield indent + "]"
+    elif isinstance(value, np.ndarray):
+        yield "[]"
     else:
-        yield "[]" if isinstance(value, np.ndarray) else json.dumps(value)
+        yield json.dumps(value, indent=2).replace("\n", indent)
 
 
 def _emit_json(data) -> None:
@@ -204,18 +201,17 @@ def _cmd_thresholds(args) -> int:
     try:
         rows = threshold_table(args.n_max)
     except OverflowError:
-        raise _FieldError("n_max", f"{args.n_max} overflows double precision") from None
+        raise _FieldError("n_parties", f"{args.n_max} overflows double precision") from None
     if args.format == "csv":
         sys.stdout.write(render_table_csv(rows))
     elif args.format == "human":
-        data = [row.to_dict() for row in rows]
         lines = [f"{'N':>3}  {'v_cr_new':>9}  {'v_cr_old':>9}  {'eta_cr':>9}"]
-        for row in data:
+        for row in rows:
             lines.append(
-                f"{row['n']:>3}  "
-                f"{percent_string(row['v_cr_new']) + '%':>9}  "
-                f"{percent_string(row['v_cr_old']) + '%':>9}  "
-                f"{percent_string(row['eta_cr']) + '%':>9}"
+                f"{row.n:>3}  "
+                f"{percent_string(row.v_cr_new) + '%':>9}  "
+                f"{percent_string(row.v_cr_old) + '%':>9}  "
+                f"{percent_string(row.eta_cr) + '%':>9}"
             )
         _emit("\n".join(lines))
     else:
@@ -332,10 +328,10 @@ _ENGINE_FLAGS = {
 # calls check: a _FieldError naming that field is a usage error led by the flag.
 COMMANDS = {
     "bound": (_cmd_bound, {"n_parties": "--n"}),
-    "thresholds": (_cmd_thresholds, {"n_max": "--n-max"}),
+    "thresholds": (_cmd_thresholds, {"n_parties": "--n-max"}),
     "simulate": (_cmd_simulate, _ENGINE_FLAGS),
     "sweep": (_cmd_sweep, {**_ENGINE_FLAGS, "visibility": "--v-grid", "trials": "--trials-per-point"}),
-    "verify": (_cmd_verify, {"n_max": "--n-max", "n_parties": "--n-max"}),
+    "verify": (_cmd_verify, {"n_parties": "--n-max"}),
 }
 
 

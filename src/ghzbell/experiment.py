@@ -430,6 +430,7 @@ def _map_blocks(config: ExperimentConfig, func, workers: int):
     miss functools.cache at once would both build it. Closing the iterator
     early cancels the blocks not yet started.
     """
+    _check_integer("workers", workers)
     if workers < 1:
         raise _FieldError("workers", f"workers must be positive, got {workers}")
     blocks = -(-config.trials // BLOCK_TRIALS)

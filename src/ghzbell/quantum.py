@@ -7,7 +7,6 @@ Contents:
     setting_phase_classes -- total phase class of every setting combination
     integer_tensor      -- the quantum tensor over sqrt(3)/2: entries exactly 0, +-1
     quantum_tensor      -- the 3^N tensor of quantum correlations, cached per N
-    tensor_norm_sq, tensor_entry_sum -- squared norm and plain entry sum
     entry_sum_closed_form -- closed form for the tensor entry sum
 
 Every phase in the grid is a multiple of pi/6 (stored as that integer
@@ -146,16 +145,6 @@ def quantum_tensor(grid: SettingsGrid) -> CorrelationTensor:
     """
     entries = np.multiply(ODD_CLASS_COS, HALF_SQRT3)[_setting_residues(grid)]
     return CorrelationTensor(grid.n_parties, entries, _take=True)
-
-
-def tensor_norm_sq(tensor: CorrelationTensor) -> float:
-    """Sum of squared entries."""
-    return float(np.dot(tensor.entries, tensor.entries))
-
-
-def tensor_entry_sum(tensor: CorrelationTensor) -> float:
-    """Plain sum of all entries."""
-    return float(np.sum(tensor.entries))
 
 
 def entry_sum_closed_form(n_parties: int) -> float:

@@ -38,7 +38,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .lhv import lhv_bound
-from .quantum import _FieldError, _check_parties, entry_sum_closed_form
+from .quantum import _check_parties, entry_sum_closed_form
 
 BISECTION_LO = 1e-6
 # Every bracket starts at 1 - 1e-6 wide and halves each step: after 40 steps it
@@ -165,10 +165,8 @@ class ThresholdRow:
 
 def threshold_table(n_max: int) -> list[ThresholdRow]:
     """Rows for N = 2..n_max: three-setting and two-setting visibility, eta_cr."""
-    if n_max < 2:
-        raise _FieldError("n_max", f"n_max must be at least 2, got {n_max}")
-    # The N = n_max constants first: an n_max whose 3^N leaves float64 raises
-    # OverflowError here, before N = 2..n_max is built.
+    # The N = n_max constants first: an n_max below 2, or one whose 3^N leaves
+    # float64, raises here, before N = 2..n_max is built.
     _efficiency_margin(n_max)
     ns = range(2, n_max + 1)
     return [

@@ -30,14 +30,16 @@ from ghzbell import (
     quantum_tensor,
     run_experiment,
     summarize_batch,
-    tensor_entry_sum,
-    tensor_norm_sq,
     two_setting_visibility_threshold,
     violation_factor,
 )
 from ghzbell.checks import _folded_scores
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _quantum_entries(n: int) -> np.ndarray:
+    return quantum_tensor(build_settings(n)).entries
 
 
 def _criterion(number: int, name: str, ok: bool, detail: str) -> None:
@@ -49,7 +51,7 @@ def _criterion(number: int, name: str, ok: bool, detail: str) -> None:
 def test_criterion_01_norm_identity():
     start = time.perf_counter()
     worst = max(
-        abs(tensor_norm_sq(quantum_tensor(build_settings(n))) - 3.0 ** n / 2.0)
+        abs(np.dot(_quantum_entries(n), _quantum_entries(n)) - 3.0 ** n / 2.0)
         for n in range(2, 11)
     )
     elapsed = time.perf_counter() - start
@@ -63,13 +65,11 @@ def test_criterion_01_norm_identity():
 
 def test_criterion_02_entry_sum_identity():
     worst = max(
-        abs(tensor_entry_sum(quantum_tensor(build_settings(n))) - entry_sum_closed_form(n))
+        abs(np.sum(_quantum_entries(n)) - entry_sum_closed_form(n))
         for n in range(2, 11)
     )
     zero_exact = all(entry_sum_closed_form(n) == 0.0 for n in (4, 7, 10))
-    zero_direct = max(
-        abs(tensor_entry_sum(quantum_tensor(build_settings(n)))) for n in (4, 7, 10)
-    )
+    zero_direct = max(abs(np.sum(_quantum_entries(n))) for n in (4, 7, 10))
     _criterion(
         2,
         "entry sum = -2^N sin((N-1)pi/3), N = 2..10",
@@ -111,7 +111,7 @@ def test_criterion_04_oracle_equivalence():
 def test_criterion_05_violation_factor():
     worst = max(
         abs(
-            tensor_norm_sq(quantum_tensor(build_settings(n))) / lhv_bound(n)
+            np.dot(_quantum_entries(n), _quantum_entries(n)) / lhv_bound(n)
             - violation_factor(n)
         )
         for n in range(2, 11)

@@ -1,7 +1,7 @@
 """The public API: exactly these names, each importable, at one version.
 
 Adding or removing a public name is a deliberate change that edits this list.
-README.md names what 0.2.0, 0.3.0 and 0.4.0 removed and what to use instead,
+README.md names what 0.2.0, 0.3.0, 0.4.0 and 0.5.0 removed and what to use instead,
 and its Library example runs here as written.
 """
 
@@ -49,8 +49,6 @@ PUBLIC_NAMES = [
     "setting_phase_classes",
     "strategy_score",
     "summarize_batch",
-    "tensor_entry_sum",
-    "tensor_norm_sq",
     "threshold_table",
     "two_setting_visibility_threshold",
     "violation_factor",
@@ -59,7 +57,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 42
+    assert len(PUBLIC_NAMES) == 40
     assert sorted(ghzbell.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(ghzbell, name) is not None
@@ -68,7 +66,7 @@ def test_public_names_are_pinned_and_resolve():
 def test_version_matches_the_project_metadata():
     pyproject = (ROOT / "pyproject.toml").read_text()
     (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, flags=re.M)
-    assert ghzbell.__version__ == version == "0.4.0"
+    assert ghzbell.__version__ == version == "0.5.0"
 
 
 def test_readme_library_example_runs(capsys):

@@ -112,9 +112,9 @@ def test_n_max_past_the_search_limit_fails_before_any_search(monkeypatch):
 
 
 def test_n_max_below_two_names_its_field():
-    with pytest.raises(ValueError, match="n_max must be at least 2, got 1") as info:
+    with pytest.raises(ValueError, match="need at least 2 parties, got 1") as info:
         checks.run_checks(1)
-    assert info.value.field == "n_max"
+    assert info.value.field == "n_parties"
 
 
 def test_folded_check_is_exhaustive():

@@ -524,8 +524,8 @@ class TestConfigErrorsNameTheFlag:
             ("bound --n 1", "--n: need at least 2 parties, got 1"),
             ("bound --n 9", "--n: exhaustive search supports 2..8 parties, got 9"),
             ("bound --n 9 --method brute", "--n: exhaustive search supports 2..8 parties, got 9"),
-            ("thresholds --n-max 1", "--n-max: n_max must be at least 2, got 1"),
-            ("verify --n-max 1", "--n-max: n_max must be at least 2, got 1"),
+            ("thresholds --n-max 1", "--n-max: need at least 2 parties, got 1"),
+            ("verify --n-max 1", "--n-max: need at least 2 parties, got 1"),
             ("verify --n-max 9", "--n-max: exhaustive search supports 2..8 parties, got 9"),
             # A handler's own checks and overflow translations, through the same table.
             (
@@ -697,14 +697,40 @@ class TestJsonRendering:
                 "sweep --n 2 --eta 0.8 --v-grid 0.5,0.95 --trials-per-point 900 --format human",
                 "504af17f3653da4f6ac807916a08d0325515f6fb302a485cb0ad40dabefa60fa",
             ),
+            (
+                "bound --n 5 --method factorized",
+                "c25cdad707ec95ebc886e4af3a21daa6b45562300eb56815055d6a77fc1b256d",
+            ),
+            (
+                "bound --n 5 --method brute",
+                "d16670ca5dafb0b734dcfc95660ded3d39db53eff0a4731f2606b7ead671ff75",
+            ),
+            (
+                "verify --n-max 3 --format json --inject-fault",
+                "9ce248a20103c671474c26466f9afdf49d95317966e27119598cddccfd32e7d0",
+            ),
+            (
+                "sweep --n 3 --eta 0.9 --v-grid 0.4,0.9 --trials-per-point 270 --format csv",
+                "08d6872a25ecd69582e4946f0ee1560b4c40a0bcd554db186be76cc93ac4f0ee",
+            ),
         ],
-        ids=["thresholds-n12-json", "thresholds-n40-human", "sweep-n3-json", "sweep-n2-human"],
+        ids=[
+            "thresholds-n12-json",
+            "thresholds-n40-human",
+            "sweep-n3-json",
+            "sweep-n2-human",
+            "bound-n5-factorized-json",
+            "bound-n5-brute-json",
+            "verify-n3-fault-json",
+            "sweep-n3-csv",
+        ],
     )
     def test_row_and_point_golden_digest(self, args, digest):
         # sha256 of the stdout printed while every to_dict listed its keys by
         # hand; pins the key order that the dataclass-derived dicts must keep.
+        # The later rows pin the argmax and check lists that json.dumps renders.
         res = run_cli(*args.split())
-        assert res.returncode == 0
+        assert res.returncode == (1 if "--inject-fault" in args else 0)
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 import tracemalloc
@@ -569,6 +570,16 @@ class TestDeterminism:
         )
         with pytest.raises(ValueError, match="workers must be positive, got 0") as info:
             run_experiment(cfg, workers=0)
+        assert info.value.field == "workers"
+
+    @pytest.mark.parametrize("workers", [2.5, "2"], ids=["float", "str"])
+    def test_non_integer_workers(self, workers):
+        cfg = ExperimentConfig(
+            n_parties=2, visibility=1.0, efficiency=1.0, trials=9, seed=0
+        )
+        message = re.escape(f"workers must be an integer, got {workers!r}")
+        with pytest.raises(ValueError, match=message) as info:
+            run_experiment(cfg, workers=workers)
         assert info.value.field == "workers"
 
     @pytest.mark.parametrize(

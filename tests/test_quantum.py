@@ -42,8 +42,6 @@ from ghzbell import (
     lhv_bound,
     quantum_tensor,
     setting_phase_classes,
-    tensor_entry_sum,
-    tensor_norm_sq,
     two_setting_visibility_threshold,
     violation_factor,
 )
@@ -130,24 +128,24 @@ class TestQuantumTensor:
     def test_norm_identity(self):
         for n in range(2, 11):
             q = quantum_tensor(build_settings(n))
-            assert abs(tensor_norm_sq(q) - 3.0 ** n / 2.0) < 1e-9
+            assert abs(np.dot(q.entries, q.entries) - 3.0 ** n / 2.0) < 1e-9
 
     def test_entry_sum_matches_closed_form(self):
         for n in range(2, 11):
             q = quantum_tensor(build_settings(n))
-            assert abs(tensor_entry_sum(q) - entry_sum_closed_form(n)) < 1e-9
+            assert abs(np.sum(q.entries) - entry_sum_closed_form(n)) < 1e-9
 
     def test_entry_sum_frozen_values(self):
         q2 = quantum_tensor(build_settings(2))
-        assert tensor_entry_sum(q2) == pytest.approx(-2 * SQRT3, abs=1e-12)
+        assert np.sum(q2.entries) == pytest.approx(-2 * SQRT3, abs=1e-12)
         q5 = quantum_tensor(build_settings(5))
-        assert tensor_entry_sum(q5) == pytest.approx(16 * SQRT3, abs=1e-12)
+        assert np.sum(q5.entries) == pytest.approx(16 * SQRT3, abs=1e-12)
 
     def test_entry_sum_vanishes_at_n_1_mod_3(self):
         for n in (4, 7, 10):
             assert entry_sum_closed_form(n) == 0.0
             q = quantum_tensor(build_settings(n))
-            assert abs(tensor_entry_sum(q)) < 1e-9
+            assert abs(np.sum(q.entries)) < 1e-9
 
     def test_cached_once_per_n_and_read_only(self):
         for n in range(2, 6):
@@ -221,8 +219,8 @@ class TestIntegerTensor:
         t = integer_tensor(build_settings(n))
         assert set(np.unique(t.entries)) <= {0.0, 1.0, -1.0}
         assert np.count_nonzero(t.entries) == 2 * 3 ** (n - 1)
-        assert tensor_norm_sq(t) == 2 * 3 ** (n - 1)
-        assert HALF_SQRT3 * tensor_entry_sum(t) == entry_sum_closed_form(n)
+        assert np.dot(t.entries, t.entries) == 2 * 3 ** (n - 1)
+        assert HALF_SQRT3 * np.sum(t.entries) == entry_sum_closed_form(n)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_quantum_tensor_is_half_sqrt3_times_the_table(self, n):
@@ -259,7 +257,7 @@ class TestIntegerTensor:
     def test_entry_sum_from_residue_counts_matches_the_table(self, n):
         total = self._entry_sum_by_residue_counts(n)
         assert total in (0, 2 ** n, -(2 ** n))
-        assert total == tensor_entry_sum(integer_tensor(build_settings(n)))
+        assert total == np.sum(integer_tensor(build_settings(n)).entries)
 
     def test_entry_sum_from_residue_counts_is_the_closed_form_for_every_n(self):
         for n in range(2, 1024):

@@ -223,9 +223,9 @@ class TestThresholdTable:
             assert row.v_cr_new.hex() == (lhv_bound(row.n) / (3.0 ** row.n / 2.0)).hex()
 
     def test_invalid_n_max(self):
-        with pytest.raises(ValueError, match="n_max must be at least 2, got 1") as info:
+        with pytest.raises(ValueError, match="need at least 2 parties, got 1") as info:
             threshold_table(1)
-        assert info.value.field == "n_max"
+        assert info.value.field == "n_parties"
 
     @pytest.mark.parametrize(
         "n_max", [647, 10 ** 12, 10 ** 20, 10 ** 400], ids=["647", "1e12", "1e20", "1e400"]
