@@ -168,7 +168,7 @@ def run_checks(n_max: int = 6, inject_fault: bool = False) -> list[CheckResult]:
 
     Largest N first, so an N ``max_score_brute`` cannot search fails before any search runs.
     """
-    _check_parties(n_max)
+    n_max = _check_parties(n_max)
     brute = {n: max_score_brute(n) for n in range(n_max, 1, -1)}
     tables = {n: integer_tensor(build_settings(n)) for n in range(2, 11)}
     etas = dict(zip(range(2, 13), critical_efficiency(range(2, 13)).tolist()))

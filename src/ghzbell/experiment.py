@@ -46,11 +46,9 @@ summarize_batch on the trials generate_trials draws.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import re
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -59,6 +57,7 @@ from .lhv import lhv_bound
 from .quantum import (
     CorrelationTensor,
     _FieldError,
+    _check_integer,
     _check_parties,
     build_settings,
     entry_sum_closed_form,
@@ -73,13 +72,6 @@ BLOCK_TRIALS = 65536
 MAX_SEED = 2 ** 64 - 1
 # A trial's key, 3 combo + 1 + product, is below 3^(N+1): int64 holds it up to N = 38.
 _MAX_PARTIES = 38
-
-
-def _check_integer(field: str, value: int) -> None:
-    try:
-        operator.index(value)
-    except TypeError:
-        raise _FieldError(field, f"{field} must be an integer, got {value!r}") from None
 
 
 def _check_seed(seed: int) -> None:
@@ -100,7 +92,6 @@ class ExperimentConfig:
     setting_policy: str = ROUND_ROBIN
 
     def __post_init__(self) -> None:
-        _check_integer("n_parties", self.n_parties)
         _check_parties(self.n_parties)
         if self.n_parties > _MAX_PARTIES:
             raise _FieldError(
@@ -205,7 +196,13 @@ class TrialBatch:
             values = _parse_records(text)
             if not len(values):
                 raise ValueError(f"{path}: no trial records")
-            return cls(*map(np.ascontiguousarray, np.split(values, 2, axis=1)))
+            n = values.shape[1] // 2
+            if n:  # each record's halves as two N-byte fields, each copied whole
+                fields = values.view(f"V{n}")
+                halves = fields[:, :1], fields[:, 1:]
+            else:  # a V0 view cannot be indexed
+                halves = np.split(values, 2, axis=1)
+            return cls(*(np.ascontiguousarray(half).view(np.int8) for half in halves))
         except ValueError:
             _raise_first_bad_record(path, text)
             raise
@@ -415,7 +412,11 @@ def _block_combos(config: ExperimentConfig, block: int) -> tuple[np.ndarray, np.
     if config.setting_policy == UNIFORM_RANDOM:
         combos = rng.integers(0, config.n_combos, size=size, dtype=np.int64)
     else:
-        combos = (start + np.arange(size, dtype=np.int64)) % config.n_combos
+        # Consecutive combos; only a block that runs past 3^N - 1 is reduced mod 3^N.
+        first = start % config.n_combos
+        combos = np.arange(first, first + size, dtype=np.int64)
+        if first + size > config.n_combos:
+            combos %= config.n_combos
     return combos, rng
 
 
@@ -438,6 +439,8 @@ def _map_blocks(config: ExperimentConfig, func, workers: int):
     if workers == 1 or blocks == 1:
         yield from map(func, range(blocks))
         return
+    from concurrent.futures import ThreadPoolExecutor  # only a pool pays for the import
+
     quantum_tensor(build_settings(config.n_parties))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
@@ -457,14 +460,17 @@ def generate_trials(config: ExperimentConfig, workers: int = 1) -> TrialBatch:
     """Sample every trial of the experiment as an explicit batch."""
 
     def work(block):
+        # Each block's int8 settings straight from its digits, so no trial-sized
+        # int64 array outlives the block.
         combos, rng = _block_combos(config, block)
-        return combos, _sample(config, combos, rng)
+        digits = np.array(np.unravel_index(combos, (3,) * config.n_parties), dtype=np.int8)
+        settings = np.ascontiguousarray(digits.T)
+        settings += np.int8(1)
+        return settings, _sample(config, combos, rng)
 
-    parts = list(_map_blocks(config, work, workers))
-    combos = np.concatenate([p[0] for p in parts])
-    outcomes = np.concatenate([p[1] for p in parts])
-    digits = np.unravel_index(combos, (3,) * config.n_parties)
-    settings = np.stack(digits, axis=1).astype(np.int8) + np.int8(1)
+    settings, outcomes = zip(*_map_blocks(config, work, workers))
+    # Rebinding frees the blocks before the constructor's range checks run.
+    settings, outcomes = np.concatenate(settings), np.concatenate(outcomes)
     return TrialBatch(settings=settings, outcomes=outcomes)
 
 

@@ -39,6 +39,7 @@ from .quantum import (
     CorrelationTensor,
     SettingsGrid,
     _FieldError,
+    _check_integer,
     _check_parties,
     build_settings,
     integer_tensor,
@@ -153,8 +154,7 @@ def _triple_scores(q: CorrelationTensor, triples: Sequence) -> np.ndarray:
 
 def lhv_bound(n_parties: int) -> float:
     """The deterministic maximum 2^(N-1) sqrt(3)."""
-    _check_parties(n_parties)
-    return math.ldexp(HALF_SQRT3, n_parties)
+    return math.ldexp(HALF_SQRT3, _check_parties(n_parties))
 
 
 def bound_attaining_strategy(n_parties: int) -> DeterministicStrategy:
@@ -164,7 +164,7 @@ def bound_attaining_strategy(n_parties: int) -> DeterministicStrategy:
     every other party's on class 0 (+2), so the product has magnitude 2^N at
     phase pi/6 and real part 2^(N-1) sqrt(3).
     """
-    return DeterministicStrategy(assignments=((1, 1, -1),) * n_parties)
+    return DeterministicStrategy(assignments=((1, 1, -1),) * _check_parties(n_parties))
 
 
 def max_score_brute(n_parties: int) -> tuple[float, DeterministicStrategy]:
@@ -183,6 +183,7 @@ def max_score_brute(n_parties: int) -> tuple[float, DeterministicStrategy]:
     for s < 0 the representative with only its last party flipped. Limited to
     N <= 8.
     """
+    n_parties = _check_integer("n_parties", n_parties)
     if not 2 <= n_parties <= 8:
         raise _FieldError("n_parties", f"exhaustive search supports 2..8 parties, got {n_parties}")
     scores = _triple_scores(integer_tensor(build_settings(n_parties)), SIGN_TRIPLES[:4]).ravel()
@@ -206,6 +207,7 @@ def max_score_factorized(n_parties: int) -> float:
     alternative. Runs in O(N * 12 * 7) and agrees with max_score_brute. The
     final value 2^(N-1) sqrt(3) overflows float64 for N > 1023 (OverflowError).
     """
+    n_parties = _check_parties(n_parties)
     grid = build_settings(n_parties)
     reachable, other = (
         {p.phase_class for t in SIGN_TRIPLES if (p := party_phasor(t, k, grid)).magnitude}

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -45,10 +46,27 @@ class _FieldError(ValueError):
         self.field = field
 
 
-def _check_parties(n: int) -> None:
-    """The paper's test needs at least two parties."""
+def _check_integer(field: str, value: int) -> int:
+    """``value`` as a plain int, for any integer type; a _FieldError naming ``field`` otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise _FieldError(field, f"{field} must be an integer, got {value!r}") from None
+
+
+def _check_parties(n: int) -> int:
+    """``n`` as a plain int: the paper's test needs an integer count of at least two parties.
+
+    ``_check_integer``'s rule, written out: a threshold table calls this a few
+    thousand times, and the nested call would double its cost.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise _FieldError("n_parties", f"n_parties must be an integer, got {n!r}") from None
     if n < 2:
         raise _FieldError("n_parties", f"need at least 2 parties, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -95,9 +113,11 @@ class CorrelationTensor:
             raise ValueError(
                 f"expected {3 ** self.n_parties} entries for {self.n_parties} parties, got {arr.size}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor entries must be finite")
-        if np.max(np.abs(arr), initial=0.0) > 1.0 + 1e-9:
+        # Two reductions and no temporaries; NaN fails the comparison too, and
+        # only then does the isfinite scan pick which rule broke.
+        if not -1.0 - 1e-9 <= arr.min() <= arr.max() <= 1.0 + 1e-9:
+            if not np.isfinite(arr).all():
+                raise ValueError("tensor entries must be finite")
             raise ValueError("correlation magnitudes cannot exceed 1")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -153,6 +173,6 @@ def entry_sum_closed_form(n_parties: int) -> float:
     sin((N-1) pi/3) only takes the values {0, +-sqrt(3)/2}, so the result is
     exactly 0 whenever N = 1 (mod 3).
     """
-    _check_parties(n_parties)
+    n_parties = _check_parties(n_parties)
     sin_table = (0.0, HALF_SQRT3, HALF_SQRT3, 0.0, -HALF_SQRT3, -HALF_SQRT3)
     return -(2.0 ** n_parties) * sin_table[(n_parties - 1) % 6]

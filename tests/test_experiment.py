@@ -29,6 +29,7 @@ Statistical checks run at fixed seeds with 4 to 4.5 sigma windows, so they are
 deterministic once recorded.
 """
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -549,8 +550,14 @@ class TestDeterminism:
                 ),
                 "086a12886724df012cc87357bfc0616e00443852d13313451e0f78f81822e491",
             ),
+            # 3^11 = 177147 lies inside block 2, the one block that wraps past 3^N;
+            # the last block ends at exactly 2 * 3^11, where nothing wraps.
+            (
+                dict(n_parties=11, visibility=0.7, efficiency=0.9, trials=2 * 3 ** 11, seed=6),
+                "eba3edeb911a64a4b09fc9c3c3443b16130c2fb2be4a560105a59e41f7d59cb9",
+            ),
         ],
-        ids=["round-robin", "uniform-random"],
+        ids=["round-robin", "uniform-random", "round-robin-blocks-wrap-past-3^N"],
     )
     def test_summary_golden_digest(self, kwargs, digest):
         # Pins the random stream: a change that shifts any draw the summary
@@ -591,13 +598,13 @@ class TestDeterminism:
         # The recorder starts at most 2 threads whatever it is asked for, so a
         # broken cap cannot start one thread per block.
         sizes = []
-        pool = experiment.ThreadPoolExecutor
+        pool = concurrent.futures.ThreadPoolExecutor
 
         def recording(max_workers):
             sizes.append(max_workers)
             return pool(max_workers=min(max_workers, 2))
 
-        monkeypatch.setattr(experiment, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
         cfg = ExperimentConfig(
             n_parties=2, visibility=0.9, efficiency=0.8, trials=2 * experiment.BLOCK_TRIALS,
@@ -874,6 +881,20 @@ class TestSummaryFromStats:
             tracemalloc.stop()
         assert peak < 40 * 3 ** 12
 
+    def test_generate_trials_peak_memory(self):
+        # Settings made in int8 inside each block, and the blocks freed before
+        # the range checks: about 51 MB, where int64 combos and digits of
+        # every trial once took 247 MB.
+        config = ExperimentConfig(12, 0.6, 0.98, 2 * 3 ** 12, seed=7)
+        generate_trials(ExperimentConfig(12, 0.6, 0.98, 3 ** 12, seed=7))  # warm-up
+        tracemalloc.start()
+        try:
+            generate_trials(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 10 ** 6
+
 
 class TestSettingPolicies:
     def test_round_robin_cycles_in_order(self):
@@ -897,6 +918,28 @@ class TestSettingPolicies:
         )
         counts = np.bincount(_combo_indices(generate_trials(cfg)), minlength=9)
         assert np.array_equal(counts, np.full(9, 15000))
+
+    def test_round_robin_trials_across_wrapping_blocks_golden_digest(self):
+        # The generated settings and outcomes of the run whose summary digest
+        # is pinned above, over blocks that wrap past 3^N.
+        batch = generate_trials(ExperimentConfig(11, 0.7, 0.9, 2 * 3 ** 11, seed=6))
+        digest = hashlib.sha256(batch.settings.tobytes() + batch.outcomes.tobytes()).hexdigest()
+        assert digest == "e3cd53b60179b4c3d5a1a3addf8d7735817d1e2cb68359785e65e9965c569eea"
+
+    @pytest.mark.parametrize(
+        "policy, trials",
+        [(ROUND_ROBIN, 3 ** 12), (UNIFORM_RANDOM, 2 * BLOCK_TRIALS + 1000)],
+    )
+    def test_generated_settings_are_int8_digits_of_the_block_combos(self, policy, trials):
+        # Eight full blocks and a partial one (round-robin), or two and a partial.
+        config = ExperimentConfig(12, 0.6, 0.98, trials, seed=7, setting_policy=policy)
+        blocks = -(-trials // BLOCK_TRIALS)
+        combos = np.concatenate([_block_combos(config, b)[0] for b in range(blocks)])
+        if policy == ROUND_ROBIN:
+            assert np.array_equal(combos, np.arange(trials))
+        settings = generate_trials(config).settings
+        assert settings.dtype == np.int8 and settings.flags.c_contiguous
+        assert np.array_equal(settings, np.stack(np.unravel_index(combos, (3,) * 12), axis=1) + 1)
 
     def test_uniform_random_visits_all_combos(self):
         cfg = ExperimentConfig(

@@ -18,7 +18,8 @@ Core claims covered here:
   * each N's quantum tensor and integer table are built once and shared,
     with read-only entries,
   * every public entry point that takes a party count rejects N = 1 through
-    the one rule, with the same field and message.
+    the one rule, with the same field and message, and the same rule rejects a
+    count that is not an integer and takes any integer type as its plain int.
 """
 
 import itertools
@@ -36,12 +37,17 @@ from ghzbell import (
     SettingsGrid,
     bound_attaining_strategy,
     build_settings,
+    critical_efficiency,
     critical_visibility,
     efficiency_closed_form,
     entry_sum_closed_form,
     lhv_bound,
+    max_score_brute,
+    max_score_factorized,
     quantum_tensor,
+    run_checks,
     setting_phase_classes,
+    threshold_table,
     two_setting_visibility_threshold,
     violation_factor,
 )
@@ -178,6 +184,34 @@ class TestCorrelationTensor:
         with pytest.raises(ValueError):
             CorrelationTensor(n_parties=2, entries=bad)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (np.nan, "finite"),
+            (np.inf, "finite"),
+            (-np.inf, "finite"),
+            (1.5, "magnitudes cannot exceed 1"),
+            (-1.5, "magnitudes cannot exceed 1"),
+            (1.0 + 2e-9, "magnitudes cannot exceed 1"),
+            (-1.0 - 2e-9, "magnitudes cannot exceed 1"),
+        ],
+    )
+    @pytest.mark.parametrize("take", [False, True])
+    def test_each_rule_names_itself(self, value, message, take):
+        # A NaN or an infinity is reported as such even beside an entry above 1.
+        bad = np.full(9, 0.5)
+        bad[4] = value
+        if message == "finite":
+            bad[0] = 1.5
+        with pytest.raises(ValueError, match=message):
+            CorrelationTensor(2, bad, _take=take)
+
+    @pytest.mark.parametrize("edge", [1.0 + 1e-9, -1.0 - 1e-9])
+    def test_magnitudes_within_the_rounding_allowance_pass(self, edge):
+        entries = np.zeros(9)
+        entries[[0, 8]] = edge, -edge
+        assert CorrelationTensor(2, entries).entries[0] == edge
+
     def test_entries_read_only(self):
         q = quantum_tensor(build_settings(2))
         with pytest.raises(ValueError):
@@ -298,3 +332,40 @@ def test_one_party_is_rejected_by_the_one_rule(call):
     with pytest.raises(_FieldError, match="^need at least 2 parties, got 1$") as info:
         call()
     assert info.value.field == "n_parties"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        build_settings,
+        lambda n: CorrelationTensor(n, np.zeros(27)).n_parties,
+        lambda n: quantum_tensor(build_settings(n)),
+        entry_sum_closed_form,
+        lhv_bound,
+        violation_factor,
+        bound_attaining_strategy,
+        max_score_brute,
+        max_score_factorized,
+        two_setting_visibility_threshold,
+        critical_visibility,
+        critical_efficiency,
+        lambda n: critical_efficiency([n]).tolist(),
+        threshold_table,
+        run_checks,
+        lambda n: ExperimentConfig(n, 0.5, 0.5, 27, seed=0),
+    ],
+    ids=[
+        "build_settings", "CorrelationTensor", "quantum_tensor", "entry_sum_closed_form",
+        "lhv_bound", "violation_factor", "bound_attaining_strategy", "max_score_brute",
+        "max_score_factorized", "two_setting_visibility_threshold", "critical_visibility",
+        "critical_efficiency", "critical_efficiency-sequence", "threshold_table", "run_checks",
+        "ExperimentConfig",
+    ],
+)
+def test_party_count_must_be_an_integer_of_any_integer_type(call):
+    for value in (2.5, "3"):
+        message = f"^n_parties must be an integer, got {value!r}$".replace(".", r"\.")
+        with pytest.raises(_FieldError, match=message) as info:
+            call(value)
+        assert info.value.field == "n_parties"
+    assert call(np.int64(3)) == call(3)
