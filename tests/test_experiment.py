@@ -883,8 +883,8 @@ class TestSummaryFromStats:
 
     def test_generate_trials_peak_memory(self):
         # Settings made in int8 inside each block, and the blocks freed before
-        # the range checks: about 51 MB, where int64 combos and digits of
-        # every trial once took 247 MB.
+        # the range checks: about 51 MB. Int64 combos and digits kept for every
+        # trial would add over 100 MB.
         config = ExperimentConfig(12, 0.6, 0.98, 2 * 3 ** 12, seed=7)
         generate_trials(ExperimentConfig(12, 0.6, 0.98, 3 ** 12, seed=7))  # warm-up
         tracemalloc.start()
@@ -920,8 +920,8 @@ class TestSettingPolicies:
         assert np.array_equal(counts, np.full(9, 15000))
 
     def test_round_robin_trials_across_wrapping_blocks_golden_digest(self):
-        # The generated settings and outcomes of the run whose summary digest
-        # is pinned above, over blocks that wrap past 3^N.
+        # The trials of the run whose summary digest TestDeterminism pins,
+        # over blocks that wrap past 3^N.
         batch = generate_trials(ExperimentConfig(11, 0.7, 0.9, 2 * 3 ** 11, seed=6))
         digest = hashlib.sha256(batch.settings.tobytes() + batch.outcomes.tobytes()).hexdigest()
         assert digest == "e3cd53b60179b4c3d5a1a3addf8d7735817d1e2cb68359785e65e9965c569eea"
