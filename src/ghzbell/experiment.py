@@ -59,6 +59,7 @@ from .quantum import (
     _FieldError,
     _check_integer,
     _check_parties,
+    _check_rate,
     build_settings,
     entry_sum_closed_form,
     quantum_tensor,
@@ -99,10 +100,8 @@ class ExperimentConfig:
                 f"the engine keys trials by setting combination in int64, which holds at "
                 f"most {_MAX_PARTIES} parties, got {self.n_parties}",
             )
-        if not 0.0 <= self.visibility <= 1.0:
-            raise _FieldError("visibility", f"visibility must be in [0, 1], got {self.visibility}")
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise _FieldError("efficiency", f"efficiency must be in [0, 1], got {self.efficiency}")
+        _check_rate("visibility", self.visibility)
+        _check_rate("efficiency", self.efficiency)
         _check_integer("trials", self.trials)
         if self.trials < 1:
             raise _FieldError("trials", f"trials must be positive, got {self.trials}")
@@ -136,29 +135,13 @@ _CELLS = np.array(
 ).view(np.uint32)
 
 
-def _check_ranges(settings, outcomes) -> tuple[np.ndarray, np.ndarray]:
-    """``settings`` and ``outcomes`` as int8, checked before the cast, which would wrap 257 to 1.
-
-    Settings must be in 1..3 and outcomes in {-1, 0, +1}, by ``==`` as ``np.isin``
-    compares: 1.0 and True pass, 1.5 fails.
-    """
-    settings, outcomes = np.asarray(settings), np.asarray(outcomes)
-    if settings.ndim != 2 or settings.shape != outcomes.shape:
-        raise ValueError("settings and outcomes must be equal-shaped 2-D arrays")
-    if not ((settings == 1) | (settings == 2) | (settings == 3)).all():
-        raise ValueError("setting indices must be in 1..3")
-    if not ((outcomes == -1) | (outcomes == 0) | (outcomes == 1)).all():
-        raise ValueError("outcomes must be in {-1, 0, +1}")
-    return settings.astype(np.int8, copy=False), outcomes.astype(np.int8, copy=False)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrialBatch:
-    """Column-oriented batch of trials.
+    """Column-oriented batch of trials, checked once and read-only for its whole life.
 
     ``settings`` is (trials, N) with 1-based setting indices; ``outcomes`` is
-    (trials, N) with values in {-1, 0, +1}, both int8 once ``_check_ranges``
-    has passed them. Persists as newline-delimited ``s_1 ... s_N | m_1 ... m_N``
+    (trials, N) with values in {-1, 0, +1}; the batch keeps read-only int8
+    copies of both. Persists as newline-delimited ``s_1 ... s_N | m_1 ... m_N``
     records: ``save`` writes each value's cell of ``_CELLS``, and ``load`` reads
     values as ``_parse_records`` describes.
     """
@@ -167,7 +150,21 @@ class TrialBatch:
     outcomes: np.ndarray
 
     def __post_init__(self) -> None:
-        self.settings, self.outcomes = _check_ranges(self.settings, self.outcomes)
+        # Ranges by == before the int8 cast, which would wrap 257 to 1; 1.0 and True pass.
+        settings, outcomes = np.asarray(self.settings), np.asarray(self.outcomes)
+        if settings.ndim != 2 or settings.shape != outcomes.shape:
+            raise ValueError("settings and outcomes must be equal-shaped 2-D arrays")
+        if not ((settings == 1) | (settings == 2) | (settings == 3)).all():
+            raise ValueError("setting indices must be in 1..3")
+        if not ((outcomes == -1) | (outcomes == 0) | (outcomes == 1)).all():
+            raise ValueError("outcomes must be in {-1, 0, +1}")
+        for name, values in (("settings", settings), ("outcomes", outcomes)):
+            values = values.astype(np.int8)  # a copy, even of an int8 array
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    def __reduce__(self):  # so a copied or unpickled batch is checked and read-only too
+        return type(self), (self.settings, self.outcomes)
 
     def __len__(self) -> int:
         return self.settings.shape[0]
@@ -177,13 +174,12 @@ class TrialBatch:
         return self.settings.shape[1]
 
     def save(self, path) -> None:
-        """Write each value's ``_CELLS`` cell once ``_check_ranges`` passes the current arrays."""
-        settings, outcomes = _check_ranges(self.settings, self.outcomes)
-        trials, n = settings.shape
+        """Write each value's ``_CELLS`` cell."""
+        trials, n = self.settings.shape
         text = " | \n" * trials
         if n:
             separators = np.array([0] * (n - 1) + [256] + [0] * (n - 1) + [512], dtype=np.uint16)
-            values = np.hstack([settings, outcomes]).view(np.uint8)
+            values = np.hstack([self.settings, self.outcomes]).view(np.uint8)
             text = _CELLS.take(values + separators).tobytes().translate(None, b"\0").decode("ascii")
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -582,21 +578,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSumm
 
 
 def _batch_block(batch: TrialBatch, config: ExperimentConfig, outcomes: np.ndarray):
-    """The (keys, none-detected count) block of ``batch``'s settings with ``outcomes``.
-
-    The ranges are checked again, as ``save`` does, on the arrays as they are
-    now. The batch must be the config's whole run: its trial count bounds the
-    key counts, which ``_summarize`` sizes from ``config.trials``.
-    """
-    settings, outcomes = _check_ranges(batch.settings, outcomes)
+    """The (keys, none-detected count) block of ``batch``'s settings with ``outcomes``."""
     if batch.n_parties != config.n_parties:
         raise ValueError(
             f"batch has {batch.n_parties} parties but config has {config.n_parties}"
         )
-    if len(batch) != config.trials:
+    if len(batch) != config.trials:  # _summarize sizes its key counts from config.trials
         raise ValueError(f"batch has {len(batch)} trials but config says {config.trials}")
     # The inverse of generate_trials' np.unravel_index: CorrelationTensor order.
-    combos = np.ravel_multi_index(tuple(settings.T - np.int8(1)), (3,) * config.n_parties)
+    combos = np.ravel_multi_index(tuple(batch.settings.T - np.int8(1)), (3,) * config.n_parties)
     cols = np.asfortranarray(outcomes)
     key = 3 * combos + 1 + cols.prod(axis=1, dtype=np.int64)
     return key, int((~cols.any(axis=1)).sum())
@@ -616,8 +606,7 @@ def auxiliary_tensor(batch: TrialBatch, config: ExperimentConfig) -> Correlation
     is +p|q_N| for N = 0, 3 (mod 6), and no shift for N = 1 (mod 3), where
     q_N = 0.
     """
-    outcomes = np.asarray(batch.outcomes)
-    folded = outcomes - (outcomes == 0)  # 0 - 1 = -1
+    folded = batch.outcomes - (batch.outcomes == 0)  # 0 - 1 = -1
     return _summarize(config, [_batch_block(batch, config, folded)]).estimated_tensor
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import InitVar, dataclass
 
@@ -52,6 +53,15 @@ def _check_integer(field: str, value: int) -> int:
         return operator.index(value)
     except TypeError:
         raise _FieldError(field, f"{field} must be an integer, got {value!r}") from None
+
+
+def _check_rate(field: str, value: float) -> float:
+    """``value`` if it is a real number in [0, 1]; a _FieldError naming ``field`` otherwise."""
+    if not isinstance(value, (float, numbers.Real)):  # float first: the ABC check is slower
+        raise _FieldError(field, f"{field} must be a real number, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise _FieldError(field, f"{field} must be in [0, 1], got {value}")
+    return value
 
 
 def _check_parties(n: int) -> int:

@@ -38,7 +38,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .lhv import lhv_bound
-from .quantum import _check_parties, entry_sum_closed_form
+from .quantum import _FieldError, _check_parties, _check_rate, entry_sum_closed_form
 
 BISECTION_LO = 1e-6
 # Every bracket starts at 1 - 1e-6 wide and halves each step: after 40 steps it
@@ -59,8 +59,8 @@ def critical_visibility(n_parties: int, eta: float = 1.0) -> float:
     stands for a value beyond float64. A value above 1 means no physical
     visibility violates the bound at this efficiency.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"efficiency must be in (0, 1], got {eta}")
+    if not _check_rate("efficiency", eta):
+        raise _FieldError("efficiency", f"efficiency must be in (0, 1], got {eta}")
     bound = lhv_bound(n_parties)
     q_abs = abs(entry_sum_closed_form(n_parties))
     deficit = -math.expm1(n_parties * math.log1p(-eta)) if q_abs and eta < 1.0 else 1.0

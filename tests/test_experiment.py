@@ -4,8 +4,8 @@ Core claims covered here:
   * configs validate their ranges, including the round-robin divisibility rule,
   * trial generation is bit-reproducible from the seed and independent of the
     worker count, and the streaming summary equals the batch summary exactly,
-  * the batch constructor and save accept and reject exactly what the earlier
-    np.isin range check did, and save refuses arrays changed out of range,
+  * the batch constructor accepts and rejects exactly what the earlier np.isin
+    range check did, and keeps read-only int8 copies that no caller can change,
   * generate_trials draws the same outcomes as the earlier sign fill (np.where,
     boolean gather, prod and scatter) for N = 2..6 and 12,
   * the key-count tally equals a per-combination loop over explicit trials, in
@@ -14,8 +14,8 @@ Core claims covered here:
   * the auxiliary estimator's entries equal a masked divide of the folded
     per-combination sums bit for bit,
   * a batch's keys hold the place-value combination index and the outcome
-    product for N = 2..12, and the estimators refuse a batch changed out of
-    range after construction,
+    product for N = 2..12, and a caller's later writes to the arrays a batch
+    was built from do not reach the estimators,
   * two worker threads build the cached quantum tensor once, not once each,
   * the summary's estimate, lhs and standard error equal the masked-divide
     formulas bit for bit, the infinite standard error included,
@@ -30,10 +30,13 @@ deterministic once recorded.
 """
 
 import concurrent.futures
+import copy
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import sys
 import time
@@ -261,34 +264,56 @@ class TestTrialBatch:
             assert str(err.value) == message
 
     @pytest.mark.parametrize(
-        "change, message",
-        [
-            (lambda b: b.outcomes.__setitem__((0, 0), 5), "outcomes must be in {-1, 0, +1}"),
-            (lambda b: b.settings.__setitem__((1, 2), 0), "setting indices must be in 1..3"),
-            (lambda b: setattr(b, "outcomes", b.outcomes[:1]), "settings and outcomes must be "
-             "equal-shaped 2-D arrays"),
-            (lambda b: setattr(b, "settings", np.full((2, 3), 1.5)), "setting indices must be "
-             "in 1..3"),
-        ],
-        ids=["outcome-5", "setting-0", "unequal-shapes", "setting-1.5"],
+        "make", ["constructor", "generate_trials", "load", "copy", "deepcopy", "pickle"]
     )
-    def test_save_refuses_arrays_changed_out_of_range(self, tmp_path, change, message):
-        batch = TrialBatch(settings=np.ones((2, 3)), outcomes=np.zeros((2, 3)))
-        change(batch)
-        path = tmp_path / "trials.txt"
-        with pytest.raises(ValueError) as err:
-            batch.save(path)
-        assert str(err.value) == message
-        assert not path.exists()
+    def test_arrays_are_read_only(self, tmp_path, make):
+        # A batch is checked once: no write can take its values out of range.
+        cfg = ExperimentConfig(n_parties=2, visibility=1.0, efficiency=0.5, trials=9, seed=0)
+        made = generate_trials(cfg)
+        if make == "constructor":
+            batch = TrialBatch(settings=np.ones((2, 3)), outcomes=np.zeros((2, 3)))
+        elif make == "generate_trials":
+            batch = made
+        elif make == "load":
+            made.save(tmp_path / "trials.txt")
+            batch = TrialBatch.load(tmp_path / "trials.txt")
+        else:
+            copy_of = {"copy": copy.copy, "deepcopy": copy.deepcopy}.get(make)
+            batch = copy_of(made) if copy_of else pickle.loads(pickle.dumps(made))
+            assert np.array_equal(batch.settings, made.settings)
+            assert np.array_equal(batch.outcomes, made.outcomes)
+        for values in (batch.settings, batch.outcomes):
+            assert values.dtype == np.int8
+            assert values.flags.owndata and not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            batch.outcomes[0, 0] = 5
+        with pytest.raises(ValueError, match="read-only"):
+            batch.settings[0, 0] = 0
 
-    def test_save_writes_in_range_arrays_set_after_construction(self, tmp_path):
-        # save checks and casts the arrays as they are, as the constructor would.
-        batch = TrialBatch(settings=np.ones((2, 2)), outcomes=np.zeros((2, 2)))
-        batch.settings = np.array([[1.0, 3.0], [2.0, 2.0]])
-        batch.outcomes = [[-1, 0], [1, 1]]
-        path = tmp_path / "trials.txt"
-        batch.save(path)
-        assert path.read_text() == "1 3 | -1 0\n2 2 | 1 1\n"
+    def test_fields_cannot_be_rebound(self):
+        batch = TrialBatch(settings=np.ones((2, 3)), outcomes=np.zeros((2, 3)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            batch.settings = np.full((2, 3), 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            batch.outcomes = np.zeros((1, 3))
+
+    def test_equality_is_identity(self):
+        # Two batches of equal arrays are two batches: numpy's == has no single
+        # truth value to compare them by, and a batch hashes like any object.
+        a = TrialBatch(settings=np.ones((2, 3)), outcomes=np.zeros((2, 3)))
+        b = TrialBatch(settings=np.ones((2, 3)), outcomes=np.zeros((2, 3)))
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
+    def test_a_callers_int8_arrays_are_not_aliased(self, tmp_path):
+        settings = np.array([[1, 3], [2, 2]], dtype=np.int8)
+        outcomes = np.array([[-1, 0], [1, 1]], dtype=np.int8)
+        batch = TrialBatch(settings=settings, outcomes=outcomes)
+        assert batch.settings is not settings and batch.outcomes is not outcomes
+        settings[0, 0], outcomes[0, 0] = 3, 5
+        assert settings.flags.writeable and outcomes.flags.writeable
+        batch.save(tmp_path / "trials.txt")
+        assert (tmp_path / "trials.txt").read_text() == "1 3 | -1 0\n2 2 | 1 1\n"
 
     def test_len_and_parties(self):
         batch = TrialBatch(settings=np.ones((5, 3)), outcomes=np.zeros((5, 3)))
@@ -1186,35 +1211,20 @@ class TestSummarizeBatchValidation:
         with pytest.raises(ValueError):
             summarize_batch(generate_trials(cfg2), cfg3)
 
-    @pytest.mark.parametrize("estimator", [summarize_batch, auxiliary_tensor])
-    @pytest.mark.parametrize(
-        "change, message",
-        [
-            (lambda b: b.settings.__setitem__((0, 1), 4), "setting indices must be in 1..3"),
-            (lambda b: b.outcomes.__setitem__((0, 0), 2), "outcomes must be in {-1, 0, +1}"),
-            (lambda b: setattr(b, "outcomes", b.outcomes[:, :1]), "settings and outcomes must "
-             "be equal-shaped 2-D arrays"),
-        ],
-        ids=["setting-4", "outcome-2", "unequal-shapes"],
-    )
-    def test_estimators_refuse_a_batch_changed_out_of_range(self, estimator, change, message):
-        # As save does, the estimators check the arrays as they are, not as
-        # they were built: a setting 4 would count in another combination.
-        cfg = ExperimentConfig(n_parties=2, visibility=1.0, efficiency=1.0, trials=9, seed=0)
-        batch = generate_trials(cfg)
-        change(batch)
-        with pytest.raises(ValueError) as err:
-            estimator(batch, cfg)
-        assert str(err.value) == message
-
-    def test_estimators_read_in_range_arrays_set_after_construction(self):
-        # The estimators check and cast the arrays as they are, as save does.
+    def test_changes_to_a_callers_arrays_do_not_reach_the_estimators(self):
+        # The batch owns copies of the arrays it was built from: a setting 4
+        # written into the caller's array would count in another combination.
         cfg = ExperimentConfig(n_parties=2, visibility=0.8, efficiency=0.7, trials=90, seed=3)
-        batch = generate_trials(cfg)
+        made = generate_trials(cfg)
+        settings, outcomes = made.settings.copy(), made.outcomes.copy()
+        batch = TrialBatch(settings=settings, outcomes=outcomes)
         summary, aux = summarize_batch(batch, cfg), auxiliary_tensor(batch, cfg)
-        batch.settings = batch.settings.astype(np.float64)
-        batch.outcomes = batch.outcomes.tolist()
+        settings[0, 1], outcomes[0, 0] = 4, 2
+        settings[1:] = 1
+        outcomes[1:] = 0
+        assert settings.flags.writeable and outcomes.flags.writeable
         assert _summaries_equal(summarize_batch(batch, cfg), summary)
+        assert _summaries_equal(summarize_batch(made, cfg), summary)
         assert np.array_equal(auxiliary_tensor(batch, cfg).entries, aux.entries)
 
 

@@ -19,7 +19,10 @@ Core claims covered here:
     with read-only entries,
   * every public entry point that takes a party count rejects N = 1 through
     the one rule, with the same field and message, and the same rule rejects a
-    count that is not an integer and takes any integer type as its plain int.
+    count that is not an integer and takes any integer type as its plain int,
+  * the config's visibility and efficiency and critical_visibility's
+    efficiency follow one rate rule: a value that is not a real number is
+    rejected with its field, and numpy floats are accepted.
 """
 
 import itertools
@@ -369,3 +372,26 @@ def test_party_count_must_be_an_integer_of_any_integer_type(call):
             call(value)
         assert info.value.field == "n_parties"
     assert call(np.int64(3)) == call(3)
+
+
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        ("visibility", lambda v: ExperimentConfig(3, v, 0.9, 27, seed=0)),
+        ("efficiency", lambda eta: ExperimentConfig(3, 0.5, eta, 27, seed=0)),
+        ("efficiency", lambda eta: critical_visibility(3, eta)),
+    ],
+    ids=["ExperimentConfig-visibility", "ExperimentConfig-efficiency", "critical_visibility"],
+)
+def test_rate_must_be_a_real_number_of_any_float_type(field, call):
+    for value in ("0.5", None):
+        message = f"^{field} must be a real number, got {value!r}$"
+        with pytest.raises(_FieldError, match=message) as info:
+            call(value)
+        assert info.value.field == field
+    for value in (1.5, float("nan")):
+        message = rf"^{field} must be in \[0, 1\], got {value}$"
+        with pytest.raises(_FieldError, match=message) as info:
+            call(value)
+        assert info.value.field == field
+    assert call(np.float64(0.5)) == call(0.5)

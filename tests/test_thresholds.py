@@ -70,10 +70,12 @@ class TestCriticalVisibility:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             critical_visibility(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^efficiency must be in \(0, 1\], got 0.0$") as info:
             critical_visibility(3, eta=0.0)
-        with pytest.raises(ValueError):
+        assert info.value.field == "efficiency"
+        with pytest.raises(ValueError, match=r"^efficiency must be in \[0, 1\], got 1.2$") as info:
             critical_visibility(3, eta=1.2)
+        assert info.value.field == "efficiency"
 
 
 class TestUnderflowedEfficiencyPower:
