@@ -323,6 +323,7 @@ _ENGINE_FLAGS = {
     "trials": "--trials",
     "seed": "--seed",
     "workers": "--workers",
+    "setting_policy": "--policy",
 }
 # Each subcommand's handler, and the flag that sets each field its library
 # calls check: a _FieldError naming that field is a usage error led by the flag.

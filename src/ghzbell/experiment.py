@@ -75,10 +75,11 @@ MAX_SEED = 2 ** 64 - 1
 _MAX_PARTIES = 38
 
 
-def _check_seed(seed: int) -> None:
-    _check_integer("seed", seed)
+def _check_seed(seed: int) -> int:
+    seed = _check_integer("seed", seed)
     if not 0 <= seed <= MAX_SEED:
         raise _FieldError("seed", f"seed must fit in 64 unsigned bits, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -93,22 +94,23 @@ class ExperimentConfig:
     setting_policy: str = ROUND_ROBIN
 
     def __post_init__(self) -> None:
-        _check_parties(self.n_parties)
+        object.__setattr__(self, "n_parties", _check_parties(self.n_parties))
         if self.n_parties > _MAX_PARTIES:
             raise _FieldError(
                 "n_parties",
                 f"the engine keys trials by setting combination in int64, which holds at "
                 f"most {_MAX_PARTIES} parties, got {self.n_parties}",
             )
-        _check_rate("visibility", self.visibility)
-        _check_rate("efficiency", self.efficiency)
-        _check_integer("trials", self.trials)
+        object.__setattr__(self, "visibility", _check_rate("visibility", self.visibility))
+        object.__setattr__(self, "efficiency", _check_rate("efficiency", self.efficiency))
+        object.__setattr__(self, "trials", _check_integer("trials", self.trials))
         if self.trials < 1:
             raise _FieldError("trials", f"trials must be positive, got {self.trials}")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.setting_policy not in SETTING_POLICIES:
-            raise ValueError(
-                f"setting policy must be one of {SETTING_POLICIES}, got {self.setting_policy!r}"
+            raise _FieldError(
+                "setting_policy",
+                f"setting policy must be one of {SETTING_POLICIES}, got {self.setting_policy!r}",
             )
         if self.setting_policy == ROUND_ROBIN and self.trials % 3 ** self.n_parties != 0:
             raise _FieldError(
@@ -427,7 +429,7 @@ def _map_blocks(config: ExperimentConfig, func, workers: int):
     miss functools.cache at once would both build it. Closing the iterator
     early cancels the blocks not yet started.
     """
-    _check_integer("workers", workers)
+    workers = _check_integer("workers", workers)
     if workers < 1:
         raise _FieldError("workers", f"workers must be positive, got {workers}")
     blocks = -(-config.trials // BLOCK_TRIALS)
@@ -625,14 +627,14 @@ def visibility_sweep(
     the whole sweep is reproducible from ``seed`` alone. The grid must not be
     empty, and every point's config is checked before the first one runs.
     """
-    _check_seed(seed)
+    seed = _check_seed(seed)
     configs = [
         ExperimentConfig(
             n_parties=n_parties,
-            visibility=float(v),
+            visibility=v,
             efficiency=eta,
             trials=trials_per_point,
-            seed=int(np.random.SeedSequence([int(seed), i]).generate_state(1, np.uint64)[0]),
+            seed=np.random.SeedSequence([seed, i]).generate_state(1, np.uint64)[0],
             setting_policy=setting_policy,
         )
         for i, v in enumerate(v_grid)

@@ -224,5 +224,5 @@ def max_score_factorized(n_parties: int) -> float:
 
 def violation_factor(n_parties: int) -> float:
     """Ratio of the quantum value 3^N/2 to the bound: (3/2)^N / sqrt(3)."""
-    _check_parties(n_parties)
+    n_parties = _check_parties(n_parties)
     return 1.5 ** n_parties / math.sqrt(3.0)

@@ -56,24 +56,17 @@ def _check_integer(field: str, value: int) -> int:
 
 
 def _check_rate(field: str, value: float) -> float:
-    """``value`` if it is a real number in [0, 1]; a _FieldError naming ``field`` otherwise."""
+    """``float(value)`` for a real ``value`` in [0, 1]; a _FieldError naming ``field`` otherwise."""
     if not isinstance(value, (float, numbers.Real)):  # float first: the ABC check is slower
         raise _FieldError(field, f"{field} must be a real number, got {value!r}")
     if not 0.0 <= value <= 1.0:
         raise _FieldError(field, f"{field} must be in [0, 1], got {value}")
-    return value
+    return float(value)
 
 
 def _check_parties(n: int) -> int:
-    """``n`` as a plain int: the paper's test needs an integer count of at least two parties.
-
-    ``_check_integer``'s rule, written out: a threshold table calls this a few
-    thousand times, and the nested call would double its cost.
-    """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise _FieldError("n_parties", f"n_parties must be an integer, got {n!r}") from None
+    """``n`` as a plain int: the paper's test needs an integer count of at least two parties."""
+    n = _check_integer("n_parties", n)
     if n < 2:
         raise _FieldError("n_parties", f"need at least 2 parties, got {n}")
     return n
@@ -90,7 +83,7 @@ class SettingsGrid:
     n_parties: int
 
     def __post_init__(self) -> None:
-        _check_parties(self.n_parties)
+        object.__setattr__(self, "n_parties", _check_parties(self.n_parties))
 
     def phase_classes(self) -> tuple[tuple[int, int, int], ...]:
         """Each phase as its integer multiple of pi/6, per party and setting."""
@@ -117,7 +110,7 @@ class CorrelationTensor:
     _take: InitVar[bool] = False
 
     def __post_init__(self, _take: bool) -> None:
-        _check_parties(self.n_parties)
+        object.__setattr__(self, "n_parties", _check_parties(self.n_parties))
         arr = self.entries if _take else np.array(self.entries, dtype=np.float64).ravel()
         if arr.size != 3 ** self.n_parties:
             raise ValueError(

@@ -59,8 +59,9 @@ def critical_visibility(n_parties: int, eta: float = 1.0) -> float:
     stands for a value beyond float64. A value above 1 means no physical
     visibility violates the bound at this efficiency.
     """
-    if not _check_rate("efficiency", eta):
+    if not (eta := _check_rate("efficiency", eta)):
         raise _FieldError("efficiency", f"efficiency must be in (0, 1], got {eta}")
+    n_parties = _check_parties(n_parties)
     bound = lhv_bound(n_parties)
     q_abs = abs(entry_sum_closed_form(n_parties))
     deficit = -math.expm1(n_parties * math.log1p(-eta)) if q_abs and eta < 1.0 else 1.0
@@ -81,9 +82,10 @@ def _efficiency_margin(n_parties):
     OverflowError), and g evaluates in numpy, elementwise over an array of
     eta of the same shape as ``n_parties``.
     """
-    ns = np.asarray(n_parties)
+    ns = np.asarray(n_parties, dtype=object)  # each N as given: no promotion to float64
     constants = []
     for n in ns.ravel().tolist():
+        n = _check_parties(n)
         bound = lhv_bound(n)
         q_abs = abs(entry_sum_closed_form(n))
         if q_abs / bound not in (0.0, 1.0):
@@ -137,6 +139,7 @@ def critical_efficiency(n_parties):
 
 def efficiency_closed_form(n_parties: int) -> float:
     """Closed-form eta_cr for the q_N = 0 cases (N = 1 mod 3)."""
+    n_parties = _check_parties(n_parties)
     if entry_sum_closed_form(n_parties) != 0.0:
         raise ValueError(
             f"closed form only holds when the entry sum vanishes (N = 1 mod 3), got N={n_parties}"
@@ -146,7 +149,7 @@ def efficiency_closed_form(n_parties: int) -> float:
 
 def two_setting_visibility_threshold(n_parties: int) -> float:
     """Critical visibility of the classic two-setting inequalities: 2^((1-N)/2)."""
-    _check_parties(n_parties)
+    n_parties = _check_parties(n_parties)
     return 2.0 ** ((1 - n_parties) / 2)
 
 
@@ -193,6 +196,5 @@ def render_table_csv(rows: list[ThresholdRow]) -> str:
 
 def percent_string(value: float) -> str:
     """``value`` as a percentage, one decimal, ties rounded away from zero."""
-    return str(
-        Decimal(repr(100.0 * value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
-    )
+    percent = Decimal(repr(float(100.0 * value)))
+    return str(percent.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))

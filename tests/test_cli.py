@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import ghzbell.cli as cli
+import ghzbell.experiment as experiment
 from ghzbell.cli import _json_pieces, main
 
 CMD = [sys.executable, "-m", "ghzbell"]
@@ -556,6 +557,24 @@ class TestConfigErrorsNameTheFlag:
         assert res.stderr.startswith(f"usage: ghzbell {command} ")
         assert f"ghzbell {command}: error: {message}" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+class TestSettingPolicyErrorNamesTheFlag:
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_a_policy_the_engine_rejects_is_a_usage_error(self, command, monkeypatch, capsys):
+        # argparse's choices let no unknown policy through, so the engine is made to refuse one.
+        monkeypatch.setattr(experiment, "SETTING_POLICIES", (experiment.UNIFORM_RANDOM,))
+        args = {
+            "simulate": "simulate --n 2 --v 1.0 --eta 1.0 --trials 9",
+            "sweep": "sweep --n 2 --eta 1.0 --v-grid 0.5 --trials-per-point 9",
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            main([*args.split(), "--policy", "round-robin"])
+        assert info.value.code == 2
+        assert (
+            f"ghzbell {command}: error: --policy: setting policy must be one of "
+            "('uniform-random',), got 'round-robin'"
+        ) in capsys.readouterr().err
 
 
 class TestVerify:

@@ -73,6 +73,7 @@ from ghzbell.experiment import (
     _summarize,
     _summary_from_stats,
 )
+from ghzbell.quantum import _FieldError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -169,6 +170,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value}$") as info:
             ExperimentConfig(**{**kwargs, field: value})
         assert info.value.field == field
+
+    def test_unknown_setting_policy_names_the_field(self):
+        message = r"^setting policy must be one of \('round-robin', 'uniform-random'\), got 'x'$"
+        for call in (
+            lambda: ExperimentConfig(3, 0.9, 0.8, 27, seed=0, setting_policy="x"),
+            lambda: visibility_sweep(3, 0.9, [0.5], 27, seed=0, setting_policy="x"),
+        ):
+            with pytest.raises(_FieldError, match=message) as info:
+                call()
+            assert info.value.field == "setting_policy"
 
     def test_numpy_integers_accepted(self):
         cfg = ExperimentConfig(np.int64(3), 0.9, 0.8, np.int32(27), seed=np.uint64(2 ** 64 - 1))
@@ -1266,6 +1277,11 @@ class TestVisibilitySweep:
                 n_parties=3, eta=0.9, v_grid=[0.5, 0.6, 1.5], trials_per_point=27, seed=0
             )
         assert info.value.field == "visibility"
+
+    def test_two_bad_arguments_name_the_party_count_first(self):
+        with pytest.raises(_FieldError) as info:
+            visibility_sweep(2.5, 0.9, ["0.5"], 27, seed=0)
+        assert info.value.field == "n_parties"
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="^need at least one visibility, got none$") as info:

@@ -204,6 +204,12 @@ class TestPercentString:
     def test_negative_rounds_away_from_zero(self):
         assert percent_string(-0.2225) == "-22.3"
 
+    def test_numpy_floats_format_as_their_value(self):
+        assert percent_string(np.float64(0.7698)) == percent_string(0.7698) == "77.0"
+        assert percent_string(np.float32(0.5)) == "50.0"
+        etas = critical_efficiency(range(2, 6))
+        assert [percent_string(e) for e in etas] == [percent_string(e) for e in etas.tolist()]
+
 
 class TestThresholdTable:
     def test_rows_match_individual_calls(self):
