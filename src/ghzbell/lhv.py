@@ -111,8 +111,9 @@ def party_phasor(
     to x + y*u with u = exp(i pi/3), x = v1 - v3, y = v2 + v3, and every
     (x, y) case lands on magnitude 0 or 2 at a known phase class.
     """
+    party = _check_integer("party", party)
     if not 0 <= party < grid.n_parties:
-        raise ValueError(f"party index {party} out of range for {grid.n_parties} parties")
+        raise _FieldError("party", f"party index {party} out of range for {grid.n_parties} parties")
     v = tuple(party_assignment)
     if len(v) != 3 or any(x not in (-1, 1) for x in v):
         raise ValueError(f"party assignment must be three signs, got {party_assignment!r}")

@@ -11,10 +11,11 @@ Contents:
 
 Every phase in the grid is a multiple of pi/6 (stored as that integer
 multiple, its phase class). The first party's classes are 1 + 2d and every
-other party's 2d, for d its 0-based setting, so each combination's correlation
-is sqrt(3)/2 times T = (1, 0, -1, -1, 0, 1)[sum of d mod 6]. The exact side
-works on that integer table, where every score, norm and sum is an integer
-held exactly in float64; the quantum tensor is the table times sqrt(3)/2.
+other party's 2d, for d its 0-based setting, so each combination's total
+class c is odd and its correlation is COS12[c], sqrt(3)/2 times
+T = ODD_CLASS_COS[c // 2]. Both tensors are looked up in setting_phase_classes.
+The exact side works on the integer table, where every score, norm and sum is
+an integer held exactly in float64.
 """
 
 from __future__ import annotations
@@ -133,19 +134,13 @@ class CorrelationTensor:
         return {"n_parties": self.n_parties, "entries": self.entries.tolist()}
 
 
-def _setting_residues(grid: SettingsGrid) -> np.ndarray:
-    """Flat int64 sum of 0-based settings mod 6 per combination, in CorrelationTensor order."""
-    digits = [np.arange(3, dtype=np.int64)] * grid.n_parties
-    return (functools.reduce(np.add.outer, digits) % 6).ravel()
-
-
 def setting_phase_classes(grid: SettingsGrid) -> np.ndarray:
-    """Total phase class (multiple of pi/6 mod 12) of every setting combination.
+    """Total phase class (multiple of pi/6 mod 12), always odd, of every setting combination.
 
-    Flat int64 array of length 3^N, same ordering as CorrelationTensor
-    entries: 1 + 2 (sum of 0-based settings mod 6).
+    The sum of the grid's per-party classes: flat int64, in CorrelationTensor order.
     """
-    return 1 + 2 * _setting_residues(grid)
+    classes = [np.asarray(c, dtype=np.int64) for c in grid.phase_classes()]
+    return (functools.reduce(np.add.outer, classes) % 12).ravel()
 
 
 @functools.cache
@@ -155,7 +150,9 @@ def integer_tensor(grid: SettingsGrid) -> CorrelationTensor:
     Cached and read-only like quantum_tensor, and built apart from it, so the
     engine's large-N runs do not hold both.
     """
-    entries = np.asarray(ODD_CLASS_COS, dtype=np.float64)[_setting_residues(grid)]
+    halves = setting_phase_classes(grid)
+    halves //= 2  # in place: one 3^N temporary fewer at the build's peak
+    entries = np.asarray(ODD_CLASS_COS, dtype=np.float64)[halves]
     return CorrelationTensor(grid.n_parties, entries, _take=True)
 
 
@@ -166,7 +163,7 @@ def quantum_tensor(grid: SettingsGrid) -> CorrelationTensor:
     sqrt(3)/2 times the integer table. Cached: every caller shares one tensor
     per N, and its entries are read-only.
     """
-    entries = np.multiply(ODD_CLASS_COS, HALF_SQRT3)[_setting_residues(grid)]
+    entries = np.asarray(COS12)[setting_phase_classes(grid)]
     return CorrelationTensor(grid.n_parties, entries, _take=True)
 
 

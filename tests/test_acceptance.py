@@ -5,6 +5,7 @@ pass; without ``-s`` pytest shows them only on failure. Statistical criteria
 use fixed seeds and 4 sigma windows, so every run is deterministic.
 """
 
+import itertools
 import json
 import math
 import os
@@ -33,7 +34,7 @@ from ghzbell import (
     two_setting_visibility_threshold,
     violation_factor,
 )
-from ghzbell.checks import _folded_scores
+from ghzbell.lhv import _triple_scores
 
 SQRT3 = math.sqrt(3.0)
 
@@ -154,6 +155,13 @@ def test_criterion_07_critical_efficiencies():
         f"got {got}, |bisection - closed form|(N=4) = {closed_diff:.3e} "
         f"(tol 1e-12), eta_cr(40) = {eta40:.6f} in (0.6667, 0.68)",
     )
+
+
+def _folded_scores(q) -> np.ndarray:
+    """Scores against ``q`` (N = 3) of all 27^3 three-outcome strategies, zeros folded to -1."""
+    folded = np.asarray(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.float64)
+    folded[folded == 0] = -1.0
+    return _triple_scores(q, folded)
 
 
 def test_criterion_08_three_outcome_folding():

@@ -4,8 +4,8 @@ Adding or removing a public name is a deliberate change that edits this list.
 README.md names what 0.2.0, 0.3.0, 0.4.0 and 0.5.0 removed and what to use instead,
 and its Library example runs here as written.
 
-The input contract: every public callable that takes a count, seed, worker
-count or rate has a row in CONTRACT naming the field each such argument maps
+The input contract: every public callable that takes a count, index, seed,
+worker count or rate has a row in CONTRACT naming the field each such argument maps
 to; every other callable says why it takes none. A value of the wrong type is
 a _FieldError naming that field, and a numpy scalar gives the result of its
 plain value bit for bit, down to the Python type of every stored number.
@@ -35,6 +35,7 @@ from ghzbell import (
     lhv_bound,
     max_score_brute,
     max_score_factorized,
+    party_phasor,
     quantum_tensor,
     run_checks,
     run_experiment,
@@ -130,6 +131,9 @@ CONTRACT = {
     "lhv_bound": [("n_parties", ALL_N, lhv_bound)],
     "violation_factor": [("n_parties", ALL_N, violation_factor)],
     "bound_attaining_strategy": [("n_parties", [2, 5, 646], bound_attaining_strategy)],
+    "party_phasor": [
+        ("party", [0, 2], lambda k: party_phasor((1, 1, -1), k, build_settings(3)))
+    ],
     "max_score_brute": [("n_parties", [3], max_score_brute)],
     "max_score_factorized": [("n_parties", ALL_N, max_score_factorized)],
     "two_setting_visibility_threshold": [("n_parties", ALL_N, two_setting_visibility_threshold)],
@@ -173,7 +177,6 @@ TAKES_NO_COUNT_OR_RATE = {
     "TrialBatch": "trial arrays, range-checked as arrays",
     "auxiliary_tensor": "its counts come in through its ExperimentConfig",
     "summarize_batch": "its counts come in through its ExperimentConfig",
-    "party_phasor": "its party index is checked against the grid, which holds the count",
     "strategy_score": "a strategy and a tensor, each checked when built",
     "render_table_csv": "threshold_table's rows",
     "percent_string": "formats any real number, not a rate (numpy floats: test_thresholds.py)",

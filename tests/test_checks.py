@@ -5,13 +5,17 @@ Core claims covered here:
     checks that need it, each N's integer table is read at most once per
     run, every critical efficiency comes from one call for N = 2..12, and
     every check passes at N_max = 8,
-  * the folded three-outcome check scores all 27^3 strategies at N = 3, its
-    maximum is the bound, and it fails against a slightly lowered bound,
-  * the factorization check's two tables (T contracted against sign triples
-    as ``max_score_brute`` does, and the phasor product) reproduce
-    ``strategy_score`` on the integer table and a complex-arithmetic phasor
-    product for every sign strategy at N = 2, 3, and the check fails on a
-    rotated phasor or a perturbed tensor,
+  * T is contracted once per N = 2, 3 against the 27 three-outcome triples,
+    and the two checks that read the table share it: the factorization check
+    its sign block, the detection-adjusted check all of it. That check's
+    integer inequality 3^N |(T, E)| + |sum T| z <= 6^N holds for every
+    three-outcome strategy at N = 2, 3, 4 with a maximum of exactly 6^N, the
+    never-click strategy reaches it where sum T != 0, and the check fails
+    when the |sum T| term is dropped, its sign flipped or doubled,
+  * the factorization check's two tables (the sign block of that contraction
+    and the phasor product) reproduce ``strategy_score`` on the integer table
+    and a complex-arithmetic phasor product for every sign strategy at
+    N = 2, 3, and the check fails on a rotated phasor or a perturbed tensor,
   * the five tensor checks are exact: each fails when one entry of the
     integer table moves by 2^-40, far below the 1e-9 they once allowed,
   * each of the other six checks fails when the one function it reads is
@@ -22,8 +26,10 @@ The failure tests drive ``run_checks`` and pick each check's result by name.
 
 import cmath
 import math
+from functools import reduce
 from itertools import product
 
+import numpy as np
 import pytest
 
 import ghzbell.checks as checks
@@ -33,9 +39,7 @@ from ghzbell import (
     DeterministicStrategy,
     PartyPhasor,
     build_settings,
-    lhv_bound,
     party_phasor,
-    quantum_tensor,
     strategy_score,
 )
 from ghzbell.quantum import integer_tensor
@@ -117,25 +121,86 @@ def test_n_max_below_two_names_its_field():
     assert info.value.field == "n_parties"
 
 
-def test_folded_check_is_exhaustive():
-    t = integer_tensor(build_settings(3))
-    result = checks._check_folded_strategies(t)
-    assert result.name == "folded-strategy-bound"
-    assert result.passed
-    assert result.detail.endswith("over all 19683 strategies")
-    assert checks._folded_scores(t).size == 27 ** 3
+def test_one_three_outcome_contraction_per_n(monkeypatch):
+    # max_score_brute contracts through ghzbell.lhv's own name, so only the
+    # checks' calls are counted here.
+    calls = []
+    contract = checks._triple_scores
+
+    def counting(t, triples):
+        calls.append((t.n_parties, len(triples)))
+        return contract(t, triples)
+
+    monkeypatch.setattr(checks, "_triple_scores", counting)
+    assert [r.name for r in checks.run_checks(3) if not r.passed] == []
+    assert calls == [(2, 27), (3, 27)]
 
 
-def test_folded_maximum_equals_the_bound():
-    scores = checks._folded_scores(quantum_tensor(build_settings(3)))
-    assert scores.max() == pytest.approx(lhv_bound(3), abs=1e-9)
-    assert checks._folded_scores(integer_tensor(build_settings(3))).max() == 2.0 ** 3
+def test_phasor_onto_reads_the_factorization_table(monkeypatch):
+    calls = []
+    phasor = checks.party_phasor
+    monkeypatch.setattr(checks, "party_phasor", lambda *args: calls.append(args) or phasor(*args))
+    checks.run_checks(2)
+    assert len(calls) == 8 * (2 + 3)
 
 
-def test_folded_check_fails_against_a_lowered_bound(monkeypatch):
-    real_bound = checks.lhv_bound
-    monkeypatch.setattr(checks, "lhv_bound", lambda n: real_bound(n) - 1e-6)
-    assert not checks._check_folded_strategies(integer_tensor(build_settings(3))).passed
+def test_outcome_rows():
+    rows = checks._OUTCOME_TRIPLES
+    assert rows == tuple(product((-1, 0, 1), repeat=3))
+    assert [rows[i] for i in checks._SIGN_ROWS] == list(SIGN_TRIPLES)
+    assert checks._ZEROS.tolist() == [3 - sum(map(abs, r)) for r in rows]
+
+
+def _adjusted_reference(n):
+    """3^N |(T, E)| + |sum T| z of all 27^N strategies, strategy by strategy, in Python ints."""
+    t = integer_tensor(build_settings(n)).entries.astype(int).tolist()
+    combos = list(product(range(3), repeat=n))
+    total = abs(sum(t))
+    values = []
+    for strategy in product(product((-1, 0, 1), repeat=3), repeat=n):
+        score = zeros = 0
+        for entry, combo in zip(t, combos):
+            outcomes = [strategy[k][d] for k, d in enumerate(combo)]
+            score += entry * math.prod(outcomes)
+            zeros += not any(outcomes)
+        values.append(3 ** n * abs(score) + total * zeros)
+    return values
+
+
+def _adjusted(n):
+    """The same values by one contraction per party, as ``run_checks`` scores them."""
+    t = integer_tensor(build_settings(n))
+    scores = checks._triple_scores(t, checks._OUTCOME_TRIPLES)
+    zeros = reduce(np.multiply.outer, [checks._ZEROS] * n)
+    return 3 ** n * np.abs(scores) + abs(sum(t.entries)) * zeros
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_adjusted_values_match_a_strategy_by_strategy_reference(n):
+    adjusted = _adjusted(n)
+    assert adjusted.shape == (27,) * n
+    assert adjusted.ravel().tolist() == _adjusted_reference(n)
+    t = integer_tensor(build_settings(n))
+    assert checks._adjusted_gap(checks._triple_scores(t, checks._OUTCOME_TRIPLES), t) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_three_outcome_strategy_obeys_the_detection_adjusted_bound(n):
+    # 27^4 = 531 441 strategies at N = 4, where sum T = 0 and only strategies
+    # with p = 0 reach 6^N. Where sum T != 0 the never-click one does too.
+    adjusted = _adjusted(n)
+    assert adjusted.max() == 6 ** n
+    never_click = adjusted[(checks._OUTCOME_TRIPLES.index((0, 0, 0)),) * n]
+    assert never_click == (0 if n % 3 == 1 else 6 ** n)
+
+
+@pytest.mark.parametrize("factor", [0, -1, 2], ids=["dropped", "flipped", "doubled"])
+def test_detection_adjusted_check_fails_on_a_wrong_sum_term(monkeypatch, factor):
+    # The sign strategies reach 6^N with no 0, so a dropped or flipped term
+    # leaves the maximum at 6^N: the never-click value is what moves.
+    assert _by_name(checks.run_checks(2))["detection-adjusted-bound"].passed
+    monkeypatch.setattr(checks, "_ZEROS", factor * checks._ZEROS)
+    assert not _by_name(checks.run_checks(2))["detection-adjusted-bound"].passed
 
 
 def _phasor_score(assignments, grid):
@@ -153,7 +218,11 @@ def _phasor_score(assignments, grid):
 def test_factorization_tables_match_the_library_scores(n):
     grid = build_settings(n)
     t = integer_tensor(grid)
-    direct, phasor = checks._factorization_scores(n, t)
+    # The sign block of the three-outcome scores, as run_checks reads it.
+    scores = checks._triple_scores(t, checks._OUTCOME_TRIPLES)
+    direct = scores[np.ix_(*[checks._SIGN_ROWS] * n)].ravel()
+    table = [[party_phasor(s, k, grid) for s in SIGN_TRIPLES] for k in range(n)]
+    phasor = checks._phasor_scores(table).ravel()
     assert direct.shape == phasor.shape == (8 ** n,)
     for i, assignments in enumerate(product(SIGN_TRIPLES, repeat=n)):
         strategy = DeterministicStrategy(assignments=assignments)
@@ -211,7 +280,7 @@ EXACT_GATES = [
     "entry-sum-identity",
     "bound-brute",
     "factorization-identity",
-    "folded-strategy-bound",
+    "detection-adjusted-bound",
 ]
 
 

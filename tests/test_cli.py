@@ -41,15 +41,16 @@ EXACT_SIDE_DIGESTS = {
         "7b5e5cc780230a04df2ce1c542b0a4fac5e14af006c2fc0241b82d64ccc1dd5d",
     ),
     # Re-pinned when the tensor checks became exact equalities on the integer
-    # table: four residues print 0.000e+00 and the oracle line no longer says
-    # "rounded to 1e-9". Every other byte of these two outputs is unchanged.
+    # table (four residues print 0.000e+00 and the oracle line no longer says
+    # "rounded to 1e-9"), and again when detection-adjusted-bound replaced the
+    # eleventh check. Every other byte of these two outputs is unchanged.
     "verify-n8-json": (
         "verify --n-max 8 --format json",
-        "ed59a679c64a507cc0236dba9712e36adaad46b5847797f2c215d0a57dc836be",
+        "525bd46d86afd0696367b0bf95d7569d99ee9d912beba8a2f443a36314a3b397",
     ),
     "verify-n8-human": (
         "verify --n-max 8 --format human",
-        "b18cf3e9d5d80676d8b9093074426669ec15c73453b14e75614d419a92464a7a",
+        "df9d4cbb5a2712a9e80794b9642e8b21104bf7bd925150c6aadeb7e25d126af0",
     ),
     # The argmax's last party plays (+1, -1, -1): a flipped representative.
     "bound-n4-json": (
@@ -75,8 +76,8 @@ INJECTED_FAULT_N3 = (
     "PASS threshold-percents: all rounded percentages match\n"
     "PASS efficiency-consistency: max |v_cr(N, eta_cr(N)) - 1| = 4.156e-12 over N=2..12; "
     "|bisection - closed form| = 4.083e-13 at N=4\n"
-    "PASS folded-strategy-bound: max folded score 6.928203230 vs bound 6.928203230 over all "
-    "19683 strategies\n"
+    "PASS detection-adjusted-bound: max |6^N - 3^N |(T,E)| - |sum T| zeros| at the top and "
+    "never-click = 0.000e+00, 27^N strategies, N=2,3\n"
     "10/11 checks passed\n"
 )
 
@@ -724,9 +725,10 @@ class TestJsonRendering:
                 "bound --n 5 --method brute",
                 "d16670ca5dafb0b734dcfc95660ded3d39db53eff0a4731f2606b7ead671ff75",
             ),
+            # Re-pinned when detection-adjusted-bound replaced the eleventh check.
             (
                 "verify --n-max 3 --format json --inject-fault",
-                "9ce248a20103c671474c26466f9afdf49d95317966e27119598cddccfd32e7d0",
+                "60ce09a1644d508a51a6ef866f41adf795e8e6b3909d5d768ff3344705fb4587",
             ),
             (
                 "sweep --n 3 --eta 0.9 --v-grid 0.4,0.9 --trials-per-point 270 --format csv",

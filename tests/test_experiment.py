@@ -657,14 +657,14 @@ class TestDeterminism:
         # slowed build makes the first two blocks miss together unless the
         # tensor is built before the pool starts.
         builds = []
-        residues = quantum._setting_residues
+        classes = quantum.setting_phase_classes
 
-        def slow_residues(grid):
+        def slow_classes(grid):
             builds.append(grid.n_parties)
             time.sleep(0.2)
-            return residues(grid)
+            return classes(grid)
 
-        monkeypatch.setattr(quantum, "_setting_residues", slow_residues)
+        monkeypatch.setattr(quantum, "setting_phase_classes", slow_classes)
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
         cfg = ExperimentConfig(
             n_parties=3, visibility=0.9, efficiency=0.8, trials=2 * experiment.BLOCK_TRIALS,

@@ -220,8 +220,10 @@ class TestPartyPhasor:
             party_phasor((1, 1, 0), 0, grid)
         with pytest.raises(ValueError, match=r"got \(1\.7, 1, -1\)"):
             party_phasor((1.7, 1, -1), 0, grid)
-        with pytest.raises(ValueError):
-            party_phasor((1, 1, 1), 2, grid)
+        for index, message in [(2, "out of range for 2 parties"), (0.0, "must be an integer")]:
+            with pytest.raises(ValueError, match=message) as info:
+                party_phasor((1, 1, 1), index, grid)
+            assert info.value.field == "party"
 
     @pytest.mark.parametrize(
         "magnitude, phase_class, message",
