@@ -54,7 +54,7 @@ from .thresholds import (
     two_setting_visibility_threshold,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "BLOCK_TRIALS",

@@ -141,11 +141,10 @@ _CELLS = np.array(
 class TrialBatch:
     """Column-oriented batch of trials, checked once and read-only for its whole life.
 
-    ``settings`` is (trials, N) with 1-based setting indices; ``outcomes`` is
-    (trials, N) with values in {-1, 0, +1}; the batch keeps read-only int8
-    copies of both. Persists as newline-delimited ``s_1 ... s_N | m_1 ... m_N``
-    records: ``save`` writes each value's cell of ``_CELLS``, and ``load`` reads
-    values as ``_parse_records`` describes.
+    ``settings`` (indices 1..3) and ``outcomes`` (in {-1, 0, +1}) are (trials, N)
+    with N >= 2 and trials >= 1; the batch keeps read-only int8 copies of both.
+    ``save`` writes one ``s_1 ... s_N | m_1 ... m_N`` record per line from the
+    cells of ``_CELLS``, and ``load`` reads values as ``_parse_records`` describes.
     """
 
     settings: np.ndarray
@@ -156,6 +155,9 @@ class TrialBatch:
         settings, outcomes = np.asarray(self.settings), np.asarray(self.outcomes)
         if settings.ndim != 2 or settings.shape != outcomes.shape:
             raise ValueError("settings and outcomes must be equal-shaped 2-D arrays")
+        _check_parties(settings.shape[1])
+        if not len(settings):
+            raise _FieldError("trials", "trials must be positive, got 0")
         if not ((settings == 1) | (settings == 2) | (settings == 3)).all():
             raise ValueError("setting indices must be in 1..3")
         if not ((outcomes == -1) | (outcomes == 0) | (outcomes == 1)).all():
@@ -177,12 +179,10 @@ class TrialBatch:
 
     def save(self, path) -> None:
         """Write each value's ``_CELLS`` cell."""
-        trials, n = self.settings.shape
-        text = " | \n" * trials
-        if n:
-            separators = np.array([0] * (n - 1) + [256] + [0] * (n - 1) + [512], dtype=np.uint16)
-            values = np.hstack([self.settings, self.outcomes]).view(np.uint8)
-            text = _CELLS.take(values + separators).tobytes().translate(None, b"\0").decode("ascii")
+        n = self.n_parties
+        separators = np.array([0] * (n - 1) + [256] + [0] * (n - 1) + [512], dtype=np.uint16)
+        values = np.hstack([self.settings, self.outcomes]).view(np.uint8)
+        text = _CELLS.take(values + separators).tobytes().translate(None, b"\0").decode("ascii")
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
 
@@ -194,12 +194,9 @@ class TrialBatch:
             values = _parse_records(text)
             if not len(values):
                 raise ValueError(f"{path}: no trial records")
-            n = values.shape[1] // 2
-            if n:  # each record's halves as two N-byte fields, each copied whole
-                fields = values.view(f"V{n}")
-                halves = fields[:, :1], fields[:, 1:]
-            else:  # a V0 view cannot be indexed
-                halves = np.split(values, 2, axis=1)
+            # Each record's halves as two N-byte fields copied whole; N >= 2 before any view.
+            fields = values.view(f"V{_check_parties(values.shape[1] // 2)}")
+            halves = fields[:, :1], fields[:, 1:]
             return cls(*(np.ascontiguousarray(half).view(np.int8) for half in halves))
         except ValueError:
             _raise_first_bad_record(path, text)
@@ -277,7 +274,7 @@ def _raise_first_bad_record(path, text: str) -> None:
     Called only after a load has failed, so ``TrialBatch.load`` can check the
     whole file at once and leave line numbers to this scan of the ``text`` it
     read from ``path`` (which may be a pipe, read once). It accepts what
-    ``_parse_records`` accepts, reading tokens through the same ``_saturated``,
+    ``load`` accepts, reading tokens through ``_parse_records``' ``_saturated``,
     and returns if every record is well formed.
     """
     width = None
@@ -299,6 +296,8 @@ def _raise_first_bad_record(path, text: str) -> None:
                 f"{where}: expected {width} settings and {width} outcomes, "
                 f"got {len(s_row)} and {len(m_row)}"
             ) from None
+        if width < 2:
+            raise ValueError(f"{where}: need at least 2 parties, got {width}") from None
         if any(s not in (1, 2, 3) for s in s_row) or any(m not in (-1, 0, 1) for m in m_row):
             raise ValueError(
                 f"{where}: settings must be in 1..3 and outcomes in {{-1, 0, +1}}"

@@ -103,7 +103,7 @@ def test_public_names_are_pinned_and_resolve():
 def test_version_matches_the_project_metadata():
     pyproject = (ROOT / "pyproject.toml").read_text()
     (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, flags=re.M)
-    assert ghzbell.__version__ == version == "0.7.0"
+    assert ghzbell.__version__ == version == "0.8.0"
 
 
 def test_readme_library_example_runs(capsys):
@@ -174,7 +174,7 @@ TAKES_NO_COUNT_OR_RATE = {
     "PartyPhasor": "an exact magnitude and phase class, each checked against its set",
     "SweepPoint": "built from a checked config's summary",
     "ThresholdRow": "built from threshold_table's checked values",
-    "TrialBatch": "trial arrays, range-checked as arrays",
+    "TrialBatch": "trial arrays, range-checked as arrays; their width takes the party rule",
     "auxiliary_tensor": "its counts come in through its ExperimentConfig",
     "summarize_batch": "its counts come in through its ExperimentConfig",
     "strategy_score": "a strategy and a tensor, each checked when built",

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ghzbell.checks as checks
 import ghzbell.cli as cli
 import ghzbell.experiment as experiment
 from ghzbell.cli import _json_pieces, main
@@ -606,6 +608,15 @@ class TestVerify:
         res = run_cli("verify", "--n-max", "3", "--inject-fault")
         assert res.returncode == 1
         assert res.stdout == INJECTED_FAULT_N3
+
+    def test_a_check_whose_input_moves_fails_verify(self, monkeypatch, capsys):
+        # The library's way to inject a fault: move the one input a check reads.
+        real = checks.violation_factor
+        monkeypatch.setattr(checks, "violation_factor", lambda n: real(n) * (1 + 1e-11))
+        assert main(["verify", "--n-max", "3"]) == 1
+        out = capsys.readouterr().out
+        assert re.findall(r"^FAIL [^:]*", out, flags=re.M) == ["FAIL violation-factor"]
+        assert out.endswith("\n10/11 checks passed\n")
 
     def test_usage_error(self):
         assert run_cli("verify", "--n-max", "9").returncode == 2

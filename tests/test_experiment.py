@@ -5,7 +5,8 @@ Core claims covered here:
   * trial generation is bit-reproducible from the seed and independent of the
     worker count, and the streaming summary equals the batch summary exactly,
   * the batch constructor accepts and rejects exactly what the earlier np.isin
-    range check did, and keeps read-only int8 copies that no caller can change,
+    range check did once a batch has 2 parties and 1 trial, refuses fewer,
+    and keeps read-only int8 copies that no caller can change,
   * generate_trials draws the same outcomes as the earlier sign fill (np.where,
     boolean gather, prod and scatter) for N = 2..6 and 12,
   * the key-count tally equals a per-combination loop over explicit trials, in
@@ -96,13 +97,18 @@ def _summaries_equal(a: ExperimentSummary, b: ExperimentSummary) -> bool:
 
 
 def _isin_check(settings, outcomes):
-    """The batch range check as np.isin made it: its message, or None if it passes."""
+    """The batch check as np.isin made it, with the party and trial rules: its message or None."""
     settings, outcomes = np.asarray(settings), np.asarray(outcomes)
     if settings.ndim != 2 or settings.shape != outcomes.shape:
         return "settings and outcomes must be equal-shaped 2-D arrays"
-    if settings.size and not np.isin(settings, (1, 2, 3)).all():
+    trials, n = settings.shape
+    if n < 2:
+        return f"need at least 2 parties, got {n}"
+    if not trials:
+        return "trials must be positive, got 0"
+    if not np.isin(settings, (1, 2, 3)).all():
         return "setting indices must be in 1..3"
-    if outcomes.size and not np.isin(outcomes, (-1, 0, 1)).all():
+    if not np.isin(outcomes, (-1, 0, 1)).all():
         return "outcomes must be in {-1, 0, +1}"
     return None
 
@@ -441,13 +447,27 @@ class TestTrialBatch:
         assert str(err.value).startswith(str(bad) + message)
 
     def test_zero_column_and_zero_trial_batches(self, tmp_path):
+        # No estimator reads them, so neither the constructor nor load builds one.
+        for shape, field, message in [
+            ((3, 0), "n_parties", "need at least 2 parties, got 0"),
+            ((3, 1), "n_parties", "need at least 2 parties, got 1"),
+            ((0, 4), "trials", "trials must be positive, got 0"),
+        ]:
+            with pytest.raises(_FieldError) as err:
+                TrialBatch(settings=np.ones(shape), outcomes=np.ones(shape))
+            assert (err.value.field, str(err.value)) == (field, message)
         path = tmp_path / "trials.txt"
-        TrialBatch(settings=np.empty((3, 0)), outcomes=np.empty((3, 0))).save(path)
-        assert path.read_text() == " | \n" * 3
-        batch = TrialBatch.load(path)
-        assert batch.settings.shape == batch.outcomes.shape == (3, 0)
-        TrialBatch(settings=np.empty((0, 4)), outcomes=np.empty((0, 4))).save(path)
-        assert path.read_text() == ""
+        for text, message in [
+            (" | \n" * 3, ":1: need at least 2 parties, got 0"),
+            ("\n1 | -1\n2 | 0\n", ":2: need at least 2 parties, got 1"),
+            ("1|1\n1 2 | 1 1\n", ":1: need at least 2 parties, got 1"),
+            ("\n\n", ": no trial records"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                TrialBatch.load(path)
+            assert type(err.value) is ValueError
+            assert str(err.value) == str(path) + message
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="opens a pipe as /dev/fd/N")
     @pytest.mark.parametrize(
