@@ -36,7 +36,6 @@ from .lhv import (
 )
 from .quantum import (
     CorrelationTensor,
-    SettingsGrid,
     build_settings,
     entry_sum_closed_form,
     quantum_tensor,
@@ -54,7 +53,7 @@ from .thresholds import (
     two_setting_visibility_threshold,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -68,14 +67,12 @@ __all__ = [
     "ROUND_ROBIN",
     "SETTING_POLICIES",
     "SIGN_TRIPLES",
-    "SettingsGrid",
     "SweepPoint",
     "ThresholdRow",
     "TrialBatch",
     "UNIFORM_RANDOM",
     "auxiliary_tensor",
     "bound_attaining_strategy",
-    "build_settings",
     "critical_efficiency",
     "critical_visibility",
     "efficiency_closed_form",

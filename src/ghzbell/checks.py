@@ -40,7 +40,6 @@ from .quantum import (
     ODD_CLASS_COS,
     CorrelationTensor,
     _check_parties,
-    build_settings,
     entry_sum_closed_form,
     integer_tensor,
 )
@@ -158,11 +157,11 @@ def run_checks(n_max: int = 6, inject_fault: bool = False) -> list[CheckResult]:
     """
     n_max = _check_parties(n_max)
     brute = {n: max_score_brute(n) for n in range(n_max, 1, -1)}
-    tables = {n: integer_tensor(build_settings(n)) for n in range(2, 11)}
+    tables = {n: integer_tensor(n) for n in range(2, 11)}
     etas = dict(zip(range(2, 13), critical_efficiency(range(2, 13)).tolist()))
     scores = {n: _triple_scores(tables[n], _OUTCOME_TRIPLES) for n in (2, 3)}
     phasors = {
-        n: [[party_phasor(s, k, build_settings(n)) for s in SIGN_TRIPLES] for k in range(n)]
+        n: [[party_phasor(s, k, n) for s in SIGN_TRIPLES] for k in range(n)]
         for n in (2, 3)
     }
     # A fault injection knob exercises the failure path of the harness itself.

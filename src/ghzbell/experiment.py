@@ -60,7 +60,6 @@ from .quantum import (
     _check_integer,
     _check_parties,
     _check_rate,
-    build_settings,
     entry_sum_closed_form,
     quantum_tensor,
 )
@@ -367,7 +366,7 @@ def _draw(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generator
     detected = np.asfortranarray(rng.random((combos.size, n)) < config.efficiency)
     parity_u = rng.random(combos.size)
     all_det = detected.all(axis=1)
-    q = quantum_tensor(build_settings(n)).entries
+    q = quantum_tensor(n).entries
     threshold = q[combos]  # (1 + V q) / 2, in place: one trial-sized float temporary
     threshold *= config.visibility
     threshold += 1.0
@@ -438,7 +437,7 @@ def _map_blocks(config: ExperimentConfig, func, workers: int):
         return
     from concurrent.futures import ThreadPoolExecutor  # only a pool pays for the import
 
-    quantum_tensor(build_settings(config.n_parties))
+    quantum_tensor(config.n_parties)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         try:
@@ -501,7 +500,7 @@ def _summary_from_stats(
     est[counts == 0] = 0.0
     se_sq[~enough] = 0.0
 
-    q = quantum_tensor(build_settings(n))
+    q = quantum_tensor(n)
     lhs = abs(float(np.dot(q.entries, est)))
     # The standard error is infinite exactly when a weighted entry has no
     # variance; zero-weight entries contribute nothing either way.

@@ -35,13 +35,13 @@ import numpy as np
 
 from .quantum import (
     COS12,
+    FIRST_PARTY_CLASSES,
     HALF_SQRT3,
+    LATER_PARTY_CLASSES,
     CorrelationTensor,
-    SettingsGrid,
     _FieldError,
     _check_integer,
     _check_parties,
-    build_settings,
     integer_tensor,
 )
 
@@ -101,24 +101,23 @@ class PartyPhasor:
             raise ValueError("zero phasor must carry phase class 0")
 
 
-def party_phasor(
-    party_assignment: Sequence[int], party: int, grid: SettingsGrid
-) -> PartyPhasor:
+def party_phasor(party_assignment: Sequence[int], party: int, n_parties: int) -> PartyPhasor:
     """Exact phasor sum(v_i exp(i phi_i)) for one party's sign triple.
 
-    ``party`` is the 0-based party index into the grid. Works in integer
+    ``party`` is the 0-based index among ``n_parties`` parties. Works in integer
     arithmetic: with settings two phase classes apart, the signed sum reduces
     to x + y*u with u = exp(i pi/3), x = v1 - v3, y = v2 + v3, and every
     (x, y) case lands on magnitude 0 or 2 at a known phase class.
     """
+    n_parties = _check_parties(n_parties)
     party = _check_integer("party", party)
-    if not 0 <= party < grid.n_parties:
-        raise _FieldError("party", f"party index {party} out of range for {grid.n_parties} parties")
+    if not 0 <= party < n_parties:
+        raise _FieldError("party", f"party index {party} out of range for {n_parties} parties")
     v = tuple(party_assignment)
     if len(v) != 3 or any(x not in (-1, 1) for x in v):
         raise ValueError(f"party assignment must be three signs, got {party_assignment!r}")
     v = tuple(int(x) for x in v)
-    base = grid.phase_classes()[party][0]
+    base = (LATER_PARTY_CLASSES if party else FIRST_PARTY_CLASSES)[0]
     relative = _RELATIVE_CLASS[(v[0] - v[2], v[1] + v[2])]
     if relative is None:
         return PartyPhasor(magnitude=0, phase_class=0)
@@ -187,7 +186,7 @@ def max_score_brute(n_parties: int) -> tuple[float, DeterministicStrategy]:
     n_parties = _check_integer("n_parties", n_parties)
     if not 2 <= n_parties <= 8:
         raise _FieldError("n_parties", f"exhaustive search supports 2..8 parties, got {n_parties}")
-    scores = _triple_scores(integer_tensor(build_settings(n_parties)), SIGN_TRIPLES[:4]).ravel()
+    scores = _triple_scores(integer_tensor(n_parties), SIGN_TRIPLES[:4]).ravel()
     magnitudes = np.abs(scores)
     best = magnitudes.max()
     hits = np.flatnonzero(magnitudes == best)
@@ -206,12 +205,11 @@ def max_score_factorized(n_parties: int) -> float:
     Tracks which product phase classes are reachable with all party phasors of
     magnitude 2; any party may instead zero the product, so 0 is always an
     alternative. Runs in O(N * 12 * 7) and agrees with max_score_brute. The
-    final value 2^(N-1) sqrt(3) overflows float64 for N > 1023 (OverflowError).
+    final value 2^(N-1) sqrt(3) overflows float64 for N > 1024 (OverflowError).
     """
     n_parties = _check_parties(n_parties)
-    grid = build_settings(n_parties)
     reachable, other = (
-        {p.phase_class for t in SIGN_TRIPLES if (p := party_phasor(t, k, grid)).magnitude}
+        {p.phase_class for t in SIGN_TRIPLES if (p := party_phasor(t, k, n_parties)).magnitude}
         for k in (0, 1)
     )
     for _ in range(n_parties - 1):

@@ -1,21 +1,21 @@
 """Quantum side of the three-setting N-party Bell test on GHZ correlations.
 
 Contents:
-    SettingsGrid        -- the fixed per-party measurement phase triples
+    FIRST_PARTY_CLASSES, LATER_PARTY_CLASSES -- phase classes of party 0's, later parties' settings
     CorrelationTensor   -- flat 3^N full-correlation tensor with JSON output
-    build_settings      -- construct the grid for N parties
     setting_phase_classes -- total phase class of every setting combination
     integer_tensor      -- the quantum tensor over sqrt(3)/2: entries exactly 0, +-1
     quantum_tensor      -- the 3^N tensor of quantum correlations, cached per N
     entry_sum_closed_form -- closed form for the tensor entry sum
 
-Every phase in the grid is a multiple of pi/6 (stored as that integer
-multiple, its phase class). The first party's classes are 1 + 2d and every
-other party's 2d, for d its 0-based setting, so each combination's total
-class c is odd and its correlation is COS12[c], sqrt(3)/2 times
-T = ODD_CLASS_COS[c // 2]. Both tensors are looked up in setting_phase_classes.
-The exact side works on the integer table, where every score, norm and sum is
-an integer held exactly in float64.
+The paper fixes every party's three settings, so N alone determines them.
+Every phase is a multiple of pi/6 (stored as that integer multiple, its phase
+class). The first party's classes are 1 + 2d and every other party's 2d, for
+d its 0-based setting, so each combination's total class c is odd and its
+correlation is COS12[c], sqrt(3)/2 times T = ODD_CLASS_COS[c // 2]. Both
+tensors are looked up in setting_phase_classes. The exact side works on the
+integer table, where every score, norm and sum is an integer held exactly in
+float64.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ COS12 = (
 )
 # cos(c * pi/6) / (sqrt(3)/2) at the odd classes c = 1, 3, ..., 11, indexed by c // 2.
 ODD_CLASS_COS = (1, 0, -1, -1, 0, 1)
+# Phase classes of settings 0, 1, 2: party 0 measures at (pi/6, pi/2, 5pi/6)
+# and every later party at (0, pi/3, 2pi/3).
+FIRST_PARTY_CLASSES = (1, 3, 5)
+LATER_PARTY_CLASSES = (0, 2, 4)
 
 
 class _FieldError(ValueError):
@@ -73,27 +77,9 @@ def _check_parties(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class SettingsGrid:
-    """The paper's fixed measurement phases for N parties, three settings each.
-
-    Party 0 measures at (pi/6, pi/2, 5pi/6) and every later party at
-    (0, pi/3, 2pi/3); ``n_parties`` alone determines the grid.
-    """
-
-    n_parties: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_parties", _check_parties(self.n_parties))
-
-    def phase_classes(self) -> tuple[tuple[int, int, int], ...]:
-        """Each phase as its integer multiple of pi/6, per party and setting."""
-        return ((1, 3, 5),) + ((0, 2, 4),) * (self.n_parties - 1)
-
-
-def build_settings(n_parties: int) -> SettingsGrid:
-    """Grid for ``n_parties`` parties: offset triple for party 0, shared triple after."""
-    return SettingsGrid(n_parties=n_parties)
+def build_settings(n_parties: int) -> int:
+    """Deprecated: the checked party count, which every builder now takes directly."""
+    return _check_parties(n_parties)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,45 +120,62 @@ class CorrelationTensor:
         return {"n_parties": self.n_parties, "entries": self.entries.tolist()}
 
 
-def setting_phase_classes(grid: SettingsGrid) -> np.ndarray:
+def setting_phase_classes(n_parties: int) -> np.ndarray:
     """Total phase class (multiple of pi/6 mod 12), always odd, of every setting combination.
 
-    The sum of the grid's per-party classes: flat int64, in CorrelationTensor order.
+    The sum of the per-party classes: flat int64, in CorrelationTensor order.
     """
-    classes = [np.asarray(c, dtype=np.int64) for c in grid.phase_classes()]
-    return (functools.reduce(np.add.outer, classes) % 12).ravel()
+    later = [np.asarray(LATER_PARTY_CLASSES, dtype=np.int64)] * (_check_parties(n_parties) - 1)
+    first = np.asarray(FIRST_PARTY_CLASSES, dtype=np.int64)
+    return (functools.reduce(np.add.outer, later, first) % 12).ravel()
 
 
-@functools.cache
-def integer_tensor(grid: SettingsGrid) -> CorrelationTensor:
+def _cached_per_count(build):
+    """``build`` cached per party count, checked before the cache is read.
+
+    So 5 and np.int64(5) share one entry, and a rejected count adds none.
+    """
+    cached = functools.cache(build)
+
+    @functools.wraps(build)
+    def tensor(n_parties: int) -> CorrelationTensor:
+        return cached(_check_parties(n_parties))
+
+    tensor.cache_info, tensor.cache_clear = cached.cache_info, cached.cache_clear
+    return tensor
+
+
+@_cached_per_count
+def integer_tensor(n_parties: int) -> CorrelationTensor:
     """The quantum tensor divided by sqrt(3)/2: every entry exactly 0, +1 or -1.
 
     Cached and read-only like quantum_tensor, and built apart from it, so the
     engine's large-N runs do not hold both.
     """
-    halves = setting_phase_classes(grid)
+    halves = setting_phase_classes(n_parties)
     halves //= 2  # in place: one 3^N temporary fewer at the build's peak
     entries = np.asarray(ODD_CLASS_COS, dtype=np.float64)[halves]
-    return CorrelationTensor(grid.n_parties, entries, _take=True)
+    return CorrelationTensor(n_parties, entries, _take=True)
 
 
-@functools.cache
-def quantum_tensor(grid: SettingsGrid) -> CorrelationTensor:
-    """Tensor of quantum correlations cos(sum of chosen phases) over the grid.
+@_cached_per_count
+def quantum_tensor(n_parties: int) -> CorrelationTensor:
+    """Tensor of quantum correlations cos(sum of chosen phases) for N parties.
 
     sqrt(3)/2 times the integer table. Cached: every caller shares one tensor
     per N, and its entries are read-only.
     """
-    entries = np.asarray(COS12)[setting_phase_classes(grid)]
-    return CorrelationTensor(grid.n_parties, entries, _take=True)
+    entries = np.asarray(COS12)[setting_phase_classes(n_parties)]
+    return CorrelationTensor(n_parties, entries, _take=True)
 
 
 def entry_sum_closed_form(n_parties: int) -> float:
     """Closed form for the quantum tensor entry sum: -2^N sin((N-1) pi/3).
 
     sin((N-1) pi/3) only takes the values {0, +-sqrt(3)/2}, so the result is
-    exactly 0 whenever N = 1 (mod 3).
+    exactly 0 whenever N = 1 (mod 3), N = 1024 included; from N = 1025 it
+    overflows float64 (OverflowError).
     """
     n_parties = _check_parties(n_parties)
     sin_table = (0.0, HALF_SQRT3, HALF_SQRT3, 0.0, -HALF_SQRT3, -HALF_SQRT3)
-    return -(2.0 ** n_parties) * sin_table[(n_parties - 1) % 6]
+    return math.ldexp(-sin_table[(n_parties - 1) % 6], n_parties)

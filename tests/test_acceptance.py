@@ -18,7 +18,6 @@ import numpy as np
 from ghzbell import (
     ExperimentConfig,
     auxiliary_tensor,
-    build_settings,
     critical_efficiency,
     critical_visibility,
     efficiency_closed_form,
@@ -40,7 +39,7 @@ SQRT3 = math.sqrt(3.0)
 
 
 def _quantum_entries(n: int) -> np.ndarray:
-    return quantum_tensor(build_settings(n)).entries
+    return quantum_tensor(n).entries
 
 
 def _criterion(number: int, name: str, ok: bool, detail: str) -> None:
@@ -165,7 +164,7 @@ def _folded_scores(q) -> np.ndarray:
 
 
 def test_criterion_08_three_outcome_folding():
-    scores = _folded_scores(quantum_tensor(build_settings(3)))
+    scores = _folded_scores(quantum_tensor(3))
     bound = lhv_bound(3)
     worst = float(scores.max())
     violations = int((scores > bound + 1e-9).sum())

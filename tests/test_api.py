@@ -1,7 +1,7 @@
 """The public API: exactly these names, each importable, at one version.
 
 Adding or removing a public name is a deliberate change that edits this list.
-README.md names what 0.2.0, 0.3.0, 0.4.0 and 0.5.0 removed and what to use instead,
+README.md names what 0.2.0, 0.3.0, 0.4.0, 0.5.0 and 0.9.0 removed and what to use instead,
 and its Library example runs here as written.
 
 The input contract: every public callable that takes a count, index, seed,
@@ -24,9 +24,7 @@ import ghzbell
 from ghzbell import (
     CorrelationTensor,
     ExperimentConfig,
-    SettingsGrid,
     bound_attaining_strategy,
-    build_settings,
     critical_efficiency,
     critical_visibility,
     efficiency_closed_form,
@@ -61,14 +59,12 @@ PUBLIC_NAMES = [
     "ROUND_ROBIN",
     "SETTING_POLICIES",
     "SIGN_TRIPLES",
-    "SettingsGrid",
     "SweepPoint",
     "ThresholdRow",
     "TrialBatch",
     "UNIFORM_RANDOM",
     "auxiliary_tensor",
     "bound_attaining_strategy",
-    "build_settings",
     "critical_efficiency",
     "critical_visibility",
     "efficiency_closed_form",
@@ -94,7 +90,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 38
     assert sorted(ghzbell.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(ghzbell, name) is not None
@@ -103,7 +99,7 @@ def test_public_names_are_pinned_and_resolve():
 def test_version_matches_the_project_metadata():
     pyproject = (ROOT / "pyproject.toml").read_text()
     (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, flags=re.M)
-    assert ghzbell.__version__ == version == "0.8.0"
+    assert ghzbell.__version__ == version == "0.9.0"
 
 
 def test_readme_library_example_runs(capsys):
@@ -120,19 +116,16 @@ RATES = ("visibility", "efficiency")
 
 # Callable -> [(field, plain values, call with that one argument varied)].
 CONTRACT = {
-    "SettingsGrid": [("n_parties", [3], SettingsGrid)],
     "CorrelationTensor": [("n_parties", [3], lambda n: CorrelationTensor(n, np.zeros(27)))],
-    "build_settings": [("n_parties", [2, 5], build_settings)],
-    "quantum_tensor": [("n_parties", [5], lambda n: quantum_tensor(build_settings(n)))],
-    "setting_phase_classes": [
-        ("n_parties", [3], lambda n: setting_phase_classes(build_settings(n)))
-    ],
+    "quantum_tensor": [("n_parties", [2, 5], quantum_tensor)],
+    "setting_phase_classes": [("n_parties", [3], setting_phase_classes)],
     "entry_sum_closed_form": [("n_parties", ALL_N, entry_sum_closed_form)],
     "lhv_bound": [("n_parties", ALL_N, lhv_bound)],
     "violation_factor": [("n_parties", ALL_N, violation_factor)],
     "bound_attaining_strategy": [("n_parties", [2, 5, 646], bound_attaining_strategy)],
     "party_phasor": [
-        ("party", [0, 2], lambda k: party_phasor((1, 1, -1), k, build_settings(3)))
+        ("party", [0, 2], lambda k: party_phasor((1, 1, -1), k, 3)),
+        ("n_parties", [2, 3], lambda n: party_phasor((1, 1, -1), 1, n)),
     ],
     "max_score_brute": [("n_parties", [3], max_score_brute)],
     "max_score_factorized": [("n_parties", ALL_N, max_score_factorized)],
@@ -233,6 +226,6 @@ def test_numpy_built_results_serialize_to_json():
     config = ExperimentConfig(
         np.int64(3), np.float32(0.93), np.float64(0.93), np.int64(27), seed=np.uint64(1)
     )
-    quantum_tensor(build_settings(np.int64(4)))  # the cached tensor keeps a plain count
-    for obj in (config, run_experiment(config), quantum_tensor(build_settings(4))):
+    quantum_tensor(np.int64(4))  # the cached tensor keeps a plain count
+    for obj in (config, run_experiment(config), quantum_tensor(4)):
         json.dumps(obj.to_dict())

@@ -4,18 +4,23 @@
 ``perfbench/worker.py`` drives the workloads through ``ghzbell.<name>``
 attributes. Both files are read here as source, never run, so a renamed or
 deleted function fails this test instead of a benchmark run.
+
+``build_settings`` is kept only because the benchmark still reads it: no
+package module may call it again.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ghzbell
 import ghzbell.cli  # noqa: F401  (the worker reads ghzbell.cli.main)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(ghzbell.__file__).resolve().parent
 
 
 def _tree(name: str) -> ast.Module:
@@ -67,3 +72,17 @@ def test_every_package_name_the_benchmark_reads_exists(name):
         for attr in chain[1:]:
             assert hasattr(value, attr), ".".join(chain)
             value = getattr(value, attr)
+
+
+def test_build_settings_is_a_vestige_no_package_module_calls():
+    callers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "build_settings"
+    ]
+    assert callers == []
+    assert "build_settings" not in ghzbell.__all__
+    assert ghzbell.build_settings(np.int64(4)) == 4
+    assert type(ghzbell.build_settings(np.int64(4))) is int

@@ -38,7 +38,6 @@ from ghzbell import (
     CorrelationTensor,
     DeterministicStrategy,
     PartyPhasor,
-    build_settings,
     party_phasor,
     strategy_score,
 )
@@ -69,9 +68,9 @@ def test_integer_tensor_built_once_per_n(monkeypatch):
     calls = []
     build = checks.integer_tensor
 
-    def counting(grid):
-        calls.append(grid.n_parties)
-        return build(grid)
+    def counting(n):
+        calls.append(n)
+        return build(n)
 
     monkeypatch.setattr(checks, "integer_tensor", counting)
     results = checks.run_checks(8)
@@ -153,7 +152,7 @@ def test_outcome_rows():
 
 def _adjusted_reference(n):
     """3^N |(T, E)| + |sum T| z of all 27^N strategies, strategy by strategy, in Python ints."""
-    t = integer_tensor(build_settings(n)).entries.astype(int).tolist()
+    t = integer_tensor(n).entries.astype(int).tolist()
     combos = list(product(range(3), repeat=n))
     total = abs(sum(t))
     values = []
@@ -169,7 +168,7 @@ def _adjusted_reference(n):
 
 def _adjusted(n):
     """The same values by one contraction per party, as ``run_checks`` scores them."""
-    t = integer_tensor(build_settings(n))
+    t = integer_tensor(n)
     scores = checks._triple_scores(t, checks._OUTCOME_TRIPLES)
     zeros = reduce(np.multiply.outer, [checks._ZEROS] * n)
     return 3 ** n * np.abs(scores) + abs(sum(t.entries)) * zeros
@@ -180,7 +179,7 @@ def test_adjusted_values_match_a_strategy_by_strategy_reference(n):
     adjusted = _adjusted(n)
     assert adjusted.shape == (27,) * n
     assert adjusted.ravel().tolist() == _adjusted_reference(n)
-    t = integer_tensor(build_settings(n))
+    t = integer_tensor(n)
     assert checks._adjusted_gap(checks._triple_scores(t, checks._OUTCOME_TRIPLES), t) == 0.0
 
 
@@ -203,11 +202,11 @@ def test_detection_adjusted_check_fails_on_a_wrong_sum_term(monkeypatch, factor)
     assert not _by_name(checks.run_checks(2))["detection-adjusted-bound"].passed
 
 
-def _phasor_score(assignments, grid):
+def _phasor_score(assignments):
     """Real part of the complex product of the party phasors over sqrt(3)/2, as an integer."""
     total = 1
     for k, triple in enumerate(assignments):
-        p = party_phasor(triple, k, grid)
+        p = party_phasor(triple, k, len(assignments))
         total *= cmath.rect(p.magnitude, p.phase_class * math.pi / 6)
     value = total.real / (math.sqrt(3.0) / 2)
     assert abs(value - round(value)) < 1e-9
@@ -216,18 +215,17 @@ def _phasor_score(assignments, grid):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_factorization_tables_match_the_library_scores(n):
-    grid = build_settings(n)
-    t = integer_tensor(grid)
+    t = integer_tensor(n)
     # The sign block of the three-outcome scores, as run_checks reads it.
     scores = checks._triple_scores(t, checks._OUTCOME_TRIPLES)
     direct = scores[np.ix_(*[checks._SIGN_ROWS] * n)].ravel()
-    table = [[party_phasor(s, k, grid) for s in SIGN_TRIPLES] for k in range(n)]
+    table = [[party_phasor(s, k, n) for s in SIGN_TRIPLES] for k in range(n)]
     phasor = checks._phasor_scores(table).ravel()
     assert direct.shape == phasor.shape == (8 ** n,)
     for i, assignments in enumerate(product(SIGN_TRIPLES, repeat=n)):
         strategy = DeterministicStrategy(assignments=assignments)
         assert direct[i] == strategy_score(strategy, t)
-        assert phasor[i] == _phasor_score(assignments, grid)
+        assert phasor[i] == _phasor_score(assignments)
 
 
 def _by_name(results):
@@ -237,8 +235,8 @@ def _by_name(results):
 def _rotated_phasor(real):
     """``party_phasor`` with the (+1, +1, -1) phasor turned one pi/6 step."""
 
-    def rotated(triple, party, grid):
-        p = real(triple, party, grid)
+    def rotated(triple, party, n):
+        p = real(triple, party, n)
         if tuple(triple) == (1, 1, -1) and p.magnitude:
             return PartyPhasor(magnitude=p.magnitude, phase_class=(p.phase_class + 1) % 12)
         return p
@@ -250,9 +248,9 @@ def _tables_with(monkeypatch, index, delta):
     """Patch ``checks.integer_tensor`` so T at N = 3 has ``delta`` added to entry ``index``."""
     build = checks.integer_tensor
 
-    def patched(grid):
-        t = build(grid)
-        if grid.n_parties != 3:
+    def patched(n):
+        t = build(n)
+        if n != 3:
             return t
         entries = t.entries.copy()
         entries[index] += delta
@@ -287,7 +285,7 @@ EXACT_GATES = [
 @pytest.mark.parametrize("name", EXACT_GATES)
 def test_gate_fails_on_a_perturbation_below_the_old_tolerance(monkeypatch, name):
     assert PERTURBATION < checks.IDENTITY_TOL
-    assert integer_tensor(build_settings(3)).entries[0] == 1.0
+    assert integer_tensor(3).entries[0] == 1.0
     assert _by_name(checks.run_checks(3))[name].passed
     _tables_with(monkeypatch, 0, PERTURBATION)
     assert not _by_name(checks.run_checks(3))[name].passed

@@ -163,9 +163,9 @@ class TestBound:
         assert run_cli("bound", "--n", "9", "--method", "brute").returncode == 2
         assert run_cli("bound", "--n", "9", "--method", "factorized").returncode == 0
 
-    @pytest.mark.parametrize("n", [647, 1023])
+    @pytest.mark.parametrize("n", [647, 1023, 1024])
     def test_norm_sq_past_double_range_is_null(self, n):
-        # 3^N/2 overflows from N = 647; the bound itself stays finite to 1023.
+        # 3^N/2 overflows from N = 647; the bound itself stays finite to 1024.
         res = run_cli("bound", "--n", str(n), "--method", "factorized")
         assert res.returncode == 0
         data = json.loads(res.stdout)
@@ -175,9 +175,9 @@ class TestBound:
         assert "norm_sq (3^N/2)   : inf" in human.stdout
 
     def test_overflowing_bound_is_a_usage_error(self):
-        res = run_cli("bound", "--n", "1024", "--method", "factorized")
+        res = run_cli("bound", "--n", "1025", "--method", "factorized")
         assert res.returncode == 2
-        assert "--n: 1024 overflows double precision" in res.stderr
+        assert "--n: 1025 overflows double precision" in res.stderr
         assert "Traceback" not in res.stderr
 
 
@@ -540,7 +540,7 @@ class TestConfigErrorsNameTheFlag:
                 "sweep --n 2 --eta 1.0 --v-grid 0.5,x --trials-per-point 9",
                 "--v-grid: visibilities must be comma-separated numbers, got '0.5,x'",
             ),
-            ("bound --n 1024 --method factorized", "--n: 1024 overflows double precision"),
+            ("bound --n 1025 --method factorized", "--n: 1025 overflows double precision"),
         ],
         ids=[
             "n", "v", "eta", "trials", "trials-per-point", "v-grid",
@@ -548,7 +548,7 @@ class TestConfigErrorsNameTheFlag:
             "simulate-seed", "sweep-seed",
             "bound-n1", "bound-n9", "bound-n9-brute",
             "thresholds-n-max1", "verify-n-max1", "verify-n-max9",
-            "v-grid-empty", "v-grid-not-numbers", "bound-n1024",
+            "v-grid-empty", "v-grid-not-numbers", "bound-n1025",
         ],
     )
     def test_message_leads_with_the_flag(self, args, message):

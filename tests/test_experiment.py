@@ -53,7 +53,6 @@ from ghzbell import (
     ExperimentSummary,
     TrialBatch,
     auxiliary_tensor,
-    build_settings,
     entry_sum_closed_form,
     generate_trials,
     lhv_bound,
@@ -679,10 +678,10 @@ class TestDeterminism:
         builds = []
         classes = quantum.setting_phase_classes
 
-        def slow_classes(grid):
-            builds.append(grid.n_parties)
+        def slow_classes(n):
+            builds.append(n)
             time.sleep(0.2)
-            return classes(grid)
+            return classes(n)
 
         monkeypatch.setattr(quantum, "setting_phase_classes", slow_classes)
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
@@ -855,7 +854,7 @@ def _masked_divide_summary(n, counts, sum_prod, nonzero):
     mean_sq = np.divide(sum_prod ** 2, counts, out=np.zeros(m), where=enough)
     var = np.divide(nonzero - mean_sq, counts - 1, out=np.zeros(m), where=enough)
     se_sq = np.divide(np.clip(var, 0.0, None), counts, out=np.zeros(m), where=enough)
-    q = quantum_tensor(build_settings(n))
+    q = quantum_tensor(n)
     lhs = abs(float(np.dot(q.entries, est)))
     weights = q.entries ** 2
     if (weights[~enough] > 0.0).any():
@@ -870,7 +869,7 @@ class TestSummaryFromStats:
         m = 3 ** n
         rng = np.random.default_rng(seed)
         counts = rng.choice([0, 1, 2, 3, 40], size=m).astype(np.int64)
-        weighted = quantum_tensor(build_settings(n)).entries != 0.0
+        weighted = quantum_tensor(n).entries != 0.0
         assert weighted.any() and not weighted.all()
         counts[weighted] = np.maximum(counts[weighted], 2)
         if weighted_low is not None:
@@ -1032,7 +1031,7 @@ class TestEstimatorConsistency:
         # and 0 otherwise, so Var = eta^N - (eta^N V Q_i)^2.
         n, v, eta = 3, 0.7, 0.85
         per_combo = 2000
-        q = quantum_tensor(build_settings(n)).entries
+        q = quantum_tensor(n).entries
         target = eta ** n * v * q
         var = eta ** n - target ** 2
         sigma = np.sqrt(var / per_combo)
@@ -1063,7 +1062,7 @@ class TestEstimatorConsistency:
             n_parties=3, visibility=0.9, efficiency=0.8, trials=2700, seed=13
         )
         summary = run_experiment(cfg)
-        q = quantum_tensor(build_settings(3))
+        q = quantum_tensor(3)
         assert summary.lhs == abs(float(np.dot(q.entries, summary.estimated_tensor.entries)))
         assert summary.rhs == lhv_bound(3) - summary.p_all_zero * abs(entry_sum_closed_form(3))
         assert summary.violated == (summary.lhs > summary.rhs)
@@ -1079,7 +1078,7 @@ class TestEstimatorConsistency:
             n_parties=n, visibility=v, efficiency=1.0, trials=27 * 3000, seed=23
         )
         batch = generate_trials(cfg)
-        classes = setting_phase_classes(build_settings(n))[_combo_indices(batch)]
+        classes = setting_phase_classes(n)[_combo_indices(batch)]
         bits = (batch.outcomes > 0).astype(np.int64)
         pattern = (bits * (2 ** np.arange(n - 1, -1, -1))).sum(axis=1)
         parity = np.array([(-1) ** (n - bin(p).count("1")) for p in range(2 ** n)])

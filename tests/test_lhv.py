@@ -26,7 +26,6 @@ from ghzbell import (
     DeterministicStrategy,
     PartyPhasor,
     bound_attaining_strategy,
-    build_settings,
     lhv_bound,
     max_score_brute,
     max_score_factorized,
@@ -50,9 +49,9 @@ BRUTE_MAXIMA_HEX = {
 }
 
 
-def _radians(grid, party):
-    """One party's measurement phases as float radians."""
-    return tuple(c / 6 * math.pi for c in grid.phase_classes()[party])
+def _radians(party):
+    """One party's measurement phases as float radians, from the paper's settings."""
+    return tuple(c / 6 * math.pi for c in ((0, 2, 4) if party else (1, 3, 5)))
 
 
 def _phasor_value(phasor):
@@ -60,11 +59,11 @@ def _phasor_value(phasor):
     return cmath.rect(phasor.magnitude, phasor.phase_class * math.pi / 6)
 
 
-def _strategy_score_factorized(strategy, grid):
+def _strategy_score_factorized(strategy):
     """A strategy's score as the real part of its product of party phasors, from COS12."""
     total_class = 0
     for k, triple in enumerate(strategy.assignments):
-        phasor = party_phasor(triple, k, grid)
+        phasor = party_phasor(triple, k, strategy.n_parties)
         if phasor.magnitude == 0:
             return 0.0
         total_class = (total_class + phasor.phase_class) % 12
@@ -79,7 +78,7 @@ def _all_two_outcome(n):
 
 def _naive_max(n):
     """Plain loop over all 8^n strategies and all 3^n entries."""
-    q = quantum_tensor(build_settings(n)).as_grid()
+    q = quantum_tensor(n).as_grid()
     best = -math.inf
     winners = []
     for strategy in _all_two_outcome(n):
@@ -98,7 +97,7 @@ def _naive_max(n):
 
 def _reference_brute(n):
     """Maximum and argmax over all 8^n scores from one 8-triple contraction."""
-    q_grid = quantum_tensor(build_settings(n)).as_grid()
+    q_grid = quantum_tensor(n).as_grid()
     triples = np.asarray(SIGN_TRIPLES, dtype=np.float64)
     tensor_axes = string.ascii_lowercase[:n]
     strategy_axes = string.ascii_lowercase[n:2 * n]
@@ -143,25 +142,25 @@ class TestDeterministicStrategy:
 class TestStrategyScore:
     def test_bound_attaining_example(self):
         s = DeterministicStrategy(assignments=((1, 1, -1), (1, 1, -1)))
-        q = quantum_tensor(build_settings(2))
+        q = quantum_tensor(2)
         assert strategy_score(s, q) == pytest.approx(2 * SQRT3, abs=1e-12)
 
     def test_all_plus_example(self):
         # z_1 = e^{i pi/6}+e^{i pi/2}+e^{i 5pi/6} = 2i, z_2 = 2 e^{i pi/3},
         # so the score is Re(2i * 2 e^{i pi/3}) = 4 cos(5 pi/6) = -2 sqrt(3).
         s = DeterministicStrategy(assignments=((1, 1, 1), (1, 1, 1)))
-        q = quantum_tensor(build_settings(2))
+        q = quantum_tensor(2)
         assert strategy_score(s, q) == pytest.approx(-2 * SQRT3, abs=1e-12)
 
     def test_size_mismatch(self):
         s = DeterministicStrategy(assignments=((1, 1, 1), (1, 1, 1)))
         with pytest.raises(ValueError):
-            strategy_score(s, quantum_tensor(build_settings(3)))
+            strategy_score(s, quantum_tensor(3))
 
     def test_matches_scalar_product(self):
         # Reference: Q dotted entry by entry with the rank-one sign products.
         rng = np.random.default_rng(5)
-        q = quantum_tensor(build_settings(3))
+        q = quantum_tensor(3)
         for _ in range(20):
             s = DeterministicStrategy(assignments=2 * rng.integers(0, 2, size=(3, 3)) - 1)
             direct = math.fsum(
@@ -173,37 +172,35 @@ class TestStrategyScore:
 
 class TestPartyPhasor:
     def test_shared_triple_plus_plus_minus(self):
-        ph = party_phasor((1, 1, -1), 1, build_settings(2))
+        ph = party_phasor((1, 1, -1), 1, 2)
         assert ph.magnitude == 2
         assert ph.phase_class == 0
         assert _phasor_value(ph) == pytest.approx(2.0 + 0.0j)
 
     def test_cancellation_gives_zero(self):
-        ph = party_phasor((1, -1, 1), 0, build_settings(2))
+        ph = party_phasor((1, -1, 1), 0, 2)
         assert ph.magnitude == 0
         assert _phasor_value(ph) == 0j
 
     def test_first_party_offset(self):
-        ph = party_phasor((1, 1, -1), 0, build_settings(2))
+        ph = party_phasor((1, 1, -1), 0, 2)
         assert (ph.magnitude, ph.phase_class) == (2, 1)
 
     def test_matches_complex_sum_exhaustively(self):
-        grid = build_settings(2)
         for party in (0, 1):
-            radians = _radians(grid, party)
+            radians = _radians(party)
             for triple in itertools.product((-1, 1), repeat=3):
                 direct = sum(
                     v * cmath.exp(1j * phi) for v, phi in zip(triple, radians)
                 )
-                ph = party_phasor(triple, party, grid)
+                ph = party_phasor(triple, party, 2)
                 assert _phasor_value(ph) == pytest.approx(direct, abs=1e-12)
 
     def test_eight_triples_land_onto_seven_phasors(self):
-        grid = build_settings(2)
         expected_classes = {0: {1, 3, 5, 7, 9, 11}, 1: {0, 2, 4, 6, 8, 10}}
         for party in (0, 1):
             phasors = {
-                party_phasor(t, party, grid)
+                party_phasor(t, party, 2)
                 for t in itertools.product((-1, 1), repeat=3)
             }
             assert len(phasors) == 7
@@ -213,17 +210,20 @@ class TestPartyPhasor:
             assert classes == expected_classes[party]
 
     def test_invalid_inputs(self):
-        grid = build_settings(2)
         with pytest.raises(ValueError):
-            party_phasor((1, 1), 0, grid)
+            party_phasor((1, 1), 0, 2)
         with pytest.raises(ValueError):
-            party_phasor((1, 1, 0), 0, grid)
+            party_phasor((1, 1, 0), 0, 2)
         with pytest.raises(ValueError, match=r"got \(1\.7, 1, -1\)"):
-            party_phasor((1.7, 1, -1), 0, grid)
+            party_phasor((1.7, 1, -1), 0, 2)
         for index, message in [(2, "out of range for 2 parties"), (0.0, "must be an integer")]:
             with pytest.raises(ValueError, match=message) as info:
-                party_phasor((1, 1, 1), index, grid)
+                party_phasor((1, 1, 1), index, 2)
             assert info.value.field == "party"
+        for count in (1, "2"):
+            with pytest.raises(ValueError) as info:
+                party_phasor((1, 1, 1), 0, count)
+            assert info.value.field == "n_parties"
 
     @pytest.mark.parametrize(
         "magnitude, phase_class, message",
@@ -242,10 +242,9 @@ class TestPartyPhasor:
 class TestFactorizedScore:
     def test_matches_direct_score_exhaustively(self):
         for n in (2, 3):
-            grid = build_settings(n)
-            q = quantum_tensor(grid)
+            q = quantum_tensor(n)
             for s in _all_two_outcome(n):
-                assert _strategy_score_factorized(s, grid) == pytest.approx(
+                assert _strategy_score_factorized(s) == pytest.approx(
                     strategy_score(s, q), abs=1e-9
                 )
 
@@ -280,7 +279,7 @@ class TestMaxScore:
     def test_argmax_attains_reported_score(self):
         for n in (2, 3, 4, 5):
             best, argmax = max_score_brute(n)
-            q = quantum_tensor(build_settings(n))
+            q = quantum_tensor(n)
             assert strategy_score(argmax, q) == pytest.approx(best, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -321,17 +320,20 @@ class TestMaxScore:
     def test_factorized_size_limits(self):
         with pytest.raises(ValueError):
             max_score_factorized(1)
-        with pytest.raises(OverflowError):
-            max_score_factorized(1100)
+        # 2^(N-1) sqrt(3) is finite through N = 1024 and overflows from 1025.
+        assert max_score_factorized(1024) == lhv_bound(1024) == math.ldexp(SQRT3 / 2, 1024)
+        for n in (1025, 1100):
+            with pytest.raises(OverflowError):
+                max_score_factorized(n)
 
     def test_bound_attaining_strategy(self):
         for n in range(2, 10):
             s = bound_attaining_strategy(n)
             assert s.assignments == ((1, 1, -1),) * n
-            assert _strategy_score_factorized(s, build_settings(n)) == pytest.approx(
+            assert _strategy_score_factorized(s) == pytest.approx(
                 lhv_bound(n), abs=1e-12
             )
-        q = quantum_tensor(build_settings(4))
+        q = quantum_tensor(4)
         assert strategy_score(bound_attaining_strategy(4), q) == pytest.approx(
             lhv_bound(4), abs=1e-12
         )
@@ -339,7 +341,7 @@ class TestMaxScore:
     def test_convex_mixtures_stay_below_max(self):
         # Mixtures of strategy tensors never beat the best vertex.
         rng = np.random.default_rng(7)
-        q = quantum_tensor(build_settings(2))
+        q = quantum_tensor(2)
         best = lhv_bound(2)
         for _ in range(50):
             parts = [np.outer(*(2 * rng.integers(0, 2, size=(2, 3)) - 1)).ravel() for _ in range(6)]
@@ -369,7 +371,7 @@ class TestThreeOutcomeFolding:
         # Three-outcome assignments with every 0 folded to -1 are sign
         # strategies, so strategy_score keeps them under the bound.
         rng = np.random.default_rng(321)
-        q = quantum_tensor(build_settings(3))
+        q = quantum_tensor(3)
         bound = lhv_bound(3)
         for _ in range(2000):
             values = rng.integers(-1, 2, size=(3, 3))

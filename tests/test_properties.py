@@ -35,7 +35,6 @@ from ghzbell import (
     DeterministicStrategy,
     ExperimentConfig,
     TrialBatch,
-    build_settings,
     critical_efficiency,
     critical_visibility,
     generate_trials,
@@ -101,7 +100,7 @@ def test_critical_efficiency_falls_toward_two_thirds(n, step):
 )
 def test_factorized_maximum_bounds_sampled_and_equals_exhaustive(n, seed):
     factorized = max_score_factorized(n)
-    q = quantum_tensor(build_settings(n))
+    q = quantum_tensor(n)
     rng = np.random.default_rng(seed)
     signs = (2 * rng.integers(0, 2, size=(n, 3)) - 1 for _ in range(50))
     sampled = max(strategy_score(DeterministicStrategy(assignments=s), q) for s in signs)

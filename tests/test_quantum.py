@@ -2,7 +2,7 @@
 
 Core claims covered here:
   * the settings grid is the fixed one (offset triple first, shared triple
-    after) and rejects anything else,
+    after), N alone selects it, and no builder takes anything else,
   * the correlation tensor carries exactly the seven values
     {0, +-1/2, +-sqrt(3)/2, +-1}, equals cos(sum of phases) entry by entry,
     has squared norm 3^N/2 and entry sum -2^N sin((N-1) pi/3),
@@ -12,11 +12,13 @@ Core claims covered here:
     checks,
   * the integer table T holds only 0 and +-1, 2 3^(N-1) of them nonzero, its
     entry sum times sqrt(3)/2 is the closed form exactly (and so is the sum
-    walked from the six setting-sum residue counts, for every N up to 1023),
+    walked from the six setting-sum residue counts, for every N up to 1024),
     the quantum tensor is sqrt(3)/2 times T to the last bit, and both match a
-    lookup of the grid's summed phase classes,
+    lookup of the summed per-party phase classes,
   * each N's quantum tensor and integer table are built once and shared,
-    with read-only entries,
+    with read-only entries; the count is checked before the cache is read,
+    so every integer type of one N shares the entry and a rejected count
+    adds none,
   * every public entry point that takes a party count rejects N = 1 through
     the one rule, with the same field and message, and the same rule rejects a
     count that is not an integer and takes any integer type as its plain int,
@@ -37,7 +39,6 @@ from ghzbell import (
     CorrelationTensor,
     DeterministicStrategy,
     ExperimentConfig,
-    SettingsGrid,
     bound_attaining_strategy,
     build_settings,
     critical_efficiency,
@@ -47,6 +48,7 @@ from ghzbell import (
     lhv_bound,
     max_score_brute,
     max_score_factorized,
+    party_phasor,
     quantum_tensor,
     run_checks,
     setting_phase_classes,
@@ -54,67 +56,92 @@ from ghzbell import (
     two_setting_visibility_threshold,
     violation_factor,
 )
-from ghzbell.quantum import COS12, HALF_SQRT3, ODD_CLASS_COS, _FieldError, integer_tensor
+from ghzbell.quantum import (
+    COS12,
+    FIRST_PARTY_CLASSES,
+    HALF_SQRT3,
+    LATER_PARTY_CLASSES,
+    ODD_CLASS_COS,
+    _FieldError,
+    integer_tensor,
+)
 
 SQRT3 = math.sqrt(3.0)
 SEVEN_VALUES = {0.0, 0.5, -0.5, SQRT3 / 2, -SQRT3 / 2, 1.0, -1.0}
 
 
-def _radians(grid):
-    """The grid's phases as plain float radians, per party and setting."""
-    return tuple(tuple(c / 6 * math.pi for c in t) for t in grid.phase_classes())
+def _classes(n):
+    """Each party's phase classes, per setting, for ``n`` parties."""
+    return (FIRST_PARTY_CLASSES,) + (LATER_PARTY_CLASSES,) * (n - 1)
+
+
+def _radians(n):
+    """The phases of ``n`` parties as plain float radians, per party and setting."""
+    return tuple(tuple(c / 6 * math.pi for c in t) for t in _classes(n))
 
 
 class TestSettingsGrid:
     def test_build_settings_phases(self):
-        grid = build_settings(3)
-        assert grid.n_parties == 3
-        assert grid.phase_classes() == ((1, 3, 5), (0, 2, 4), (0, 2, 4))
+        # The deprecated alias only checks the count, as a plain int.
+        assert build_settings(np.int64(3)) == 3 and type(build_settings(np.int64(3))) is int
+        assert _classes(3) == ((1, 3, 5), (0, 2, 4), (0, 2, 4))
         # The same phases as exact fractions of pi, to the last bit.
         first = (Fraction(1, 6), Fraction(1, 2), Fraction(5, 6))
         other = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
-        assert _radians(grid) == tuple(
+        assert _radians(3) == tuple(
             tuple(float(p) * math.pi for p in triple) for triple in (first, other, other)
         )
 
     def test_radians(self):
-        grid = build_settings(2)
-        first, second = _radians(grid)
+        first, second = _radians(2)
         assert first == pytest.approx((math.pi / 6, math.pi / 2, 5 * math.pi / 6))
         assert second == pytest.approx((0.0, math.pi / 3, 2 * math.pi / 3))
 
     def test_phase_classes(self):
-        grid = build_settings(2)
-        assert grid.phase_classes() == ((1, 3, 5), (0, 2, 4))
+        assert (FIRST_PARTY_CLASSES, LATER_PARTY_CLASSES) == ((1, 3, 5), (0, 2, 4))
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_phase_classes_follow_the_stored_phases(self, n):
-        grid = build_settings(n)
-        classes, radians = grid.phase_classes(), _radians(grid)
+        # Moving one party off setting 0 moves the total class by that party's
+        # stored class step, and every stored class is its phase over pi/6.
+        table = setting_phase_classes(n).reshape((3,) * n)
+        classes, radians = _classes(n), _radians(n)
         assert len(classes) == len(radians) == n
+        assert table[(0,) * n] == sum(t[0] for t in classes) % 12
         for k in range(n):
             for i in range(3):
+                index = tuple(i if j == k else 0 for j in range(n))
+                assert table[index] == (table[(0,) * n] + classes[k][i] - classes[k][0]) % 12
                 assert radians[k][i] == classes[k][i] / 6 * math.pi
 
     def test_too_few_parties(self):
+        for build in (setting_phase_classes, quantum_tensor, integer_tensor):
+            with pytest.raises(ValueError):
+                build(1)
         with pytest.raises(ValueError):
-            build_settings(1)
+            party_phasor((1, 1, -1), 0, 1)
 
     def test_rejects_nonstandard_phases(self):
-        other = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
-        with pytest.raises(TypeError):
-            SettingsGrid(n_parties=2, phases=(other, other))
+        # Phases cannot stand in for the count: the grid is the paper's.
+        other = (0, 2, 4)
+        for build in (setting_phase_classes, quantum_tensor, integer_tensor):
+            with pytest.raises(_FieldError) as info:
+                build((other, other))
+            assert info.value.field == "n_parties"
 
     def test_rejects_wrong_triple_count(self):
-        first = (Fraction(1, 6), Fraction(1, 2), Fraction(5, 6))
-        other = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
+        # No builder takes phases beside the count.
+        first, other = (1, 3, 5), (0, 2, 4)
+        for build in (setting_phase_classes, quantum_tensor, integer_tensor):
+            with pytest.raises(TypeError):
+                build(3, (first, other))
         with pytest.raises(TypeError):
-            SettingsGrid(n_parties=3, phases=(first, other))
+            party_phasor((1, 1, -1), 0, 3, (first, other))
 
 
 class TestQuantumTensor:
     def test_known_entries_two_parties(self):
-        q = quantum_tensor(build_settings(2)).as_grid()
+        q = quantum_tensor(2).as_grid()
         assert q[0, 0] == pytest.approx(SQRT3 / 2, abs=1e-15)
         # pi/2 + 2pi/3 = 7pi/6.
         assert q[1, 2] == pytest.approx(-SQRT3 / 2, abs=1e-15)
@@ -122,50 +149,48 @@ class TestQuantumTensor:
 
     def test_entries_live_on_seven_values(self):
         for n in (2, 3, 5):
-            q = quantum_tensor(build_settings(n))
+            q = quantum_tensor(n)
             assert set(np.unique(q.entries)) <= SEVEN_VALUES
 
     def test_matches_float_cosine_route(self):
         for n in (2, 3, 4):
-            grid = build_settings(n)
-            q = quantum_tensor(grid).as_grid()
-            radians = _radians(grid)
+            q = quantum_tensor(n).as_grid()
+            radians = _radians(n)
             for combo in itertools.product(range(3), repeat=n):
                 angles = [radians[k][combo[k]] for k in range(n)]
                 assert q[combo] == pytest.approx(math.cos(math.fsum(angles)), abs=1e-12)
 
     def test_norm_identity(self):
         for n in range(2, 11):
-            q = quantum_tensor(build_settings(n))
+            q = quantum_tensor(n)
             assert abs(np.dot(q.entries, q.entries) - 3.0 ** n / 2.0) < 1e-9
 
     def test_entry_sum_matches_closed_form(self):
         for n in range(2, 11):
-            q = quantum_tensor(build_settings(n))
+            q = quantum_tensor(n)
             assert abs(np.sum(q.entries) - entry_sum_closed_form(n)) < 1e-9
 
     def test_entry_sum_frozen_values(self):
-        q2 = quantum_tensor(build_settings(2))
+        q2 = quantum_tensor(2)
         assert np.sum(q2.entries) == pytest.approx(-2 * SQRT3, abs=1e-12)
-        q5 = quantum_tensor(build_settings(5))
+        q5 = quantum_tensor(5)
         assert np.sum(q5.entries) == pytest.approx(16 * SQRT3, abs=1e-12)
 
     def test_entry_sum_vanishes_at_n_1_mod_3(self):
         for n in (4, 7, 10):
             assert entry_sum_closed_form(n) == 0.0
-            q = quantum_tensor(build_settings(n))
+            q = quantum_tensor(n)
             assert abs(np.sum(q.entries)) < 1e-9
 
     def test_cached_once_per_n_and_read_only(self):
         for n in range(2, 6):
-            q = quantum_tensor(build_settings(n))
-            assert quantum_tensor(build_settings(n)) is q
+            q = quantum_tensor(n)
+            assert quantum_tensor(n) is q
             assert not q.entries.flags.writeable
 
     def test_phase_classes_consistent_with_entries(self):
-        grid = build_settings(3)
-        classes = setting_phase_classes(grid)
-        q = quantum_tensor(grid)
+        classes = setting_phase_classes(3)
+        q = quantum_tensor(3)
         table = np.cos(classes * math.pi / 6.0)
         assert np.allclose(q.entries, table, atol=1e-12)
 
@@ -216,7 +241,7 @@ class TestCorrelationTensor:
         assert CorrelationTensor(2, entries).entries[0] == edge
 
     def test_entries_read_only(self):
-        q = quantum_tensor(build_settings(2))
+        q = quantum_tensor(2)
         with pytest.raises(ValueError):
             q.entries[0] = 0.0
 
@@ -241,7 +266,7 @@ class TestCorrelationTensor:
             CorrelationTensor(2, np.zeros(8), _take=True)
 
     def test_dict_roundtrip(self):
-        q = quantum_tensor(build_settings(2))
+        q = quantum_tensor(2)
         data = q.to_dict()
         assert data["n_parties"] == 2
         assert len(data["entries"]) == 9
@@ -253,7 +278,7 @@ class TestCorrelationTensor:
 class TestIntegerTensor:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_integer_facts(self, n):
-        t = integer_tensor(build_settings(n))
+        t = integer_tensor(n)
         assert set(np.unique(t.entries)) <= {0.0, 1.0, -1.0}
         assert np.count_nonzero(t.entries) == 2 * 3 ** (n - 1)
         assert np.dot(t.entries, t.entries) == 2 * 3 ** (n - 1)
@@ -261,26 +286,23 @@ class TestIntegerTensor:
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_quantum_tensor_is_half_sqrt3_times_the_table(self, n):
-        grid = build_settings(n)
-        q, t = quantum_tensor(grid), integer_tensor(grid)
+        q, t = quantum_tensor(n), integer_tensor(n)
         assert (HALF_SQRT3 * t.entries).tobytes() == q.entries.tobytes()
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_tables_match_the_summed_phase_classes(self, n):
-        # The reference adds the grid's per-party phase classes combination by
+        # The reference adds the per-party phase classes combination by
         # combination, in CorrelationTensor order, apart from the digit-sum rule.
-        grid = build_settings(n)
         classes = np.array(
-            [sum(combo) % 12 for combo in itertools.product(*grid.phase_classes())],
-            dtype=np.int64,
+            [sum(combo) % 12 for combo in itertools.product(*_classes(n))], dtype=np.int64
         )
-        got = setting_phase_classes(grid)
+        got = setting_phase_classes(n)
         assert got.dtype == np.int64
         assert np.array_equal(got, classes)
         # The same bits as looking each entry up in the 12-class cosine table.
         table = np.asarray(COS12)[classes]
-        assert table.tobytes() == quantum_tensor(grid).entries.tobytes()
-        assert (table / HALF_SQRT3).tobytes() == integer_tensor(grid).entries.tobytes()
+        assert table.tobytes() == quantum_tensor(n).entries.tobytes()
+        assert (table / HALF_SQRT3).tobytes() == integer_tensor(n).entries.tobytes()
 
     @staticmethod
     def _entry_sum_by_residue_counts(n):
@@ -294,19 +316,36 @@ class TestIntegerTensor:
     def test_entry_sum_from_residue_counts_matches_the_table(self, n):
         total = self._entry_sum_by_residue_counts(n)
         assert total in (0, 2 ** n, -(2 ** n))
-        assert total == np.sum(integer_tensor(build_settings(n)).entries)
+        assert total == np.sum(integer_tensor(n).entries)
 
     def test_entry_sum_from_residue_counts_is_the_closed_form_for_every_n(self):
-        for n in range(2, 1024):
+        for n in range(2, 1025):
             total = self._entry_sum_by_residue_counts(n)
             assert HALF_SQRT3 * total == entry_sum_closed_form(n), n
 
+    def test_closed_form_is_finite_through_1024(self):
+        # N = 1024 is 1 (mod 3), so the sum is 0 although 2^1024 overflows.
+        assert entry_sum_closed_form(1024).hex() == "-0x0.0p+0"
+        with pytest.raises(OverflowError):
+            entry_sum_closed_form(1025)
+
     def test_cached_once_per_n_and_read_only(self):
         for n in range(2, 6):
-            t = integer_tensor(build_settings(n))
+            t = integer_tensor(n)
             assert isinstance(t, CorrelationTensor)
-            assert integer_tensor(build_settings(n)) is t
+            assert integer_tensor(n) is t
             assert not t.entries.flags.writeable
+
+
+@pytest.mark.parametrize("build", [quantum_tensor, integer_tensor], ids=["quantum", "integer"])
+def test_one_cache_entry_per_checked_n(build):
+    assert build(np.int64(5)) is build(5)
+    misses = build.cache_info().misses
+    for bad in ("5", 1):
+        with pytest.raises(_FieldError) as info:
+            build(bad)
+        assert info.value.field == "n_parties"
+    assert build.cache_info().misses == misses
 
 
 @pytest.mark.parametrize(
@@ -342,7 +381,7 @@ def test_one_party_is_rejected_by_the_one_rule(call):
     [
         build_settings,
         lambda n: CorrelationTensor(n, np.zeros(27)).n_parties,
-        lambda n: quantum_tensor(build_settings(n)),
+        quantum_tensor,
         entry_sum_closed_form,
         lhv_bound,
         violation_factor,
