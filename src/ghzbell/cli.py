@@ -11,12 +11,15 @@ JSON is the default format; the human format is rendered from the same data
 structure, never computed separately. Exit codes: 0 success, 1 failed check,
 2 usage error. main alone reports a _FieldError, raised by the library or a
 handler, through the subcommand's parser and led by the flag that set the
-value. GHZBELL_SEED, when set, is --seed's default, so its errors name --seed.
+value. The parser is built once per process, on the first main call, and
+reused. GHZBELL_SEED is read on every main call: when set, it is --seed's
+default for that call, so its errors name --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -88,6 +91,7 @@ def _emit_json(data) -> None:
     sys.stdout.write("\n")
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="ghzbell",
@@ -127,10 +131,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     p_sweep.add_argument("--trials-per-point", type=int, required=True)
     for p, formats in ((p_sim, ("json", "human")), (p_sweep, ("json", "csv", "human"))):
-        # argparse runs a string default through type=int only when --seed is absent.
+        # main sets the default from the environment on each call.
         p.add_argument(
-            "--seed", type=int, default=os.environ.get(SEED_ENV_VAR, "0"),
-            help=f"64-bit seed (default ${SEED_ENV_VAR}, else 0)",
+            "--seed", type=int, help=f"64-bit seed (default ${SEED_ENV_VAR}, else 0)"
         )
         p.add_argument("--policy", choices=SETTING_POLICIES, default=ROUND_ROBIN)
         p.add_argument("--workers", type=int, default=1, help="worker threads (no effect on output)")
@@ -338,6 +341,10 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     parser, subparsers = _build_parser()
+    # argparse runs a string default through type=int only when --seed is absent.
+    seed = os.environ.get(SEED_ENV_VAR, "0")
+    for name in ("simulate", "sweep"):
+        subparsers[name].set_defaults(seed=seed)
     args = parser.parse_args(argv)
     handler, flags = COMMANDS[args.command]
     try:

@@ -146,10 +146,10 @@ def _triple_scores(q: CorrelationTensor, triples: Sequence) -> np.ndarray:
     a distributive regrouping of the defining 3^N-term sum.
     """
     rows = np.asarray(triples, dtype=np.float64)
-    scores = q.as_grid()
+    scores = q.entries
     for _ in range(q.n_parties):
-        scores = np.tensordot(scores, rows, axes=([0], [1]))
-    return scores
+        scores = np.dot(scores.reshape(3, -1).T, rows.T)
+    return scores.reshape((len(rows),) * q.n_parties)
 
 
 def lhv_bound(n_parties: int) -> float:

@@ -38,7 +38,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .lhv import lhv_bound
-from .quantum import _FieldError, _check_parties, _check_rate, entry_sum_closed_form
+from .quantum import HALF_SQRT3, _FieldError, _check_parties, _check_rate, entry_sum_closed_form
 
 BISECTION_LO = 1e-6
 # Every bracket starts at 1 - 1e-6 wide and halves each step: after 40 steps it
@@ -107,6 +107,12 @@ def critical_efficiency(n_parties):
     bracket fails. When q_N = 0 (N = 1 mod 3) the root also has the closed
     form (2^N sqrt(3) / 3^N)^(1/N).
 
+    This is the detection threshold of the paper's inequality under the
+    plain-product estimator, not local realism's threshold from N = 3 on:
+    at N = 3 the simulator's own law at V = 1 admits a local model only up
+    to eta = 0.67207 (a feasibility linear program over all 27^3
+    deterministic three-outcome strategies), against 0.79843 here.
+
     An int gives a float. A sequence of N gives a float64 array, solved by one
     bisection that runs elementwise over all of them: every entry halves its
     own bracket at each of the same 40 steps, so it takes the steps of a
@@ -167,18 +173,20 @@ class ThresholdRow:
 
 
 def threshold_table(n_max: int) -> list[ThresholdRow]:
-    """Rows for N = 2..n_max: three-setting and two-setting visibility, eta_cr."""
+    """Rows for N = 2..n_max: three-setting and two-setting visibility, eta_cr.
+
+    n_max is checked once, up front; each row's N is then an int of the range.
+    v_cr_new is critical_visibility(N) at eta = 1: the bound 2^(N-1) sqrt(3)
+    over the quantum value 3^N / 2, the same Python-float divide. v_cr_old is
+    two_setting_visibility_threshold(N), 2^((1-N)/2). eta_cr comes from one
+    critical_efficiency call over every N of the table.
+    """
     # The N = n_max constants first: an n_max below 2, or one whose 3^N leaves
     # float64, raises here, before N = 2..n_max is built.
     _efficiency_margin(n_max)
     ns = range(2, n_max + 1)
     return [
-        ThresholdRow(
-            n=n,
-            v_cr_new=critical_visibility(n),
-            v_cr_old=two_setting_visibility_threshold(n),
-            eta_cr=eta,
-        )
+        ThresholdRow(n, math.ldexp(HALF_SQRT3, n) / (3.0 ** n / 2.0), 2.0 ** ((1 - n) / 2), eta)
         for n, eta in zip(ns, critical_efficiency(ns).tolist())
     ]
 

@@ -1,8 +1,9 @@
 """End-to-end tests of the command line interface.
 
 Nearly everything runs ``python -m ghzbell ...`` in a subprocess and checks
-exit codes, JSON/CSV payloads and byte-level reproducibility; one test calls
-``main`` twice in this process, so the second call reads the cached tensors.
+exit codes, JSON/CSV payloads and byte-level reproducibility; a few tests call
+``main`` repeatedly in this process, where later calls reuse the parser and
+the cached tensors that the first call built.
 Exit conventions: 0 success, 1 failed verification, 2 usage error.
 """
 
@@ -315,6 +316,30 @@ class TestSimulate:
         assert res.returncode == 2
         assert res.stdout == ""
         assert "error: --seed: seed must fit in 64 unsigned bits, got -1" in res.stderr
+
+    def test_env_seed_is_read_on_every_in_process_call(self, monkeypatch, capsys):
+        # One process and one parser: each main call reads GHZBELL_SEED afresh.
+        base = ["simulate", "--n", "2", "--v", "0.8", "--eta", "0.9", "--trials", "900"]
+        monkeypatch.delenv("GHZBELL_SEED", raising=False)
+        seeds = {}
+        for seed in ("12345", "0"):
+            assert main(base + ["--seed", seed]) == 0
+            seeds[seed] = capsys.readouterr().out
+        assert seeds["12345"] != seeds["0"]
+
+        monkeypatch.setenv("GHZBELL_SEED", "12345")
+        assert main(base) == 0
+        assert capsys.readouterr().out == seeds["12345"]
+
+        monkeypatch.setenv("GHZBELL_SEED", "not-a-number")
+        with pytest.raises(SystemExit) as info:
+            main(base)
+        assert info.value.code == 2
+        assert "argument --seed: invalid int value: 'not-a-number'" in capsys.readouterr().err
+
+        monkeypatch.delenv("GHZBELL_SEED")
+        assert main(base) == 0
+        assert capsys.readouterr().out == seeds["0"]
 
     def test_usage_errors(self):
         bad_v = run_cli(
@@ -708,6 +733,21 @@ class TestJsonRendering:
         for _ in range(2):
             assert main(args.split()) == 0
             assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_interleaved_in_process_calls_share_one_parser(self, capsys):
+        # The benchmark's order, then other formats and methods: no --format,
+        # --method or --n-max value leaks from one call into the next.
+        names = [
+            "verify-n8-json", "thresholds-csv-646", "bound-n8-json",
+            "verify-n8-human", "bound-n8-human", "bound-n4-json",
+        ]
+        cli._build_parser.cache_clear()
+        for name in names:
+            args, digest = EXACT_SIDE_DIGESTS[name]
+            assert main(args.split()) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+        assert cli._build_parser.cache_info().misses == 1
 
     @pytest.mark.parametrize(
         "args, digest",
