@@ -180,37 +180,44 @@ class TrialBatch:
         """Write each value's ``_CELLS`` cell."""
         n = self.n_parties
         separators = np.array([0] * (n - 1) + [256] + [0] * (n - 1) + [512], dtype=np.uint16)
-        values = np.hstack([self.settings, self.outcomes]).view(np.uint8)
-        text = _CELLS.take(values + separators).tobytes().translate(None, b"\0").decode("ascii")
+        # Column by column (order="C" on the transposed views), so each add runs
+        # one long inner loop rather than one N-cell loop per row.
+        cells = np.empty((len(self), 2 * n), dtype=np.uint16)
+        for values, half in ((self.settings, slice(n)), (self.outcomes, slice(n, None))):
+            np.add(values.view(np.uint8).T, separators[half, None], out=cells[:, half].T, order="C")
+        text = _CELLS.take(cells).tobytes().translate(None, b"\0").decode("ascii")
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
 
     @classmethod
     def load(cls, path) -> "TrialBatch":
-        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-            text = fh.read()
+        """Read the file as bytes, its line endings as text mode reads them, then parse it.
+
+        ``\r\n`` and a lone ``\r`` become ``\n``. Only a failed load decodes
+        the bytes, with ``surrogateescape``, for the line scan that names the
+        first malformed record.
+        """
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         try:
-            values = _parse_records(text)
-            if not len(values):
+            settings, outcomes = _parse_records(data)
+            if not len(settings):
                 raise ValueError(f"{path}: no trial records")
-            # Each record's halves as two N-byte fields copied whole; N >= 2 before any view.
-            fields = values.view(f"V{_check_parties(values.shape[1] // 2)}")
-            halves = fields[:, :1], fields[:, 1:]
-            return cls(*(np.ascontiguousarray(half).view(np.int8) for half in halves))
+            return cls(settings, outcomes)
         except ValueError:
-            _raise_first_bad_record(path, text)
+            _raise_first_bad_record(path, data.decode("ascii", "surrogateescape"))
             raise
 
 
-# Trials-file bytes by role: "d" digit, "s" sign, " " blank within a line
-# (what str.split() splits on), "\n" and "|" themselves, "x" anything else.
-_BYTE_ROLE = np.full(256, ord("x"), dtype=np.uint8)
-_BYTE_ROLE[[9, 11, 12, 13, 28, 29, 30, 31, 32]] = ord(" ")
-_BYTE_ROLE[[ord("\n"), ord("|")]] = [ord("\n"), ord("|")]
-_BYTE_ROLE[[ord("+"), ord("-")]] = ord("s")
-_BYTE_ROLE[ord("0") : ord("9") + 1] = ord("d")
+# The bytes of a trials file: signs, digits, "|", "\n" and the blanks within a
+# line (what str.split() splits on).
+_BLANKS = b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_GRAMMAR = b"+-0123456789|\n" + _BLANKS
 
-# "0".."9" read 0..9; "p".."y", the same digits moved up by 64 after a "-", read 0..-9.
+# "0".."9" read 0..9; "p".."y", the same digits moved up by 64 after a "-", read
+# 0..-9. Every other byte, "|" and "\n" among them, reads as itself.
 _DIGITS = bytes.maketrans(b"0123456789pqrstuvwxy", bytes(np.r_[0:10, 0:-10:-1].astype(np.int8)))
 # The sign and first four significant digits of a longer token saturate to the
 # same int8 as the token, with no digit string too long for int().
@@ -223,45 +230,81 @@ def _saturated(data: bytes, at: int = 0) -> int:
     return min(max(int(sign + digits), -128), 127)
 
 
-def _parse_records(text: str) -> np.ndarray:
-    """The (records, 2N) int8 values of a trials file's text, blank lines skipped.
+def _parse_records(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The (records, N) int8 settings and outcomes of a trials file's bytes, blank lines skipped.
 
     Each non-blank line must be N tokens ``[+-]?[0-9]+``, one ``|`` and N more,
-    with the same N on every line. The check runs on the whole text at once: it
-    reduces the text to one event per token start, bar and line end and
-    compares that with the event string of a well-formed file, in uint8 and bool
-    arrays only. A token's value is its last digit, negated after a ``-``; only
-    longer tokens, which ``save`` never writes, go through ``int``, saturated to
-    int8: ``"0001"`` reads as 1, ``"257"`` as 127, which the constructor rejects.
+    with the same N on every line. The check runs on the whole file at once.
+    Once every byte is of the grammar and every sign opens a token and has a
+    digit after it, one ``translate`` keeps each token's value at its last
+    digit, each ``|`` and each ``\n``, and drops every other byte. Every
+    record must then read as N values, ``|``, N values and ``\n``, which the
+    count of bars and line ends and the bytes at their places show. A token's
+    value is its last digit, negated after a ``-``; only longer tokens, which
+    ``save`` never writes, go through ``int``, saturated to int8: ``"0001"``
+    reads as 1, ``"257"`` as 127, which the constructor rejects.
+
+    The file-sized passes write with ``out=`` into four work arrays made once:
+    bool ``token``, ``digit`` (later the bytes to keep) and ``end`` (first the
+    signs, then each token's last digit), and the uint8 ``mark``. ``translate``
+    reads ``mark``'s bytearray as it is, with no copy. Beside ``data``, the
+    only other file-sized object is the string that ``translate`` returns.
     """
-    data = text.encode("ascii", "surrogateescape")
-    roles = data.translate(_BYTE_ROLE)
-    raw, role = np.frombuffer(data, dtype=np.uint8), np.frombuffer(roles, dtype=np.uint8)
-    digit, sign = role == ord("d"), role == ord("s")
-    token = digit | sign
-    start = token & ~np.concatenate(([False], token[:-1]))
-    digit_next = np.concatenate((digit[1:], [False]))
-    if b"x" in roles or (sign & ~(start & digit_next)).any():
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if data.translate(None, _GRAMMAR):
         raise ValueError("malformed trials file")
-    # Token starts are "d" or "s" bytes, both below "t"; dropping the other
-    # token bytes and the blanks leaves one event per start, bar and line end.
-    events = np.maximum(role, start * np.uint8(ord("t"))).tobytes().translate(None, b"ds ")
-    events = events.strip(b"\n")
-    records, width = events.count(b"|"), max(events.find(b"|"), 0)
-    expected = ((b"t" * width + b"|" + b"t" * width + b"\n") * records)[:-1]
-    while events != expected and b"\n\n" in events:  # blank lines, after the first record
-        events = events.replace(b"\n\n", b"\n")
-    if events != expected:
+    token, digit, end = np.empty((3, len(raw)), dtype=bool)
+    marks = bytearray(len(raw))
+    mark = np.frombuffer(marks, dtype=np.uint8)
+    flag = mark.view(bool)
+    # Past the grammar check a token byte is "+", "-" or a digit: 43..57 but ",./".
+    np.less(np.subtract(raw, ord("+"), out=mark), 15, out=token)
+    np.less(np.subtract(raw, ord("0"), out=mark), 10, out=digit)
+    sign = np.greater(token, digit, out=end)
+    if (
+        np.logical_and(sign[1:], token[:-1], out=flag[1:]).any()  # a sign inside a token
+        or np.greater(sign[:-1], digit[1:], out=flag[:-1]).any()  # a sign without a digit
+        or sign[-1:].any()
+    ):
         raise ValueError("malformed trials file")
-    del events, expected  # so they do not stack on the passes below
-    end = digit & ~digit_next
-    minus = np.concatenate(([False], raw[:-1] == ord("-")))
-    last = (raw + np.uint8(64) * minus) * end  # 0 except at each token's last digit
-    values = np.frombuffer(bytearray(last).translate(_DIGITS, b"\0"), dtype=np.int8)
-    if (digit[1:] & digit[:-1]).any():
-        longer = np.flatnonzero(np.concatenate(([False], digit[:-1]))[end])
-        values[longer] = [_saturated(data, at) for at in np.flatnonzero(start)[longer]]
-    return values.reshape(records, 2 * width)
+    np.greater(digit[:-1], digit[1:], out=end[:-1])
+    end[-1:] = digit[-1:]
+    longer = np.count_nonzero(digit) > np.count_nonzero(end)  # a token of more than one digit
+    keep = np.less_equal(token, end, out=digit)  # a token's last digit or no token byte
+    # The marks: each kept byte, a last digit moved up by 64 after a "-"; 0 elsewhere.
+    flag[:1] = False
+    np.equal(raw[:-1], ord("-"), out=flag[1:])
+    np.multiply(mark, np.uint8(64), out=mark)
+    np.multiply(np.add(mark, raw, out=mark), keep, out=mark)
+    text = marks.translate(_DIGITS, b"\0" + _BLANKS).strip(b"\n")
+    records, line_ends = text.count(b"|"), text.count(b"\n")
+    while line_ends >= records and b"\n\n" in text:  # blank lines, after the first record
+        text = text.replace(b"\n\n", b"\n")
+        line_ends = text.count(b"\n")
+    width = max(text.find(b"|"), 0)
+    line = 2 * width + 2  # a record's bytes: N values, "|", N values, "\n"
+    rows = np.frombuffer(text, dtype=np.int8)
+    if text and (
+        len(text) + 1 != records * line
+        or line_ends != records - 1
+        or (rows[width::line] != ord("|")).any()
+        or (rows[line - 1 :: line] != ord("\n")).any()
+    ):
+        raise ValueError("malformed trials file")
+    if not records:
+        return np.empty((0, 0), np.int8), np.empty((0, 0), np.int8)
+    _check_parties(width)  # N >= 2 before any view
+    if longer:
+        starts = np.flatnonzero(token & ~np.concatenate(([False], token[:-1])))
+        ends = np.flatnonzero(end)
+        at = np.flatnonzero(ends - starts > (raw[starts] < ord("0")))  # a sign is no digit
+        column = at % (2 * width)
+        where = at // (2 * width) * line + column + (column >= width)
+        rows[where] = [_saturated(data, start) for start in starts[at]]
+    # Each record's halves as two N-byte fields, copied whole.
+    field = np.dtype(f"V{width}")
+    halves = (np.ndarray((records, 1), field, text, i, (line, width)) for i in (0, width + 1))
+    return tuple(np.ascontiguousarray(half).view(np.int8) for half in halves)
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")

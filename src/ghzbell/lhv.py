@@ -154,7 +154,12 @@ def _triple_scores(q: CorrelationTensor, triples: Sequence) -> np.ndarray:
 
 def lhv_bound(n_parties: int) -> float:
     """The deterministic maximum 2^(N-1) sqrt(3)."""
-    return math.ldexp(HALF_SQRT3, _check_parties(n_parties))
+    return _bound(_check_parties(n_parties))
+
+
+def _bound(n: int) -> float:
+    """``lhv_bound`` of an N already checked."""
+    return math.ldexp(HALF_SQRT3, n)
 
 
 def bound_attaining_strategy(n_parties: int) -> DeterministicStrategy:

@@ -31,14 +31,15 @@ so the results equal those of a per-N bisection in plain floats bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .lhv import lhv_bound
-from .quantum import HALF_SQRT3, _FieldError, _check_parties, _check_rate, entry_sum_closed_form
+from .lhv import _bound, lhv_bound
+from .quantum import _FieldError, _check_parties, _check_rate, entry_sum_closed_form
 
 BISECTION_LO = 1e-6
 # Every bracket starts at 1 - 1e-6 wide and halves each step: after 40 steps it
@@ -80,14 +81,15 @@ def _efficiency_margin(n_parties):
     computed in Python, checking the premise of critical_efficiency on the
     way (an N below 2 raises ValueError, an N whose 3^N leaves float64 raises
     OverflowError), and g evaluates in numpy, elementwise over an array of
-    eta of the same shape as ``n_parties``.
+    eta of the same shape as ``n_parties``. ``entry_sum_closed_form`` checks
+    each N, once; the bound is then taken unchecked.
     """
     ns = np.asarray(n_parties, dtype=object)  # each N as given: no promotion to float64
     constants = []
     for n in ns.ravel().tolist():
-        n = _check_parties(n)
-        bound = lhv_bound(n)
         q_abs = abs(entry_sum_closed_form(n))
+        n = operator.index(n)  # a plain int, as the check above found it
+        bound = _bound(n)
         if q_abs / bound not in (0.0, 1.0):
             raise RuntimeError(f"N={n}: |q_N| / bound = {q_abs / bound!r} is neither 0 nor 1")
         constants.append((n, 3.0 ** n, q_abs, bound))
@@ -186,7 +188,7 @@ def threshold_table(n_max: int) -> list[ThresholdRow]:
     _efficiency_margin(n_max)
     ns = range(2, n_max + 1)
     return [
-        ThresholdRow(n, math.ldexp(HALF_SQRT3, n) / (3.0 ** n / 2.0), 2.0 ** ((1 - n) / 2), eta)
+        ThresholdRow(n, _bound(n) / (3.0 ** n / 2.0), 2.0 ** ((1 - n) / 2), eta)
         for n, eta in zip(ns, critical_efficiency(ns).tolist())
     ]
 

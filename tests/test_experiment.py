@@ -936,6 +936,21 @@ class TestSummaryFromStats:
             tracemalloc.stop()
         assert peak < 40 * 3 ** 12
 
+    def test_load_peak_memory(self, tmp_path):
+        # Four file-sized work arrays, the bytes read and the translated
+        # records: about 6.5 bytes per file byte. A dozen file-sized
+        # temporaries once took 13.
+        path = tmp_path / "trials.txt"
+        generate_trials(ExperimentConfig(4, 0.9, 0.5, 32400, seed=5)).save(path)
+        TrialBatch.load(path)  # warm-up
+        tracemalloc.start()
+        try:
+            TrialBatch.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * path.stat().st_size
+
     def test_generate_trials_peak_memory(self):
         # Settings made in int8 inside each block, and the blocks freed before
         # the range checks: about 51 MB. Int64 combos and digits kept for every

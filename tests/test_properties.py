@@ -219,6 +219,13 @@ def _load_line_by_line(path: Path):
 @given(text=trials_texts())
 @example(text=" | \n")
 @example(text="\r\n1|-1\r\n2 | 0")
+# The first and last bytes: an empty file, a lone sign, a sign or a multi-digit
+# token ending the file, a sign opening it.
+@example(text="")
+@example(text="-")
+@example(text="1 2 | 1 -")
+@example(text="1 2 | 1 10")
+@example(text="-1 2 | 1 1")
 def test_load_matches_a_line_by_line_reading(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trials.txt"
