@@ -293,7 +293,6 @@ def _parse_records(data: bytes) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("malformed trials file")
     if not records:
         return np.empty((0, 0), np.int8), np.empty((0, 0), np.int8)
-    _check_parties(width)  # N >= 2 before any view
     if longer:
         starts = np.flatnonzero(token & ~np.concatenate(([False], token[:-1])))
         ends = np.flatnonzero(end)
