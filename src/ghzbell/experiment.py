@@ -247,8 +247,9 @@ def _parse_records(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     The file-sized passes write with ``out=`` into four work arrays made once:
     bool ``token``, ``digit`` (later the bytes to keep) and ``end`` (first the
     signs, then each token's last digit), and the uint8 ``mark``. ``translate``
-    reads ``mark``'s bytearray as it is, with no copy. Beside ``data``, the
-    only other file-sized object is the string that ``translate`` returns.
+    reads ``mark``'s bytearray as it is, with no copy. Beside ``data``, only
+    the kept bytes that ``translate`` returns, and their stripped copy, are of
+    the file's order of size.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
     if data.translate(None, _GRAMMAR):
