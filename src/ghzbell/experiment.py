@@ -41,6 +41,11 @@ auxiliary_tensor pass explicit trials as one block. The fair signs are a
 block's last draw and the statistics do not depend on them, so run_experiment
 takes the keys straight from the detection and parity draws and still matches
 summarize_batch on the trials generate_trials draws.
+
+Memory. A run holds its key counts in the narrowest signed integer type that
+holds the most trials one key can receive, one table of the 3^N parity
+thresholds while its blocks draw, and the summary's two 3^N float64 outputs;
+the summary reads the counts a chunk of combinations at a time.
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ BLOCK_TRIALS = 65536
 MAX_SEED = 2 ** 64 - 1
 # A trial's key, 3 combo + 1 + product, is below 3^(N+1): int64 holds it up to N = 38.
 _MAX_PARTIES = 38
+# Combinations per chunk of the summary, so each chunk's temporaries stay in cache.
+_SUMMARY_CHUNK = 16384
 
 
 def _check_seed(seed: int) -> int:
@@ -394,14 +401,31 @@ class SweepPoint:
         return asdict(self)
 
 
-def _draw(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generator):
+def _threshold_table(config: ExperimentConfig) -> np.ndarray:
+    """(1 + V q)/2 for every setting combination, q its quantum tensor entry.
+
+    That is the probability that an all-detected trial's parity is +1. It is
+    made once per run by the float64 operations, in the order, that a
+    per-trial computation would use, so each entry has the same bits.
+    """
+    threshold = quantum_tensor(config.n_parties).entries.copy()
+    threshold *= config.visibility
+    threshold += 1.0
+    threshold /= 2.0
+    return threshold
+
+
+def _draw(
+    config: ExperimentConfig, threshold: np.ndarray, combos: np.ndarray, rng: np.random.Generator
+):
     """Detection and outcome-product draws of one trial per entry of ``combos``.
 
     Draws detection uniforms, then one parity uniform per trial. Returns the
     (trials, N) detection mask, the all-detected mask and each trial's key,
     3 combo + 1 + product. In an all-detected trial the product is the parity,
-    +1 with probability (1 + V q)/2 for q the quantum tensor entry and -1
-    otherwise; in every other trial it is 0.
+    +1 where its uniform is below the combination's entry of ``threshold``,
+    the run's ``_threshold_table``, and -1 otherwise; in every other trial it
+    is 0.
     """
     n = config.n_parties
     # Column-major, so the reductions over the N stations run along contiguous
@@ -409,19 +433,16 @@ def _draw(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generator
     detected = np.asfortranarray(rng.random((combos.size, n)) < config.efficiency)
     parity_u = rng.random(combos.size)
     all_det = detected.all(axis=1)
-    q = quantum_tensor(n).entries
-    threshold = q[combos]  # (1 + V q) / 2, in place: one trial-sized float temporary
-    threshold *= config.visibility
-    threshold += 1.0
-    threshold /= 2.0
-    plus = parity_u < threshold
+    plus = parity_u < threshold[combos]
     key = 3 * combos
     # 1 + product in int8: 2 or 0 for parity +1 or -1 when all detect, else 1.
     key += np.int8(2) * (plus & all_det) + ~all_det
     return detected, all_det, key
 
 
-def _sample(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _sample(
+    config: ExperimentConfig, threshold: np.ndarray, combos: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
     """Outcomes of one trial per entry of ``combos``, drawn from ``rng``.
 
     After the draws of ``_draw`` come one fair-sign uniform per station, last.
@@ -430,7 +451,7 @@ def _sample(config: ExperimentConfig, combos: np.ndarray, rng: np.random.Generat
     target parity, ``key % 3 - 1``. The product is all the law depends on, so
     this gives exactly P(r) = 2^-N (1 + V prod(r) q).
     """
-    detected, all_det, key = _draw(config, combos, rng)
+    detected, all_det, key = _draw(config, threshold, combos, rng)
     # Column-major, as in _draw, so the parity runs along contiguous columns.
     minus = np.asfortranarray(rng.random(detected.shape) < 0.5)
     minus[:, -1] ^= all_det & (np.logical_xor.reduce(minus, axis=1) != (key % 3 == 0))
@@ -466,9 +487,9 @@ def _map_blocks(config: ExperimentConfig, func, workers: int):
     than 2·workers are pending, so a caller that folds them in keeps at most
     that many blocks' results alive at once. ``workers`` is checked when
     iteration starts, and the pool gets no more threads than there are CPUs.
-    The pool starts after the cached quantum tensor is built: two threads that
-    miss functools.cache at once would both build it. Closing the iterator
-    early cancels the blocks not yet started.
+    Callers make the threshold table, and with it the cached quantum tensor,
+    before the pool starts: two threads that miss functools.cache at once would
+    both build it. Closing the iterator early cancels the blocks not yet started.
     """
     workers = _check_integer("workers", workers)
     if workers < 1:
@@ -480,7 +501,6 @@ def _map_blocks(config: ExperimentConfig, func, workers: int):
         return
     from concurrent.futures import ThreadPoolExecutor  # only a pool pays for the import
 
-    quantum_tensor(config.n_parties)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         try:
@@ -497,6 +517,7 @@ def _map_blocks(config: ExperimentConfig, func, workers: int):
 
 def generate_trials(config: ExperimentConfig, workers: int = 1) -> TrialBatch:
     """Sample every trial of the experiment as an explicit batch."""
+    threshold = _threshold_table(config)
 
     def work(block):
         # Each block's int8 settings straight from its digits, so no trial-sized
@@ -505,7 +526,7 @@ def generate_trials(config: ExperimentConfig, workers: int = 1) -> TrialBatch:
         digits = np.array(np.unravel_index(combos, (3,) * config.n_parties), dtype=np.int8)
         settings = np.ascontiguousarray(digits.T)
         settings += np.int8(1)
-        return settings, _sample(config, combos, rng)
+        return settings, _sample(config, threshold, combos, rng)
 
     settings, outcomes = zip(*_map_blocks(config, work, workers))
     # Rebinding frees the blocks before the constructor's range checks run.
@@ -514,45 +535,50 @@ def generate_trials(config: ExperimentConfig, workers: int = 1) -> TrialBatch:
 
 
 def _summary_from_stats(
-    config: ExperimentConfig,
-    counts: np.ndarray,
-    sum_prod: np.ndarray,
-    nonzero: np.ndarray,
-    all_zero: int,
+    config: ExperimentConfig, key_counts: np.ndarray, all_zero: int
 ) -> ExperimentSummary:
-    """Summary of per-combination statistics; consumes its arguments.
+    """Summary of the 3 * 3^N key counts of ``_summarize`` and the all-zero count.
 
-    ``sum_prod`` becomes the estimated tensor's entries and ``nonzero``'s
-    buffer takes ``counts - 1``, so the only new float arrays are the
-    variances and their weights.
+    The counts are read ``_SUMMARY_CHUNK`` combinations at a time. A chunk's
+    -1, 0 and +1 counts give its trial counts and nonzero counts, in the
+    counts' own type, and its product sums, +1 minus -1 counts, exact in
+    float64. Only the estimates and the squared standard errors are written at
+    3^N size, and lhs and the standard error each reduce one of them whole.
     """
-    n = config.n_parties
-    # Sample variance (ddof=1) of the product per combination; (prod)^2 is the
-    # nonzero indicator, so sum of squares == nonzero count. Entries with no
-    # trials have no estimate and those with fewer than 2 no variance; they
-    # are set to 0 after the divides.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        se_sq = sum_prod ** 2
-        est = np.divide(sum_prod, counts, out=sum_prod)
-        se_sq /= counts
-        np.subtract(nonzero, se_sq, out=se_sq)
-        se_sq /= np.subtract(counts, 1, out=nonzero)
-        np.clip(se_sq, 0.0, None, out=se_sq)
-        se_sq /= counts
-    enough = counts >= 2
-    est[counts == 0] = 0.0
-    se_sq[~enough] = 0.0
+    n, combos = config.n_parties, config.n_combos
+    q = quantum_tensor(n).entries
+    est, se_sq = np.empty((2, combos))
+    infinite = False
+    for start in range(0, combos, _SUMMARY_CHUNK):
+        stop = min(start + _SUMMARY_CHUNK, combos)
+        minus, zero, plus = key_counts[3 * start : 3 * stop].reshape(-1, 3).T
+        nonzero = plus + minus
+        counts, sum_prod = nonzero + zero, np.subtract(plus, minus, dtype=np.float64)
+        e, s = est[start:stop], se_sq[start:stop]
+        # Sample variance (ddof=1) of the product per combination; (prod)^2 is
+        # the nonzero indicator, so sum of squares == nonzero count. The clip
+        # catches rounding, which can make it negative past 2^53 trials.
+        # Entries with no trials have no estimate and those with fewer than 2
+        # no variance; they are set to 0 after the divides.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.square(sum_prod, out=s)
+            np.divide(sum_prod, counts, out=e)
+            s /= counts
+            np.subtract(nonzero, s, out=s)
+            s /= np.subtract(counts, 1, out=nonzero)
+            np.clip(s, 0.0, None, out=s)
+            s /= counts
+        enough = counts >= 2
+        e[counts == 0] = 0.0
+        s[~enough] = 0.0
+        # The standard error is infinite exactly when a weighted entry has no
+        # variance; zero-weight entries contribute nothing either way.
+        weighted = q[start:stop]
+        infinite = infinite or bool((weighted[~enough] != 0.0).any())
+        s *= weighted ** 2
 
-    q = quantum_tensor(n)
-    lhs = abs(float(np.dot(q.entries, est)))
-    # The standard error is infinite exactly when a weighted entry has no
-    # variance; zero-weight entries contribute nothing either way.
-    if (q.entries[~enough] != 0.0).any():
-        se_lhs = math.inf
-    else:
-        se_sq *= q.entries ** 2
-        se_lhs = float(np.sqrt(np.sum(se_sq)))
-
+    lhs = abs(float(np.dot(q, est)))
+    se_lhs = math.inf if infinite else float(np.sqrt(np.sum(se_sq)))
     p_all_zero = all_zero / config.trials
     rhs = lhv_bound(n) - p_all_zero * abs(entry_sum_closed_form(n))
     return ExperimentSummary(
@@ -565,21 +591,24 @@ def _summary_from_stats(
     )
 
 
-def _summarize(config: ExperimentConfig, blocks) -> ExperimentSummary:
+def _summarize(config: ExperimentConfig, blocks, most: int) -> ExperimentSummary:
     """Summary of ``blocks``, an iterable of (keys, none-detected count); see ``_draw``.
 
     Each block's keys are added, in block order, into 3 * 3^N key counts by
     ``np.add.at`` (fast from numpy 1.25 on). Row c holds combination c's -1, 0
-    and +1 counts; the product sums are +1 minus -1 counts, exact in float64.
-    No count exceeds ``config.trials``, so they are int32 below 2^31 trials,
-    else int64, and are freed once split, before the summary. Where the run
-    does not fit in memory, ``n_parties`` is rejected here with the size of
-    those counts: numpy cannot size them at N = 38, and any MemoryError
-    on the way (the blocks, the quantum tensor built as they start, the count
-    split or the summary) is reported the same way.
+    and +1 counts. ``most`` bounds the trials of any one combination, so of
+    any one key; the counts take the narrowest signed integer type that holds
+    it: int8, int16, int32 or int64. Where the run does not fit in memory,
+    ``n_parties`` is rejected here with the size of those counts: numpy
+    cannot size int32 or int64 counts at N = 38, and any MemoryError on the
+    way (the threshold table a run makes as its blocks start, the blocks or
+    the summary) is reported the same way.
     """
     n, combos = config.n_parties, config.n_combos
-    dtype = np.dtype(np.int32 if config.trials < 2 ** 31 else np.int64)
+    dtype = next(
+        (t for t in map(np.dtype, (np.int8, np.int16, np.int32)) if most <= np.iinfo(t).max),
+        np.dtype(np.int64),
+    )
     try:
         try:
             key_counts = np.zeros(3 * combos, dtype=dtype)
@@ -590,11 +619,7 @@ def _summarize(config: ExperimentConfig, blocks) -> ExperimentSummary:
             np.add.at(key_counts, key, one)
             all_zero += none_count
             del key  # so a tallied block is freed before the next block draws
-        minus, zero, plus = key_counts.reshape(combos, 3).T
-        nonzero = plus + minus
-        counts, sum_prod = nonzero + zero, np.subtract(plus, minus, dtype=np.float64)
-        del key_counts, minus, zero, plus  # so the summary's 3^N temporaries do not stack on them
-        return _summary_from_stats(config, counts, sum_prod, nonzero, all_zero)
+        return _summary_from_stats(config, key_counts, all_zero)
     except MemoryError:
         raise _FieldError(
             "n_parties",
@@ -610,14 +635,26 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentSumm
     Statistics are merged from fixed per-seed trial blocks, so the summary is
     bit-identical for any ``workers`` value. A block keeps only the keys of
     ``_draw`` and its none-detected count, which ``_summarize`` tallies.
+    Round-robin gives each combination exactly trials / 3^N trials; uniform
+    random can give one combination all of them.
     """
 
-    def work(block):
-        combos, rng = _block_combos(config, block)
-        detected, _, key = _draw(config, combos, rng)
-        return key, combos.size - int(detected.any(axis=1).sum())
+    def blocks():
+        # Made as the tally starts: after the key counts and inside their
+        # MemoryError guard. It is freed with the last block.
+        threshold = _threshold_table(config)
 
-    return _summarize(config, _map_blocks(config, work, workers))
+        def work(block):
+            combos, rng = _block_combos(config, block)
+            detected, _, key = _draw(config, threshold, combos, rng)
+            return key, combos.size - int(detected.any(axis=1).sum())
+
+        yield from _map_blocks(config, work, workers)
+
+    most = config.trials
+    if config.setting_policy == ROUND_ROBIN:
+        most //= config.n_combos
+    return _summarize(config, blocks(), most)
 
 
 def _batch_block(batch: TrialBatch, config: ExperimentConfig, outcomes: np.ndarray):
@@ -637,7 +674,7 @@ def _batch_block(batch: TrialBatch, config: ExperimentConfig, outcomes: np.ndarr
 
 def summarize_batch(batch: TrialBatch, config: ExperimentConfig) -> ExperimentSummary:
     """Summary of an explicit trial batch (e.g. one loaded from disk)."""
-    return _summarize(config, [_batch_block(batch, config, batch.outcomes)])
+    return _summarize(config, [_batch_block(batch, config, batch.outcomes)], config.trials)
 
 
 def auxiliary_tensor(batch: TrialBatch, config: ExperimentConfig) -> CorrelationTensor:
@@ -650,7 +687,7 @@ def auxiliary_tensor(batch: TrialBatch, config: ExperimentConfig) -> Correlation
     q_N = 0.
     """
     folded = batch.outcomes - (batch.outcomes == 0)  # 0 - 1 = -1
-    return _summarize(config, [_batch_block(batch, config, folded)]).estimated_tensor
+    return _summarize(config, [_batch_block(batch, config, folded)], config.trials).estimated_tensor
 
 
 def visibility_sweep(

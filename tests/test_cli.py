@@ -101,11 +101,11 @@ def run_cli(*args, env=None):
     )
 
 
-def _assert_reports_size(*args, size=41841412812):
+def _assert_reports_size(*args, size=10460353203):
     """Run the CLI at N = 20 and expect a usage error that states ``size``.
 
-    That is the 12 * 3^20 bytes of int32 key counts, or 24 * 3^20 for int64
-    from 2^31 trials on.
+    That is the 3 * 3^20 bytes of int8 key counts, which hold a uniform-random
+    run of up to 127 trials, or 24 * 3^20 for int64 from 2^31 trials on.
 
     The child caps its own address space, so the 3^20-entry arrays fail to
     allocate at once instead of being reserved for real.
@@ -373,14 +373,14 @@ class TestSimulate:
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
     def test_memory_past_the_key_counts_names_the_flag(self):
         # The child caps its address space just above its own size plus the
-        # 12 * 3^16 bytes of key counts: they fit, and the first block's
-        # quantum tensor does not. Nothing is touched, so nothing is resident.
+        # 3 * 3^16 bytes of int8 key counts: they fit, and the quantum tensor
+        # that the threshold table is made from does not. Nothing is touched, so nothing is resident.
         code = (
             "import os, resource, sys\n"
             "from ghzbell.cli import main\n"
             "with open('/proc/self/statm') as fh:\n"
             "    size = int(fh.read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
-            "limit = size + 12 * 3 ** 16 + 64 * 2 ** 20\n"
+            "limit = size + 3 * 3 ** 16 + 64 * 2 ** 20\n"
             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
             "sys.exit(main(['simulate', '--n', '16', '--v', '0.9', '--eta', '0.9',\n"
             "               '--trials', '10', '--policy', 'uniform-random']))\n"
@@ -395,10 +395,23 @@ class TestSimulate:
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
         assert "error: --n: 16 parties need 3^16 = 43046721 setting combinations" in res.stderr
-        assert "516560652 bytes" in res.stderr
+        assert "129140163 bytes" in res.stderr
 
     def test_n_beyond_numpy_size_limit_names_the_flag(self):
-        # The 12 * 3^38 bytes of key counts are past what numpy can even size an array for.
+        # The 12 * 3^38 bytes of int32 key counts, from 32768 trials on, are
+        # past what numpy can even size an array for.
+        res = run_cli(
+            "simulate", "--n", "38", "--v", "0.5", "--eta", "0.5", "--trials", "32768",
+            "--policy", "uniform-random",
+        )
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "--n: 38 parties need 3^38 = 1350851717672992089" in res.stderr
+        assert "their key counts take 16210220612075905068 bytes" in res.stderr
+
+    def test_n_38_with_int8_counts_names_the_flag(self):
+        # The 3 * 3^38 bytes of int8 key counts are below sys.maxsize, so the
+        # allocator refuses them instead.
         res = run_cli(
             "simulate", "--n", "38", "--v", "0.5", "--eta", "0.5", "--trials", "10",
             "--policy", "uniform-random",
@@ -406,6 +419,7 @@ class TestSimulate:
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
         assert "--n: 38 parties need 3^38 = 1350851717672992089" in res.stderr
+        assert "their key counts take 4052555153018976267 bytes" in res.stderr
 
     @pytest.mark.parametrize("policy", ["round-robin", "uniform-random"])
     @pytest.mark.parametrize("n", ["39", "45", "10000", "100000000"])
@@ -470,9 +484,10 @@ class TestSweep:
         )
 
     def test_n_beyond_numpy_size_limit_names_the_flag(self):
+        # From 32768 trials on, the counts are int32: 12 * 3^38 bytes.
         res = run_cli(
             "sweep", "--n", "38", "--eta", "0.5", "--v-grid", "0.5",
-            "--trials-per-point", "10", "--policy", "uniform-random",
+            "--trials-per-point", "32768", "--policy", "uniform-random",
         )
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
@@ -515,12 +530,12 @@ class TestConfigErrorsNameTheFlag:
                 "sweep --n 2 --eta 1.0 --v-grid 0.5,1.2 --trials-per-point 9",
                 "--v-grid: visibility must be in [0, 1], got 1.2",
             ),
-            # 12 * 3^37 bytes of key counts are below sys.maxsize, so the allocator
-            # refuses them at once with MemoryError; numpy's own size check starts at N = 38.
+            # 3 * 3^37 bytes of int8 key counts are below sys.maxsize, so the allocator
+            # refuses them at once with MemoryError.
             (
                 "simulate --n 37 --v 0.5 --eta 0.5 --trials 10 --policy uniform-random",
                 "--n: 37 parties need 3^37 = 450283905890997363 setting combinations; "
-                "their key counts take 5403406870691968356 bytes",
+                "their key counts take 1350851717672992089 bytes",
             ),
             (
                 "sweep --n 37 --eta 0.5 --v-grid 0.5 --trials-per-point 10 "

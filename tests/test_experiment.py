@@ -8,10 +8,13 @@ Core claims covered here:
     range check did once a batch has 2 parties and 1 trial, refuses fewer,
     and keeps read-only int8 copies that no caller can change,
   * generate_trials draws the same outcomes as the earlier sign fill (np.where,
-    boolean gather, prod and scatter) for N = 2..6 and 12,
+    boolean gather, prod and scatter) for N = 2..6 and 12, and generate_trials
+    and run_experiment draw the same trials as parity thresholds computed per
+    block, (1 + V q[combos])/2, for any V down to the subnormal 5e-324,
   * the key-count tally equals a per-combination loop over explicit trials, in
-    one block or several, and each sampled trial's outcome product is the one
-    its key encodes,
+    one block or several, its counts take the narrowest signed type that
+    holds the most trials one key can receive, and each sampled trial's
+    outcome product is the one its key encodes,
   * the auxiliary estimator's entries equal a masked divide of the folded
     per-combination sums bit for bit,
   * a batch's keys hold the place-value combination index and the outcome
@@ -19,7 +22,9 @@ Core claims covered here:
     was built from do not reach the estimators,
   * two worker threads build the cached quantum tensor once, not once each,
   * the summary's estimate, lhs and standard error equal the masked-divide
-    formulas bit for bit, the infinite standard error included,
+    formulas bit for bit, in one chunk of combinations or several, the
+    infinite standard error and the clip of a variance rounded below 0
+    included,
   * per-entry estimates converge to eta^N V Q within statistical error, the
     all-zero frequency converges to (1-eta)^N, and folding lost detections to
     -1 shifts every entry by (-1)^N (1-eta)^N,
@@ -45,6 +50,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzbell import (
     ROUND_ROBIN,
@@ -72,6 +79,7 @@ from ghzbell.experiment import (
     _sample,
     _summarize,
     _summary_from_stats,
+    _threshold_table,
 )
 from ghzbell.quantum import _FieldError
 
@@ -112,9 +120,28 @@ def _isin_check(settings, outcomes):
     return None
 
 
+def _reference_threshold(config, combos):
+    """(1 + V q[combos])/2 for one block, as the earlier ``_draw`` computed it."""
+    threshold = quantum_tensor(config.n_parties).entries[combos]
+    threshold *= config.visibility
+    threshold += 1.0
+    threshold /= 2.0
+    return threshold
+
+
+def _reference_draw(config, combos, rng):
+    """The earlier ``_draw``: each block computes its own thresholds."""
+    detected = np.asfortranarray(rng.random((combos.size, config.n_parties)) < config.efficiency)
+    parity_u = rng.random(combos.size)
+    all_det = detected.all(axis=1)
+    plus = parity_u < _reference_threshold(config, combos)
+    key = 3 * combos + np.where(all_det, np.where(plus, 2, 0), 1)
+    return detected, all_det, key
+
+
 def _reference_sample(config, combos, rng):
     """The earlier fair-sign fill: signs by np.where, then a gather, prod and scatter."""
-    detected, all_det, key = _draw(config, combos, rng)
+    detected, all_det, key = _reference_draw(config, combos, rng)
     outcomes = np.where(rng.random(detected.shape) < 0.5, -1, 1).astype(np.int8)
     signs = np.asfortranarray(outcomes[all_det]).prod(axis=1)
     outcomes[all_det, -1] *= (key[all_det] % 3 - 1) * signs
@@ -714,9 +741,26 @@ class TestDeterminism:
         assert len(started) <= 2 * 2 + 1
 
 
-def _capture_stats(monkeypatch):
-    """Make the summary functions return the statistics ``_summarize`` derives."""
-    monkeypatch.setattr(experiment, "_summary_from_stats", lambda config, *stats: stats)
+def _record_key_counts(monkeypatch) -> list:
+    """A list that gets a copy of the key counts each summary reads, all-zero count after."""
+    seen, summary_from_stats = [], experiment._summary_from_stats
+
+    def record(config, key_counts, all_zero):
+        seen.append((key_counts.copy(), all_zero))
+        return summary_from_stats(config, key_counts, all_zero)
+
+    monkeypatch.setattr(experiment, "_summary_from_stats", record)
+    return seen
+
+
+def _key_count_stats(key_counts):
+    """Per-combination trial counts, product sums and nonzero counts of 3 * 3^N key counts.
+
+    Key 3 combo + 1 + product: combination c's -1, 0, +1 counts are key counts
+    3c, 3c + 1 and 3c + 2. The product sums are float64, as the summary's are.
+    """
+    minus, zero, plus = key_counts.reshape(-1, 3).T
+    return minus + zero + plus, np.subtract(plus, minus, dtype=np.float64), plus + minus
 
 
 class TestTally:
@@ -734,7 +778,7 @@ class TestTally:
         place = 3 ** (n - 1 - np.arange(n))
         batch = TrialBatch(settings=combos[:, None] // place % 3 + 1, outcomes=outcomes)
         config = ExperimentConfig(n, 0.8, eta, trials, seed=1, setting_policy=UNIFORM_RANDOM)
-        _capture_stats(monkeypatch)
+        seen = _record_key_counts(monkeypatch)
 
         want_counts, want_sums, want_nonzero = [0] * m, [0] * m, [0] * m
         for c, row in zip(combos.tolist(), outcomes.tolist()):
@@ -749,14 +793,17 @@ class TestTally:
         blocks = [
             (key[a:b], int((~outcomes[a:b].any(axis=1)).sum())) for a, b in zip(cuts, cuts[1:])
         ]
-        for counts, sum_prod, nonzero, all_zero in (
-            summarize_batch(batch, config), _summarize(config, blocks)
-        ):
+        summarize_batch(batch, config)
+        _summarize(config, blocks, trials)
+        assert len(seen) == 2
+        for key_counts, all_zero in seen:
+            counts, sum_prod, nonzero = _key_count_stats(key_counts)
             assert counts.tolist() == want_counts
             assert sum_prod.tolist() == [float(x) for x in want_sums]
             assert nonzero.tolist() == want_nonzero
             assert all_zero == want_all_zero
-            assert sum_prod.dtype == np.float64 and nonzero.dtype == np.int32  # below 2^31 trials
+            # 36 to 972 trials, any one key could receive them all.
+            assert key_counts.dtype == (np.int8 if trials < 128 else np.int16)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_combo_index_matches_place_values(self, n):
@@ -778,39 +825,82 @@ class TestTally:
         assert none_count == int((outcomes == 0).all(axis=1).sum()) >= 1
 
     def test_key_counts_split_into_counts_sums_and_nonzero(self, monkeypatch):
-        # Key 3 combo + 1 + product: combination c's -1, 0, +1 counts are
-        # key counts 3c, 3c + 1 and 3c + 2.
-        config = ExperimentConfig(2, 0.8, 0.9, 9, seed=1)
-        _capture_stats(monkeypatch)
+        # Key 3 combo + 1 + product: combination c's -1, 0, +1 counts are key
+        # counts 3c, 3c + 1 and 3c + 2, and the summary reads them so.
         key = np.repeat(np.arange(27), np.arange(27))  # key k occurs k times
-        counts, sum_prod, nonzero, all_zero = _summarize(config, [(key, 5)])
+        config = ExperimentConfig(2, 0.8, 0.9, key.size, seed=1, setting_policy=UNIFORM_RANDOM)
+        seen = _record_key_counts(monkeypatch)
+        got = _summarize(config, [(key, 5)], key.size)
+        key_counts, all_zero = seen.pop()
+        assert key_counts.tolist() == list(range(27)) and all_zero == 5
+        counts, sum_prod, nonzero = _key_count_stats(key_counts)
         assert counts.tolist() == [9 * c + 3 for c in range(9)]
         assert sum_prod.tolist() == [2.0] * 9
         assert nonzero.tolist() == [6 * c + 2 for c in range(9)]
-        assert all_zero == 5
+        est, lhs, se = _masked_divide_summary(2, counts, sum_prod, nonzero)
+        assert np.array_equal(got.estimated_tensor.entries.view(np.int64), est.view(np.int64))
+        assert got.lhs.hex() == lhs.hex() and got.standard_error_lhs.hex() == se.hex()
+        assert got.p_all_zero == 5 / key.size
         # Combination 0: +1, +1, -1; combination 1: 0, +1; combination 2: 0, 0;
         # in two blocks.
         blocks = [(np.array([2, 2, 0]), 0), (np.array([4, 5, 7, 7]), 2)]
-        counts, sum_prod, nonzero, all_zero = _summarize(config, blocks)
+        _summarize(config, blocks, key.size)
+        key_counts, all_zero = seen.pop()
+        counts, sum_prod, nonzero = _key_count_stats(key_counts)
         assert counts.tolist() == [3, 2, 2] + [0] * 6
         assert sum_prod.tolist() == [1.0, 1.0, 0.0] + [0.0] * 6
         assert nonzero.tolist() == [3, 1, 0] + [0] * 6
         assert all_zero == 2
-        assert sum_prod.dtype == np.float64 and nonzero.dtype == np.int32  # below 2^31 trials
 
-    @pytest.mark.parametrize("trials, dtype", [(2 ** 31 - 1, np.int32), (2 ** 31, np.int64)])
-    def test_key_counts_are_int32_below_2_to_the_31_trials(self, trials, dtype, monkeypatch):
-        # No count can exceed the trial count, so int32 holds every count
-        # below 2^31 trials; from 2^31 on the counts are int64.
-        config = ExperimentConfig(2, 0.8, 0.9, trials, seed=1, setting_policy=UNIFORM_RANDOM)
-        _capture_stats(monkeypatch)
-        blocks = [(np.array([2, 2, 0]), 0), (np.repeat([4, 5, 7, 26], [1, 70000, 2, 3]), 2)]
-        counts, sum_prod, nonzero, all_zero = _summarize(config, blocks)
-        assert counts.tolist() == [3, 70001, 2] + [0] * 5 + [3]
-        assert sum_prod.tolist() == [1.0, 70000.0, 0.0] + [0.0] * 5 + [3.0]
-        assert nonzero.tolist() == [3, 70000, 0] + [0] * 5 + [3]
-        assert all_zero == 2
-        assert counts.dtype == nonzero.dtype == dtype and sum_prod.dtype == np.float64
+    @pytest.mark.parametrize(
+        "policy, trials, dtype",
+        [
+            (ROUND_ROBIN, 9 * 127, np.int8),
+            (ROUND_ROBIN, 9 * 128, np.int16),
+            (ROUND_ROBIN, 9 * 32767, np.int16),
+            (ROUND_ROBIN, 9 * 32768, np.int32),
+            (UNIFORM_RANDOM, 127, np.int8),
+            (UNIFORM_RANDOM, 128, np.int16),
+            (UNIFORM_RANDOM, 2 ** 31 - 1, np.int32),
+            (UNIFORM_RANDOM, 2 ** 31, np.int64),
+        ],
+    )
+    def test_run_key_counts_are_the_narrowest_type_for_one_keys_trials(
+        self, policy, trials, dtype, monkeypatch
+    ):
+        # A round-robin run gives each of the 3^N combinations trials / 3^N
+        # trials; a uniform-random run can give one key all of them. In place
+        # of the drawn blocks, one block puts that many trials (at most one
+        # block's worth) on key 2: combination 0, product +1.
+        most = trials // 9 if policy == ROUND_ROBIN else trials
+        fill = min(most, BLOCK_TRIALS)
+        monkeypatch.setattr(
+            experiment, "_map_blocks", lambda config, work, workers: iter([(np.full(fill, 2), 3)])
+        )
+        seen = _record_key_counts(monkeypatch)
+        run_experiment(ExperimentConfig(2, 0.8, 0.9, trials, seed=1, setting_policy=policy))
+        [(key_counts, all_zero)] = seen
+        assert key_counts.dtype == dtype
+        assert key_counts[2] == key_counts.sum() == fill and all_zero == 3
+
+    @pytest.mark.parametrize(
+        "policy, trials, dtype",
+        [(UNIFORM_RANDOM, 127, np.int8), (UNIFORM_RANDOM, 128, np.int16), (ROUND_ROBIN, 135, np.int16)],
+    )
+    def test_batch_key_counts_hold_every_trial_on_one_key(self, policy, trials, dtype, monkeypatch):
+        # An explicit batch can put all its trials on one key whatever the
+        # config's policy: 135 round-robin trials are 15 per combination, and
+        # here every one is combination 0. Its outcomes (+1, 0) have product
+        # 0; folded, (+1, -1), product -1.
+        outcomes = np.tile(np.array([1, 0], dtype=np.int8), (trials, 1))
+        batch = TrialBatch(settings=np.ones((trials, 2), dtype=np.int8), outcomes=outcomes)
+        config = ExperimentConfig(2, 0.8, 0.9, trials, seed=1, setting_policy=policy)
+        seen = _record_key_counts(monkeypatch)
+        assert summarize_batch(batch, config).estimated_tensor.entries.tolist() == [0.0] * 9
+        assert auxiliary_tensor(batch, config).entries.tolist() == [-1.0] + [0.0] * 8
+        (plain, _), (folded, _) = seen
+        assert plain.dtype == folded.dtype == dtype
+        assert plain[1] == folded[0] == trials
 
     @pytest.mark.parametrize("n, eta", [(2, 0.7), (3, 1.0), (5, 0.9)])
     def test_sampled_products_are_the_keys_products(self, n, eta):
@@ -818,8 +908,9 @@ class TestTally:
             n_parties=n, visibility=0.8, efficiency=eta, trials=3 ** n * 40, seed=11
         )
         combos = np.arange(config.trials, dtype=np.int64) % config.n_combos
-        _, all_det, key = _draw(config, combos, np.random.default_rng(5))
-        outcomes = _sample(config, combos, np.random.default_rng(5))
+        threshold = _threshold_table(config)
+        _, all_det, key = _draw(config, threshold, combos, np.random.default_rng(5))
+        outcomes = _sample(config, threshold, combos, np.random.default_rng(5))
         products = outcomes.astype(np.int64).prod(axis=1)
         assert all_det.any() and np.array_equal(np.unique(products[all_det]), [-1, 1])
         assert np.array_equal(products[all_det], key[all_det] % 3 - 1)
@@ -846,6 +937,46 @@ class TestTally:
         assert np.array_equal(outcomes, expected)
 
 
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    policy=st.sampled_from([ROUND_ROBIN, UNIFORM_RANDOM]),
+    visibility=st.one_of(
+        st.sampled_from([0.0, 5e-324, 2.0 ** -1022, 0.5, 1 - 2.0 ** -53, 1.0]),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    efficiency=st.sampled_from([0.0, 0.5, 0.93, 1.0]),
+    seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+)
+def test_run_and_generated_trials_match_thresholds_computed_per_block(
+    n, policy, visibility, efficiency, seed
+):
+    # The run's one threshold table gives the bits that (1 + V q[combos])/2,
+    # computed per block, gives: over two blocks, the second partial.
+    trials = 3 ** n * -(-70000 // 3 ** n)
+    config = ExperimentConfig(n, visibility, efficiency, trials, seed, policy)
+    table = _threshold_table(config)
+    setting_rows, outcome_rows = [], []
+    for block in range(2):
+        combos, rng = _block_combos(config, block)
+        # A changed last bit would flip a trial only once in about 2^53 draws.
+        assert np.array_equal(
+            table[combos].view(np.int64), _reference_threshold(config, combos).view(np.int64)
+        )
+        setting_rows.append(np.array(np.unravel_index(combos, (3,) * n)).T + 1)
+        outcome_rows.append(_reference_sample(config, combos, rng))
+    expected = TrialBatch(np.concatenate(setting_rows), np.concatenate(outcome_rows))
+    batch = generate_trials(config)
+    assert np.array_equal(batch.settings, expected.settings)
+    assert np.array_equal(batch.outcomes, expected.outcomes)
+    got, want = run_experiment(config), summarize_batch(expected, config)
+    assert np.array_equal(
+        got.estimated_tensor.entries.view(np.int64), want.estimated_tensor.entries.view(np.int64)
+    )
+    assert (got.lhs, got.p_all_zero) == (want.lhs, want.p_all_zero)
+    assert got.standard_error_lhs.hex() == want.standard_error_lhs.hex()
+
+
 def _masked_divide_summary(n, counts, sum_prod, nonzero):
     """Reference: estimate, lhs and standard error by masked divides."""
     m = 3 ** n
@@ -864,7 +995,7 @@ def _masked_divide_summary(n, counts, sum_prod, nonzero):
 
 class TestSummaryFromStats:
     @staticmethod
-    def _stats_with_trial_counts(n, seed, weighted_low):
+    def _key_counts_with_trial_counts(n, seed, weighted_low, dtype):
         """Counts of 0, 1, 2 and many trials; weighted entries get >= 2 unless asked."""
         m = 3 ** n
         rng = np.random.default_rng(seed)
@@ -875,16 +1006,16 @@ class TestSummaryFromStats:
         if weighted_low is not None:
             counts[np.flatnonzero(weighted)[0]] = weighted_low
         nonzero = rng.binomial(counts, 0.7)
-        sum_prod = (nonzero - 2 * rng.binomial(nonzero, 0.3)).astype(np.float64)
-        return counts, sum_prod, nonzero
+        minus = rng.binomial(nonzero, 0.3)
+        return np.stack([minus, counts - nonzero, nonzero - minus], axis=1).ravel().astype(dtype)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("weighted_low", [None, 0, 1])
-    def test_matches_masked_divides_bit_for_bit(self, n, weighted_low):
-        counts, sum_prod, nonzero = self._stats_with_trial_counts(n, n, weighted_low)
+    @classmethod
+    def _assert_matches_masked_divides(cls, n, weighted_low, dtype):
+        key_counts = cls._key_counts_with_trial_counts(n, n, weighted_low, dtype)
+        counts, sum_prod, nonzero = _key_count_stats(key_counts.astype(np.int64))
         trials = max(int(counts.sum()), 1)
         config = ExperimentConfig(n, 0.8, 0.9, trials, seed=1, setting_policy=UNIFORM_RANDOM)
-        got = _summary_from_stats(config, counts.copy(), sum_prod.copy(), nonzero.copy(), 2)
+        got = _summary_from_stats(config, key_counts, 2)
         est, lhs, se = _masked_divide_summary(n, counts, sum_prod, nonzero)
         entries = got.estimated_tensor.entries
         assert np.array_equal(entries.view(np.int64), est.view(np.int64))
@@ -893,18 +1024,40 @@ class TestSummaryFromStats:
         assert math.isinf(se) == (weighted_low is not None)
         assert got.p_all_zero == 2 / trials
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("weighted_low", [None, 0, 1])
+    def test_matches_masked_divides_bit_for_bit(self, n, weighted_low):
+        self._assert_matches_masked_divides(n, weighted_low, np.int64)
+
+    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("weighted_low", [None, 1])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16])
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_matches_masked_divides_in_chunks_of_narrow_counts(
+        self, n, weighted_low, dtype, chunk, monkeypatch
+    ):
+        # N = 10 is four chunks of the default size, the last one partial; a
+        # chunk of 7 splits both N here, 3^N not a multiple of it.
+        if chunk is not None:
+            monkeypatch.setattr(experiment, "_SUMMARY_CHUNK", chunk)
+        self._assert_matches_masked_divides(n, weighted_low, dtype)
+
     def test_clips_a_negative_variance_to_zero(self):
+        # Past 2^53 trials float64 rounds the counts and the squared sum, and
+        # this combination's sample variance, nonzero - sum^2 / count, comes
+        # out at -512. The other combinations have 2 trials of product +1 and
+        # variance 0, so without the clip the standard error would be NaN.
         n = 2
-        counts = np.full(9, 2, dtype=np.int64)
-        nonzero = np.full(9, 2, dtype=np.int64)
-        sum_prod = np.zeros(9)
-        nonzero[0], sum_prod[0] = 0, 2.0  # inconsistent on purpose: variance -2
-        config = ExperimentConfig(n, 0.8, 0.9, 18, seed=1, setting_policy=UNIFORM_RANDOM)
-        got = _summary_from_stats(config, counts.copy(), sum_prod.copy(), nonzero.copy(), 0)
+        key_counts = np.tile(np.array([0, 0, 2], dtype=np.int64), 9)
+        key_counts[:3] = 148, 3, 3963163789177938395
+        counts, sum_prod, nonzero = _key_count_stats(key_counts)
+        assert nonzero[0] - sum_prod[0] ** 2 / counts[0] == -512.0
+        config = ExperimentConfig(n, 0.8, 0.9, int(counts.sum()), seed=1, setting_policy=UNIFORM_RANDOM)
+        got = _summary_from_stats(config, key_counts.copy(), 0)
         est, lhs, se = _masked_divide_summary(n, counts, sum_prod, nonzero)
         assert np.array_equal(got.estimated_tensor.entries.view(np.int64), est.view(np.int64))
         assert got.lhs.hex() == lhs.hex()
-        assert got.standard_error_lhs.hex() == se.hex()
+        assert got.standard_error_lhs == se == 0.0
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
     def test_matches_masked_divides_on_simulated_trials(self, eta):
@@ -924,8 +1077,10 @@ class TestSummaryFromStats:
 
     def test_run_experiment_peak_memory(self):
         # At N = 12 the int64 key counts and the summary's own 3^N
-        # temporaries once peaked at 57 bytes per combination; int32 counts
-        # and a summary in its inputs' buffers take 33.
+        # temporaries once peaked at 57 bytes per combination, and int32
+        # counts with a summary in its inputs' buffers at 33. Int8 counts (2
+        # trials per combination), the 8-byte threshold table and a summary
+        # that reads the counts in chunks take about 25.3.
         config = ExperimentConfig(12, 0.6, 0.98, 2 * 3 ** 12, seed=7)
         run_experiment(config)  # warm-up: the cached quantum tensor
         tracemalloc.start()
@@ -934,7 +1089,7 @@ class TestSummaryFromStats:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 3 ** 12
+        assert peak < 30 * 3 ** 12
 
     def test_load_peak_memory(self, tmp_path):
         # Four file-sized work arrays, the bytes read and the translated
@@ -953,8 +1108,8 @@ class TestSummaryFromStats:
 
     def test_generate_trials_peak_memory(self):
         # Settings made in int8 inside each block, and the blocks freed before
-        # the range checks: about 51 MB. Int64 combos and digits kept for every
-        # trial would add over 100 MB.
+        # the range checks: about 55 MB, the threshold table's 4 MB included.
+        # Int64 combos and digits kept for every trial would add over 100 MB.
         config = ExperimentConfig(12, 0.6, 0.98, 2 * 3 ** 12, seed=7)
         generate_trials(ExperimentConfig(12, 0.6, 0.98, 3 ** 12, seed=7))  # warm-up
         tracemalloc.start()
