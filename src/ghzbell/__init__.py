@@ -53,7 +53,7 @@ from .thresholds import (
     two_setting_visibility_threshold,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "BLOCK_TRIALS",

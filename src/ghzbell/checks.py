@@ -167,7 +167,7 @@ def run_checks(n_max: int = 6, inject_fault: bool = False) -> list[CheckResult]:
     # A fault injection knob exercises the failure path of the harness itself.
     offset = 1e-3 if inject_fault else 0.0
     return [
-        # (Q, Q) = (3/4) (T, T); (T, T) counts the nonzero entries, and 3/4 of it is exact.
+        # (Q, Q) = (3/4) (T, T); (T, T) counts nonzero entries, exact in any order, as is 3/4 of it.
         _largest_gap(
             "norm-identity",
             (

@@ -44,8 +44,8 @@ summarize_batch on the trials generate_trials draws.
 
 Memory. A run holds its key counts in the narrowest signed integer type that
 holds the most trials one key can receive, one table of the 3^N parity
-thresholds while its blocks draw, and the summary's two 3^N float64 outputs;
-the summary reads the counts a chunk of combinations at a time.
+thresholds while its blocks draw, and two 3^N float64 summary arrays, of which
+the summary keeps one; it reads the counts a chunk of combinations at a time.
 """
 
 from __future__ import annotations
@@ -542,12 +542,12 @@ def _summary_from_stats(
     The counts are read ``_SUMMARY_CHUNK`` combinations at a time. A chunk's
     -1, 0 and +1 counts give its trial counts and nonzero counts, in the
     counts' own type, and its product sums, +1 minus -1 counts, exact in
-    float64. Only the estimates and the squared standard errors are written at
-    3^N size, and lhs and the standard error each reduce one of them whole.
+    float64. Two 3^N arrays are written, and the summary keeps one, the
+    estimates; the other holds the squared errors, then q * est, which lhs sums.
     """
     n, combos = config.n_parties, config.n_combos
     q = quantum_tensor(n).entries
-    est, se_sq = np.empty((2, combos))
+    est, se_sq = np.empty(combos), np.empty(combos)
     infinite = False
     for start in range(0, combos, _SUMMARY_CHUNK):
         stop = min(start + _SUMMARY_CHUNK, combos)
@@ -577,8 +577,8 @@ def _summary_from_stats(
         infinite = infinite or bool((weighted[~enough] != 0.0).any())
         s *= weighted ** 2
 
-    lhs = abs(float(np.dot(q, est)))
     se_lhs = math.inf if infinite else float(np.sqrt(np.sum(se_sq)))
+    lhs = abs(float(np.sum(np.multiply(q, est, out=se_sq))))
     p_all_zero = all_zero / config.trials
     rhs = lhv_bound(n) - p_all_zero * abs(entry_sum_closed_form(n))
     return ExperimentSummary(

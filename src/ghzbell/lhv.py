@@ -136,7 +136,7 @@ def strategy_score(strategy: DeterministicStrategy, q: CorrelationTensor) -> flo
             f"strategy has {strategy.n_parties} parties but tensor has {q.n_parties}"
         )
     arrays = [np.asarray(t, dtype=np.float64) for t in strategy.assignments]
-    return float(np.dot(q.entries, reduce(np.multiply.outer, arrays).ravel()))
+    return float(np.sum(q.entries * reduce(np.multiply.outer, arrays).ravel()))
 
 
 def _triple_scores(q: CorrelationTensor, triples: Sequence) -> np.ndarray:
@@ -147,6 +147,8 @@ def _triple_scores(q: CorrelationTensor, triples: Sequence) -> np.ndarray:
     """
     rows = np.asarray(triples, dtype=np.float64)
     scores = q.entries
+    # np.dot is exact here in any summation order: callers pass the integer
+    # table and 0/+-1 triples, so every partial sum is a small integer.
     for _ in range(q.n_parties):
         scores = np.dot(scores.reshape(3, -1).T, rows.T)
     return scores.reshape((len(rows),) * q.n_parties)

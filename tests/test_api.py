@@ -99,7 +99,7 @@ def test_public_names_are_pinned_and_resolve():
 def test_version_matches_the_project_metadata():
     pyproject = (ROOT / "pyproject.toml").read_text()
     (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, flags=re.M)
-    assert ghzbell.__version__ == version == "0.9.0"
+    assert ghzbell.__version__ == version == "0.10.0"
 
 
 def test_readme_library_example_runs(capsys):

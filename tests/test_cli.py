@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -707,7 +708,7 @@ class TestJsonRendering:
         )
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
-            "4c8819a001f9168dfd1c415a7a1e02ee7578c15246586f5cf903ac9efed722a9"
+            "a822e8aa746a40766529e14b0b80483b271868cf7d0dbe082e862cdac1efac89"
         )
 
     @pytest.mark.parametrize(
@@ -716,11 +717,11 @@ class TestJsonRendering:
             (
                 "simulate --n 11 --v 0.7 --eta 0.9 --trials 354294 --seed 3"
                 " --policy uniform-random",
-                "f116d2bf48298b782a9a8393564acf9ce4b36d2daada6aca1437d94c4b5a6705",
+                "a29752773dc01772f9d43e1dc8970e22e00f6491be18ca7159928ec6a9225727",
             ),
             (
                 "simulate --n 12 --v 0.6 --eta 0.98 --trials 1062882 --seed 7",
-                "b00bf2781e74a6ae4c8ce341a62b6fbfadb118239cb60ff3e4787e1606b0d9f1",
+                "784a6043345efe0cf4d03d40d73594a58e7febab172c31a8d39c9bbdafa32acb",
             ),
         ],
         ids=["simulate-n11-uniform-random", "simulate-n12-round-robin"],
@@ -732,6 +733,26 @@ class TestJsonRendering:
         res = run_cli(*args.split())
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "simulate --n 8 --v 0.6 --eta 0.98 --trials 13122 --seed 1",
+            "simulate --n 11 --v 0.7 --eta 0.9 --trials 354294 --seed 3 --policy uniform-random",
+            "sweep --n 9 --eta 0.95 --v-grid 0.3,0.6 --trials-per-point 39366 --seed 5",
+        ],
+        ids=["simulate-n8", "simulate-n11-uniform-random", "sweep-n9"],
+    )
+    def test_stdout_is_independent_of_blas_kernel_and_threads(self, args):
+        # lhs sums 3^N products. A BLAS dot product sums them in an order that
+        # its CPU kernel and thread count pick, and its last digits then differ
+        # between these runs; Prescott is the oldest x86-64 kernel OpenBLAS has.
+        envs = [dict(OPENBLAS_NUM_THREADS="1"), dict(OPENBLAS_NUM_THREADS="2")]
+        if platform.machine().lower() in ("x86_64", "amd64"):
+            envs.append(dict(OPENBLAS_NUM_THREADS="2", OPENBLAS_CORETYPE="Prescott"))
+        runs = [run_cli(*args.split(), env=_env(**extra)) for extra in envs]
+        assert [res.returncode for res in runs] == [0] * len(envs)
+        assert [res.stdout for res in runs[1:]] == [runs[0].stdout] * (len(envs) - 1)
 
     @pytest.mark.parametrize(
         "args, digest", list(EXACT_SIDE_DIGESTS.values()), ids=list(EXACT_SIDE_DIGESTS)

@@ -623,7 +623,7 @@ class TestDeterminism:
                     n_parties=3, visibility=0.8, efficiency=0.75, trials=27 * 5000, seed=31,
                     setting_policy=ROUND_ROBIN,
                 ),
-                "30716da4be25eed08fdbffef30f78909cde89f03f97387e6ed6638c459264b95",
+                "9a200609254edecb574f79eb0332c86ee0f17956cda4e371e5c4bf99677713fe",
             ),
             (
                 dict(
@@ -636,7 +636,7 @@ class TestDeterminism:
             # the last block ends at exactly 2 * 3^11, where nothing wraps.
             (
                 dict(n_parties=11, visibility=0.7, efficiency=0.9, trials=2 * 3 ** 11, seed=6),
-                "eba3edeb911a64a4b09fc9c3c3443b16130c2fb2be4a560105a59e41f7d59cb9",
+                "d135944e7e7cb36cc34a6a06c7af4139aef559da0f2b2abd7d5a5fd97819893b",
             ),
         ],
         ids=["round-robin", "uniform-random", "round-robin-blocks-wrap-past-3^N"],
@@ -986,7 +986,7 @@ def _masked_divide_summary(n, counts, sum_prod, nonzero):
     var = np.divide(nonzero - mean_sq, counts - 1, out=np.zeros(m), where=enough)
     se_sq = np.divide(np.clip(var, 0.0, None), counts, out=np.zeros(m), where=enough)
     q = quantum_tensor(n)
-    lhs = abs(float(np.dot(q.entries, est)))
+    lhs = abs(float(np.sum(q.entries * est)))
     weights = q.entries ** 2
     if (weights[~enough] > 0.0).any():
         return est, lhs, math.inf
@@ -1085,11 +1085,15 @@ class TestSummaryFromStats:
         run_experiment(config)  # warm-up: the cached quantum tensor
         tracemalloc.start()
         try:
-            run_experiment(config)
+            summary = run_experiment(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 30 * 3 ** 12
+        # What the summary keeps is its 3^N estimates alone, not a view into
+        # a block that also holds the squared standard errors.
+        entries = summary.estimated_tensor.entries
+        assert entries.base is None and entries.nbytes == 8 * 3 ** 12
 
     def test_load_peak_memory(self, tmp_path):
         # Four file-sized work arrays, the bytes read and the translated
@@ -1233,7 +1237,7 @@ class TestEstimatorConsistency:
         )
         summary = run_experiment(cfg)
         q = quantum_tensor(3)
-        assert summary.lhs == abs(float(np.dot(q.entries, summary.estimated_tensor.entries)))
+        assert summary.lhs == abs(float(np.sum(q.entries * summary.estimated_tensor.entries)))
         assert summary.rhs == lhv_bound(3) - summary.p_all_zero * abs(entry_sum_closed_form(3))
         assert summary.violated == (summary.lhs > summary.rhs)
         assert 0.0 <= summary.p_all_zero <= 1.0
