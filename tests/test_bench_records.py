@@ -3,10 +3,15 @@
 A perf claim counts only with such a record, so each one is checked here as
 data: the shared schema, correct outputs with no failed operation on either
 side, the claimed metric lower on every seed, and both commit ids present in
-the history when a full clone is at hand.
+the history when a full clone is at hand. A record whose ``claim`` is null
+claims no gain; it must instead show every end-to-end metric of
+``BENCHMARK.json`` within that metric's bound on every workload and seed.
+A metric may also carry its raw per-pair values as ``parent`` and ``change``
+lists, one value per pair, whose medians must agree with the stated ones.
 """
 
 import json
+import statistics
 import subprocess
 from pathlib import Path
 
@@ -19,6 +24,8 @@ TOP_KEYS = {"what", "parent_commit", "change_commit", "command", "method", "host
 WORKLOAD_KEYS = {"pairs", "correct", "attempted", "failed", "metrics"}
 METRIC_KEYS = {"unit", "parent_median", "change_median", "parent_iqr", "pairs_won"}
 SIDES = {"parent", "change"}
+# Medians are stored rounded to 4 decimals, as are the raw per-pair values.
+MEDIAN_ROUNDING = 1e-4
 
 
 def _load(path: Path) -> dict:
@@ -43,6 +50,12 @@ def _full_history() -> bool:
     return res.returncode == 0 and res.stdout.strip() == "false"
 
 
+def _bounds() -> dict:
+    """Each end-to-end metric's allowed relative regression, from ``BENCHMARK.json``."""
+    spec = _load(ROOT / "BENCHMARK.json")
+    return {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
+
+
 def test_records_exist():
     assert RECORDS
 
@@ -51,7 +64,7 @@ def test_records_exist():
 def test_schema(path):
     record = _load(path)
     assert TOP_KEYS <= set(record)
-    assert set(record["claim"]) == {"workload", "metric"}
+    assert record["claim"] is None or set(record["claim"]) == {"workload", "metric"}
     seeds = _seeds(record)
     assert seeds and set(record) == TOP_KEYS | set(seeds)
     for workloads in seeds.values():
@@ -61,8 +74,13 @@ def test_schema(path):
             assert set(run["attempted"]) == SIDES and set(run["failed"]) == SIDES
             assert run["pairs"] >= 1
             for metric in run["metrics"].values():
-                assert set(metric) == METRIC_KEYS
+                assert METRIC_KEYS <= set(metric) <= METRIC_KEYS | SIDES
                 assert 0 <= metric["pairs_won"] <= run["pairs"]
+                for side in SIDES & set(metric):
+                    assert len(metric[side]) == run["pairs"]
+                    assert statistics.median(metric[side]) == pytest.approx(
+                        metric[f"{side}_median"], abs=MEDIAN_ROUNDING
+                    )
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
@@ -76,6 +94,15 @@ def test_outputs_correct_and_no_operation_failed(path):
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
 def test_claimed_metric_is_lower_on_every_seed(path):
     record = _load(path)
+    if record["claim"] is None:
+        bounds = _bounds()
+        for workloads in _seeds(record).values():
+            for run in workloads.values():
+                assert set(bounds) <= set(run["metrics"])
+                for name, bound in bounds.items():
+                    metric = run["metrics"][name]
+                    assert metric["change_median"] <= metric["parent_median"] * (1 + bound)
+        return
     workload, metric = record["claim"]["workload"], record["claim"]["metric"]
     for workloads in _seeds(record).values():
         claimed = workloads[workload]["metrics"][metric]
