@@ -7,13 +7,13 @@ Subcommands:
     sweep      -- experiments across a visibility grid
     verify     -- self-check suite; nonzero exit when any check fails
 
-JSON is the default format; the human format is rendered from the same data
-structure, never computed separately. Exit codes: 0 success, 1 failed check,
-2 usage error. main alone reports a _FieldError, raised by the library or a
-handler, through the subcommand's parser and led by the flag that set the
-value. The parser is built once per process, on the first main call, and
-reused. GHZBELL_SEED is read on every main call: when set, it is --seed's
-default for that call, so its errors name --seed.
+JSON is the default; the human format prints the same data, but bound's norm_sq
+and simulate's standard error as inf where JSON has null. Exit codes: 0
+success, 1 failed check, 2 usage error. main alone reports a library or handler
+_FieldError, through the subcommand's parser and led by the flag that set the
+value. The parser is built once per process, on the first main call.
+GHZBELL_SEED is read on every main call: when set, it is --seed's default for
+that call, so its errors name --seed.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The public API: exactly these names, each importable, at one version.
 
 Adding or removing a public name is a deliberate change that edits this list.
-README.md names what 0.2.0, 0.3.0, 0.4.0, 0.5.0 and 0.9.0 removed and what to use instead,
-and its Library example runs here as written.
+CHANGES.md names what each release removed and what to use instead. The
+README's Library example and its Command line examples run here as written.
 
 The input contract: every public callable that takes a count, index, seed,
 worker count or rate has a row in CONTRACT naming the field each such argument maps
@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,7 @@ from ghzbell import (
     violation_factor,
     visibility_sweep,
 )
+from ghzbell.cli import main
 from ghzbell.quantum import _FieldError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,6 +110,22 @@ def test_readme_library_example_runs(capsys):
     (code,) = re.findall(r"^```python\n(.*?)^```$", section.split("\n## ", 1)[0], flags=re.M | re.S)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("0.5132")
+
+
+def test_readme_command_examples_run(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```sh\n(.*?)^```$", section, flags=re.M | re.S)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("ghzbell ")]
+    assert len(commands) == 8
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 0, argv
+        capsys.readouterr()
 
 
 ALL_N = range(2, 647)

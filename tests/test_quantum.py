@@ -19,6 +19,9 @@ Core claims covered here:
     with read-only entries; the count is checked before the cache is read,
     so every integer type of one N shares the entry and a rejected count
     adds none,
+  * the Bell operator built from Q and the package's phase classes has
+    eigenvalues +-3^N/2 once each and 0 otherwise, with the GHZ state on top,
+    so no state measured with these observables beats (Q, Q) = 3^N/2,
   * every public entry point that takes a party count rejects N = 1 through
     the one rule, with the same field and message, and the same rule rejects a
     count that is not an integer and takes any integer type as its plain int,
@@ -27,6 +30,7 @@ Core claims covered here:
     rejected with its field, and numpy floats are accepted.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -335,6 +339,47 @@ class TestIntegerTensor:
             assert isinstance(t, CorrelationTensor)
             assert integer_tensor(n) is t
             assert not t.entries.flags.writeable
+
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+
+
+def _bell_operator(n):
+    """Dense B = sum_c Q_c (x)_k A_k(c_k), with A(phi) = cos(phi) sigma_x + sin(phi) sigma_y."""
+    grid = quantum_tensor(n).as_grid()
+    ops = [
+        [math.cos(c * math.pi / 6) * SIGMA_X + math.sin(c * math.pi / 6) * SIGMA_Y for c in t]
+        for t in _classes(n)
+    ]
+    b = np.zeros((2**n, 2**n), dtype=complex)
+    for combo in itertools.product(range(3), repeat=n):
+        b += grid[combo] * functools.reduce(np.kron, (ops[k][d] for k, d in enumerate(combo)))
+    return b
+
+
+class TestBellOperator:
+    """No N-qubit state measured with these observables beats GHZ's (Q, Q) = 3^N/2."""
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_spectrum_is_plus_minus_half_3_to_the_n_and_zero(self, n):
+        b = _bell_operator(n)
+        assert np.allclose(b, b.conj().T, rtol=0, atol=1e-12)
+        values, vectors = np.linalg.eigh(b)
+        expected = np.zeros(2**n)
+        expected[0], expected[-1] = -(3**n) / 2, 3**n / 2
+        assert np.allclose(values, expected, rtol=0, atol=1e-9)
+        ghz = np.zeros(2**n)
+        ghz[0] = ghz[-1] = 1 / math.sqrt(2)
+        assert abs(np.vdot(ghz, vectors[:, -1])) == pytest.approx(1.0, abs=1e-12)
+        assert np.vdot(ghz, b @ ghz).real == pytest.approx(3**n / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("classes", [FIRST_PARTY_CLASSES, LATER_PARTY_CLASSES])
+    def test_doubled_classes_are_equally_spaced(self, classes):
+        # Doubled phases c, c + 4, c + 8 (mod 12) are three equally spaced
+        # sixth roots of unity, so S(+-2) = sum_s exp(+-2i phi_s) = 0 exactly.
+        low, mid, high = sorted(2 * c % 12 for c in classes)
+        assert (mid, high) == (low + 4, low + 8)
 
 
 @pytest.mark.parametrize("build", [quantum_tensor, integer_tensor], ids=["quantum", "integer"])

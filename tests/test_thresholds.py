@@ -9,12 +9,14 @@ Core claims covered here:
   * one elementwise bisection over a sequence of N returns, bit for bit, the
     roots of per-N bisections, and no bisection decision over N = 2..646 is
     close enough to 0 for a last-bit error in numpy's SIMD pow to flip it,
-  * the two-setting reference threshold is 2^((1-N)/2) and is overtaken by
-    the three-setting one from N = 4 on,
+  * the two-setting reference threshold is 2^((1-N)/2), the exhaustive LHV
+    maximum over (Q2, Q2) of the two-setting table for N = 2..8, and is
+    overtaken by the three-setting one from N = 4 on,
   * tabulation and percent rendering are exact and reproducible.
 """
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +34,7 @@ from ghzbell import (
     threshold_table,
     two_setting_visibility_threshold,
 )
+from ghzbell.checks import CLOSED_FORM_TOL
 
 SQRT3 = math.sqrt(3.0)
 
@@ -188,6 +191,48 @@ class TestTwoSettingThreshold:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             two_setting_visibility_threshold(1)
+
+
+# A party's two-setting sign strategies: one sign per setting.
+SIGN_PAIRS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int64)
+
+
+def _two_setting_table(n):
+    """Integer table T2 and scale s with Q2 = T2 / s, for phases (0, pi/2) per party.
+
+    Party 0 is shifted by -pi/4 at even N, so every entry is cos(sum of phases)
+    in {+-1, 0} at odd N (s = 1) and in {+-1/sqrt(2)} at even N (s = sqrt(2)).
+    """
+    shift = -math.pi / 4 if n % 2 == 0 else 0.0
+    phases = [(shift, shift + math.pi / 2)] + [(0.0, math.pi / 2)] * (n - 1)
+    scale = math.sqrt(2.0) if n % 2 == 0 else 1.0
+    scaled = np.array([math.cos(sum(p)) for p in itertools.product(*phases)]) * scale
+    table = np.rint(scaled)
+    assert np.allclose(table, scaled, rtol=0, atol=1e-12)
+    return table.astype(np.int64).reshape((2,) * n), scale
+
+
+def _derived_two_setting_threshold(n):
+    """LHV maximum over all 4^N sign strategies, divided by (Q2, Q2)."""
+    table, scale = _two_setting_table(n)
+    norm = int(np.sum(table * table))
+    assert norm == 2 ** (n - 1) * round(scale**2)  # (Q2, Q2) = norm / s^2 = 2^(N-1)
+    scores = table
+    for _ in range(n):  # contract one party's setting axis into its four strategies
+        scores = np.tensordot(SIGN_PAIRS, scores, axes=([1], [scores.ndim - 1]))
+    assert scores.shape == (4,) * n
+    return int(scores.max()) * scale / norm
+
+
+class TestTwoSettingDerivation:
+    """v_cr_old from the two-setting (Mermin) table and an exact exhaustive search."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_lhv_max_over_quantum_value_is_the_formula(self, n):
+        derived = _derived_two_setting_threshold(n)
+        assert abs(derived - two_setting_visibility_threshold(n)) < CLOSED_FORM_TOL
+        # Three settings tolerate more noise from N = 4 on, two at N = 2 and 3.
+        assert (critical_visibility(n) < derived) == (n >= 4)
 
 
 class TestPercentString:
